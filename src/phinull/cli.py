@@ -84,15 +84,14 @@ def _emit(report_dict: dict, text: str, json_target: str | None) -> None:
 
 
 def _decision_text(report) -> str:
-    d = report.to_dict() if not isinstance(report, dict) else report
-    lines = [f"{d['condition']}: {'PASS' if d['passed'] else 'FAIL'}"]
-    for grp in d.get("groups", []):
+    lines = [f"{report.condition}: {'PASS' if report.passed else 'FAIL'}"]
+    for grp in report.groups:
         lines.append(
             f"  eigenvalue {grp['eigenvalue']:+.8g} x{grp['multiplicity']}"
             f"  (spread {grp['spread']:.2e})"
         )
-    if d.get("failure"):
-        lines.append(f"  reason: {d['failure']}")
+    if report.failure:
+        lines.append(f"  reason: {report.failure}")
     return "\n".join(lines)
 
 

@@ -49,16 +49,8 @@ class CurvatureTensor:
 
     def value(self, X, Y, Z, W) -> float:
         """The scalar R(X, Y, Z, W)."""
-        return float(
-            np.einsum(
-                "abcd,a,b,c,d->",
-                self.components,
-                np.asarray(X, dtype=float),
-                np.asarray(Y, dtype=float),
-                np.asarray(Z, dtype=float),
-                np.asarray(W, dtype=float),
-            )
-        )
+        vectors = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
+        return float(np.einsum("abcd,a,b,c,d->", self.components, *vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +85,8 @@ def operator_apply(R: CurvatureTensor, g: ScalarProduct, y, pair_a, pair_b) -> n
     metric. The classical Jacobi operator of z applied to y is
     ``operator_apply(R, g, z, y, z)`` (operator pair (y, z), argument z).
     """
-    covector = np.einsum(
-        "abcd,b,c,d->a",
-        R.components,
-        np.asarray(y, dtype=float),
-        np.asarray(pair_a, dtype=float),
-        np.asarray(pair_b, dtype=float),
-    )
+    vectors = (np.asarray(v, dtype=float) for v in (y, pair_a, pair_b))
+    covector = np.einsum("abcd,b,c,d->a", R.components, *vectors)
     return np.linalg.solve(g.components, covector)
 
 

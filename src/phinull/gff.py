@@ -247,19 +247,17 @@ def sample_phi_null_congruence(S: GffStructure, count: int, seed: int) -> Celest
 def _check_sample(S: GffStructure, points: np.ndarray, kind: SampleKind) -> None:
     """Verify the defining constraints of a sample kind to SAMPLE_ATOL."""
     z = S.timelike_frame_vector
-    for p in points:
-        q = inner(S.g, p, p)
-        zp = inner(S.g, p, z)
-        if kind in (SampleKind.S_OF_Z, SampleKind.S_PHI):
-            ok = abs(q - 1.0) <= SAMPLE_ATOL and abs(zp) <= SAMPLE_ATOL
-        else:
-            ok = abs(q) <= SAMPLE_ATOL and abs(zp + 1.0) <= SAMPLE_ATOL
-        if ok and kind in (SampleKind.S_PHI, SampleKind.N_PHI):
-            # Membership of the Im(phi) part: eta vanishes on Im(phi).
-            x = p - z if kind is SampleKind.N_PHI else p
-            ok = bool(np.abs(S.eta @ x).max() <= SAMPLE_ATOL)
-        if not ok:
-            raise AssertionError(f"sampled point violates {kind.value} constraints")
+    on_sphere = kind in (SampleKind.S_OF_Z, SampleKind.S_PHI)
+    q = np.einsum("nm,mk,nk->n", points, S.g.components, points)
+    zp = points @ S.g.components @ z
+    # sphere points: g(p, p) = 1, g(p, z) = 0; congruence points: g(p, p) = 0, g(p, z) = -1
+    ok = (np.abs(q - float(on_sphere)) <= SAMPLE_ATOL) & (np.abs(zp + float(not on_sphere)) <= SAMPLE_ATOL)
+    if kind in (SampleKind.S_PHI, SampleKind.N_PHI):
+        # Membership of the Im(phi) part: eta vanishes on Im(phi).
+        x = points - z if kind is SampleKind.N_PHI else points
+        ok &= np.abs(x @ S.eta.T).max(axis=1) <= SAMPLE_ATOL
+    if not ok.all():
+        raise AssertionError(f"sampled point violates {kind.value} constraints")
 
 
 def psi(S: GffStructure, u, tol: float = NULL_ATOL) -> np.ndarray:

@@ -147,10 +147,19 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
     elif "entries" in data:
         comps = np.zeros((dim,) * 4)
         for entry in data["entries"]:
-            idx = tuple(int(entry[k]) for k in ("i", "j", "k", "l"))
+            if not isinstance(entry, dict):
+                raise ValueError(f"sparse entry {entry!r} is not an object")
+            for key in ("i", "j", "k", "l", "value"):
+                if key not in entry:
+                    raise ValueError(f"sparse entry {entry!r} is missing the '{key}' field")
+            try:
+                idx = tuple(int(entry[k]) for k in ("i", "j", "k", "l"))
+                value = float(entry["value"])
+            except TypeError as exc:
+                raise ValueError(f"sparse entry {entry!r} is not numeric: {exc}") from None
             if any(not 0 <= q < dim for q in idx):
                 raise ValueError(f"sparse entry index {idx} out of range for dim {dim}")
-            comps[idx] = float(entry["value"])
+            comps[idx] = value
         comps = symmetrize_curvature(comps)
     else:
         raise ValueError("curvature block needs either 'components' or 'entries'")

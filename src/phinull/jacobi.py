@@ -9,9 +9,9 @@ Three operator constructions live here:
   inner product in Lorentzian signature;
 - the null Jacobi operator on that quotient, ``x -> proj(R(x, u) u)``.
 
-A condition decider samples a sphere of directions, computes the spectrum at
-each sample, and passes iff the grouped eigenvalues (with multiplicities)
-agree across all samples within a tolerance. Reports carry the full
+A condition decider samples a sphere of directions, stacks the operators of
+all samples (``OperatorStack``), and passes iff their grouped eigenvalues
+(with multiplicities) agree within a tolerance. Reports carry the full
 per-sample spectra and base vectors so that failures are reproducible.
 
 Operator-argument ordering: the Jacobi operator of z applied to y is fixed as
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .curvature import CurvatureTensor, operator_apply
 from .gff import GffStructure, sample_phi_celestial
@@ -124,12 +123,6 @@ class NullQuotient:
         return self.gbar_signature == (self.rep_basis.dim, 0)
 
 
-def _coordinates(domain: SubspaceBasis, g: ScalarProduct, vectors: np.ndarray) -> np.ndarray:
-    """Coordinates (columns) of ambient vectors in a nondegenerate-gram basis."""
-    rhs = domain.vectors @ g.components @ np.atleast_2d(vectors).T
-    return np.linalg.solve(domain.gram, rhs)
-
-
 def jacobi(
     R: CurvatureTensor,
     g: ScalarProduct,
@@ -151,7 +144,7 @@ def jacobi(
     if domain is None:
         domain = orthogonal_complement(g, [zv])
     images = np.array([operator_apply(R, g, zv, y, zv) for y in domain.vectors])
-    matrix = _coordinates(domain, g, images)
+    matrix = domain.coordinates(g, images)
     return JacobiOperator(base=zv, domain=domain, matrix=matrix, metric_on_domain=domain.gram)
 
 
@@ -166,15 +159,23 @@ def null_quotient(g: ScalarProduct, u, rank_rtol: float = RANK_RTOL) -> NullQuot
     if causal_character(g, uv) is not CausalCharacter.NULL:
         raise CausalCharacterError("null quotient requires a null vector")
     perp = orthogonal_complement(g, [uv], rank_rtol)
-    evals, evecs = np.linalg.eigh(perp.gram)
-    tol = rank_rtol * max(float(np.abs(evals).max()), 1.0)
-    nonzero = np.abs(evals) > tol
-    if int(np.sum(~nonzero)) != 1:
-        raise GeometryError(
-            f"restricted Gram on u-perp has kernel dimension {int(np.sum(~nonzero))}, expected 1"
-        )
-    reps = evecs[:, nonzero].T @ perp.vectors
-    return null_quotient_from_representatives(g, uv, reps, rank_rtol)
+    reps, kernel_dims = quotient_representatives(perp.vectors[None], perp.gram[None], rank_rtol)
+    if kernel_dims[0] != 1:
+        raise GeometryError(f"restricted Gram on u-perp has kernel dimension {kernel_dims[0]}, expected 1")
+    return null_quotient_from_representatives(g, uv, reps[0], rank_rtol)
+
+
+def quotient_representatives(perp_vectors, perp_grams, rank_rtol: float = RANK_RTOL):
+    """Quotient representatives for stacked (N, k, m) bases of u-perp, with the Grams' kernel dims.
+
+    The k - 1 rows per sample are the Gram's nondegenerate eigendirections, in
+    ``eigh`` order; they mean something only where the kernel dim is 1.
+    """
+    evals, evecs = np.linalg.eigh(perp_grams)
+    kernel = np.abs(evals) <= rank_rtol * np.maximum(np.abs(evals).max(axis=-1), 1.0)[:, None]
+    keep = np.argsort(kernel, axis=-1, kind="stable")[:, None, :-1]
+    reps = np.take_along_axis(evecs, keep, axis=-1).transpose(0, 2, 1) @ perp_vectors
+    return reps, kernel.sum(axis=-1)
 
 
 def null_quotient_from_representatives(
@@ -216,7 +217,7 @@ def null_jacobi(
     uv = quotient.u
     reps = quotient.rep_basis
     images = np.array([operator_apply(R, g, uv, r, uv) for r in reps.vectors])
-    matrix = _coordinates(reps, g, images)
+    matrix = reps.coordinates(g, images)
     return JacobiOperator(base=uv, domain=reps, matrix=matrix, metric_on_domain=quotient.gbar)
 
 
@@ -227,28 +228,46 @@ def spectrum(
 ) -> SpectralData:
     """Grouped eigenvalues of a Jacobi operator.
 
-    With a positive definite domain Gram the generalized symmetric
-    eigenproblem (Gram * matrix) v = lambda * Gram v is solved, so eigenvalues
-    are exactly real. Otherwise the plain eigenvalue problem is used and
-    non-real eigenvalues beyond tolerance raise ``SpectrumError`` -- they are
-    possible for spacelike bases in indefinite signature.
+    With a positive definite domain Gram = L L^T the generalized symmetric
+    eigenproblem (Gram * matrix) v = lambda * Gram v is solved as the symmetric
+    L^-1 (Gram * matrix) L^-T (Golub & Van Loan, 8.7), so eigenvalues are exactly
+    real. Otherwise the plain eigenvalue problem is used and non-real eigenvalues
+    beyond tolerance raise ``SpectrumError`` -- they are possible for spacelike
+    bases in indefinite signature.
     """
-    G = op.metric_on_domain
-    evals_G = np.linalg.eigvalsh(G)
-    if evals_G.min() > 1e-12 * max(float(np.abs(evals_G).max()), 1.0):
-        A = G @ op.matrix
-        A = 0.5 * (A + A.T)
-        values = scipy.linalg.eigh(A, G, eigvals_only=True)
-        return SpectralData.from_values(values, grouping_tol)
-    values = np.linalg.eigvals(op.matrix)
-    scale = max(float(np.abs(values).max()), 1.0)
-    max_imag = float(np.abs(values.imag).max())
-    if max_imag > realness_rtol * scale:
-        raise SpectrumError(
-            f"non-real eigenvalues on an indefinite domain: max |imag| = {max_imag:.3e}; "
-            f"eigenvalues = {np.array2string(values, precision=6)}"
-        )
-    return SpectralData.from_values(values.real, grouping_tol)
+    result = _spectra(op.matrix[None], op.metric_on_domain[None], grouping_tol, realness_rtol)[0]
+    if isinstance(result, SpectrumError):
+        raise result
+    return result
+
+
+def _spectra(matrices, grams, grouping_tol: float, realness_rtol: float = REALNESS_RTOL) -> list:
+    """``spectrum`` of each stacked operator: its SpectralData, or the SpectrumError it raises."""
+    out: list = [None] * len(matrices)
+    if not out:
+        return out
+    evals_G = np.linalg.eigvalsh(grams)
+    definite = evals_G.min(axis=1) > 1e-12 * np.maximum(np.abs(evals_G).max(axis=1), 1.0)
+    if definite.any():
+        G = grams[definite]
+        A = G @ matrices[definite]
+        L = np.linalg.cholesky(G)
+        half = np.linalg.solve(L, 0.5 * (A + A.transpose(0, 2, 1)))
+        whitened = np.linalg.solve(L, half.transpose(0, 2, 1))
+        for n, values in zip(np.flatnonzero(definite), np.linalg.eigvalsh(whitened)):
+            out[n] = SpectralData.from_values(values, grouping_tol)
+    if not definite.all():
+        for n, values in zip(np.flatnonzero(~definite), np.linalg.eigvals(matrices[~definite])):
+            scale = max(float(np.abs(values).max()), 1.0)
+            max_imag = float(np.abs(values.imag).max())
+            if max_imag > realness_rtol * scale:
+                out[n] = SpectrumError(
+                    f"non-real eigenvalues on an indefinite domain: max |imag| = {max_imag:.3e}; "
+                    f"eigenvalues = {np.array2string(values, precision=6)}"
+                )
+            else:
+                out[n] = SpectralData.from_values(values.real, grouping_tol)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +289,49 @@ class SampleRecord:
         if self.error is not None:
             out["error"] = self.error
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorStack:
+    """Operators of many bases, built together; ``errors[n]`` is why base n has none (or None).
+
+    The arrays stack the error-free bases' operators in order: ``matrices[j]``
+    acts on the rows of ``domains[j]``, self-adjoint w.r.t. ``grams[j]``."""
+
+    bases: np.ndarray
+    errors: list
+    domains: np.ndarray
+    grams: np.ndarray
+    matrices: np.ndarray
+
+    @classmethod
+    def from_operators(cls, bases, operator_for_base) -> "OperatorStack":
+        ops, errors = [], []
+        for base in bases:
+            try:
+                ops.append(operator_for_base(base))
+                errors.append(None)
+            except GeometryError as exc:
+                errors.append(exc)
+        domains = np.array([op.domain.vectors for op in ops])
+        grams = np.array([op.metric_on_domain for op in ops])
+        return cls(np.asarray(bases), errors, domains, grams, np.array([op.matrix for op in ops]))
+
+    def operator(self) -> JacobiOperator:
+        """The operator of a one-base stack; raises the base's error if it has none."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        domain = SubspaceBasis(vectors=self.domains[0], gram=self.grams[0])
+        return JacobiOperator(self.bases[0], domain, self.matrices[0], self.grams[0])
+
+    def records(self, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
+        """One record per base: its spectrum, or the error that prevented it."""
+        spectra = iter(_spectra(self.matrices, self.grams, grouping_tol))
+        results = [error or next(spectra) for error in self.errors]
+        return [
+            SampleRecord(base, None, str(r)) if isinstance(r, GeometryError) else SampleRecord(base, r)
+            for base, r in zip(self.bases, results)
+        ]
 
 
 @dataclass
@@ -399,21 +461,6 @@ def sample_null_vectors(g: ScalarProduct, count: int, seed: int) -> np.ndarray:
     return scales[:, None] * (sphere + z)
 
 
-def _spectra_records(
-    operator_for_base,
-    bases: np.ndarray,
-    grouping_tol: float,
-) -> list[SampleRecord]:
-    records = []
-    for base in bases:
-        try:
-            op = operator_for_base(base)
-            records.append(SampleRecord(base=base, spectrum=spectrum(op, grouping_tol)))
-        except (SpectrumError, GeometryError) as exc:
-            records.append(SampleRecord(base=base, spectrum=None, error=str(exc)))
-    return records
-
-
 def is_osserman_at(
     R: CurvatureTensor,
     g: ScalarProduct,
@@ -425,7 +472,7 @@ def is_osserman_at(
 ) -> DecisionReport:
     """Pointwise Osserman decision for one causal kind of unit vectors."""
     bases = sample_unit_causal(g, kind, samples, seed)
-    records = _spectra_records(lambda z: jacobi(R, g, z), bases, grouping_tol)
+    records = OperatorStack.from_operators(bases, lambda z: jacobi(R, g, z)).records(grouping_tol)
     return decide_constancy(
         f"osserman[{kind.value}]", records, seed, tol, grouping_tol,
         notes={"causal_kind": kind.value},
@@ -453,7 +500,8 @@ def is_null_osserman_wrt(
     if not np.allclose(frame.gram, np.eye(frame.dim), atol=1e-10):
         raise CausalCharacterError("celestial sphere of z is not spacelike; g must be Lorentzian")
     sphere = sample_unit_sphere(g, frame, samples, seed)
-    records = _spectra_records(lambda x: null_jacobi(R, g, zv + x), sphere, grouping_tol)
+    stack = OperatorStack.from_operators(sphere, lambda x: null_jacobi(R, g, zv + x))
+    records = stack.records(grouping_tol)
     return decide_constancy(
         "null-osserman", records, seed, tol, grouping_tol,
         notes={"reference": [float(v) for v in zv]},
@@ -501,13 +549,13 @@ def is_phi_null_osserman_wrt(
     sphere = sample_phi_celestial(S, samples, seed).points
     z = S.timelike_frame_vector
     g = S.g
-    quotient_records = _spectra_records(lambda x: null_jacobi(R, g, z + x), sphere, grouping_tol)
-    direct_records = _spectra_records(lambda x: jacobi(R, g, x), sphere, grouping_tol)
+    quotient = OperatorStack.from_operators(sphere, lambda x: null_jacobi(R, g, z + x))
+    direct = OperatorStack.from_operators(sphere, lambda x: jacobi(R, g, x))
     return PhiNullReport(
         quotient=decide_constancy(
-            "phi-null-osserman[quotient]", quotient_records, seed, tol, grouping_tol
+            "phi-null-osserman[quotient]", quotient.records(grouping_tol), seed, tol, grouping_tol
         ),
         direct=decide_constancy(
-            "phi-null-osserman[direct]", direct_records, seed, tol, grouping_tol
+            "phi-null-osserman[direct]", direct.records(grouping_tol), seed, tol, grouping_tol
         ),
     )

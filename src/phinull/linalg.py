@@ -156,12 +156,12 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
-
     def recompute_gram(self, g: ScalarProduct) -> np.ndarray:
         return self.vectors @ g.components @ self.vectors.T
+
+    def coordinates(self, g: ScalarProduct, vectors) -> np.ndarray:
+        """Coordinates of an ambient vector (or columns, for rows of vectors) in this basis."""
+        return np.linalg.solve(self.gram, self.vectors @ g.components @ np.asarray(vectors, dtype=float).T)
 
 
 def matrix_rank(matrix: np.ndarray, rank_rtol: float = RANK_RTOL) -> int:
@@ -227,11 +227,6 @@ def orthonormalize(
         out.append(v / np.sqrt(abs(q)))
         signs.append(1.0 if q > 0.0 else -1.0)
     return SubspaceBasis.from_vectors(g, np.array(out))
-
-
-def orthonormal_frame(g: ScalarProduct, vectors, rank_rtol: float = RANK_RTOL) -> SubspaceBasis:
-    """Orthonormalized basis of span(vectors); convenience wrapper."""
-    return orthonormalize(g, SubspaceBasis.from_vectors(g, vectors, rank_rtol))
 
 
 def sample_unit_sphere(

@@ -195,6 +195,26 @@ def test_cli_malformed_json_is_io_error(tmp_path, capsys):
     assert run(["validate", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"i": 0, "j": 1, "k": 0, "value": 6.0}, "missing the 'l' field"),
+        ({"i": 0, "j": 1, "k": 0, "l": 1}, "missing the 'value' field"),
+        ({"i": 0, "j": 1, "k": 0, "l": 1, "value": "six"}, "six"),
+        ({"i": 0, "j": 1, "k": 0, "l": 1, "value": None}, "not numeric"),
+        ([0, 1, 0, 1, 6.0], "not an object"),
+    ],
+)
+def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, entry, message):
+    data = instance_to_dict(generate_instance("constant", 1, 1, {"c": 1.0}))
+    data["curvature"] = {"dim": 3, "entries": [entry]}
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path), "--condition", "osserman", "--samples", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+
+
 def test_cli_check_conditions(phi_model_file, tmp_path, capsys):
     assert run(["check", phi_model_file, "--condition", "phi-null-osserman", "--samples", "8"]) == 0
     assert run(["check", phi_model_file, "--condition", "null-osserman", "--samples", "8"]) == 1

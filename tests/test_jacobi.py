@@ -210,6 +210,38 @@ def test_spectrum_reconstruction_residual():
     assert np.abs(recon - op.matrix).max() < 1e-8
 
 
+def test_spectrum_whitening_matches_scipy_on_definite_pencils():
+    rng = np.random.default_rng(12)
+    for k in (1, 3, 7, 11):
+        for _ in range(10):
+            L = np.eye(k) + 0.4 * rng.standard_normal((k, k))
+            gram = L @ L.T
+            sym = rng.standard_normal((k, k))
+            op = _operator_from(np.linalg.solve(gram, sym + sym.T), gram)
+            A = gram @ op.matrix
+            expected = scipy.linalg.eigh(0.5 * (A + A.T), gram, eigvals_only=True)
+            data = spectrum(op, grouping_tol=0.0)
+            values = np.repeat(data.eigenvalues, data.multiplicities)
+            assert np.abs(values - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def test_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import phinull
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(phinull.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    code = "import sys, phinull, phinull.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # -- deciders -----------------------------------------------------------------
 
 def test_osserman_constant_curvature_passes():

@@ -8,21 +8,24 @@ import pytest
 from helpers import bf_form_matrix, conjugated_structure, horizontal_draw
 from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
 from phinull.gff import canonical_structure, phi_image_frame, sample_phi_celestial, validate_gff
-from phinull.jacobi import spectrum
+from phinull.jacobi import decide_constancy, spectrum
 from phinull.linalg import GeometryError, inner, nullspace
 from phinull.submersion import (
     FibrationKind,
     RemarkKind,
     base_null_osserman_check,
+    base_null_stack,
     base_osserman_check,
     base_structure,
     make_fibration,
     oneill_A,
     r_star,
     r_star_form,
+    r_star_stack,
     remark_sectional_conditions,
     shift_identity_residual,
     theorem_equivalence_report,
+    transfer_forms,
     vertical_part,
 )
 
@@ -498,3 +501,103 @@ def test_r_star_form_symmetry():
         assert r_star_form(R, S.g, F, x, y, z) == pytest.approx(
             r_star_form(R, S.g, F, x, z, y), abs=1e-9
         )
+
+
+# -- batched transfer form ----------------------------------------------------
+
+def _families(S):
+    return {
+        "constant": constant_curvature(S.g, -1.3),
+        "phi_model": phi_model_family(S, 0.7, -1.1),
+        "random": random_algebraic_curvature(S.g, seed=21),
+    }
+
+
+def _oracle_forms(R, F, xs, domains):
+    """B[n, i, j] = r_star_form(x_n, d_j, d_i), one vector pair at a time."""
+    return np.array([
+        [[r_star_form(R, F.structure.g, F, x, dj, di) for dj in D] for di in D]
+        for x, D in zip(xs, domains)
+    ])
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_transfer_forms_match_per_vector_oracle(conjugated):
+    S = conjugated_structure(2, 3, seed=17) if conjugated else canonical_structure(2, 3)
+    rng = np.random.default_rng(3)
+    xs = sample_phi_celestial(S, 5, seed=2).points
+    for name, R in _families(S).items():
+        for kind in KINDS_S2:
+            F = make_fibration(S, kind)
+            domains = np.array([[horizontal_draw(F, rng) for _ in range(3)] for _ in xs])
+            batched = transfer_forms(R, S.g, F, xs, domains)
+            oracle = _oracle_forms(R, F, xs, domains)
+            scale = max(1.0, float(np.abs(oracle).max()))
+            assert np.abs(batched - oracle).max() < 1e-12 * scale, (name, kind)
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_stacked_base_operators_match_per_vector_assembly(conjugated):
+    S = conjugated_structure(2, 2, seed=19) if conjugated else canonical_structure(2, 2)
+    xs = sample_phi_celestial(S, 6, seed=4).points
+    F_pi = make_fibration(S, FibrationKind.PI_FULL)
+    F_tau = make_fibration(S, FibrationKind.TAU)
+    for name, R in _families(S).items():
+        for stack, F in ((r_star_stack(R, S.g, F_pi, xs), F_pi), (base_null_stack(R, S.g, F_tau, xs), F_tau)):
+            assert stack.errors == [None] * len(xs)
+            oracle = _oracle_forms(R, F, stack.bases, stack.domains)
+            oracle = 0.5 * (oracle + oracle.transpose(0, 2, 1))
+            for base, D, gram, matrix, B in zip(stack.bases, stack.domains, stack.grams, stack.matrices, oracle):
+                # the domain: horizontal, g-orthogonal to the base, of full rank
+                assert np.abs(vertical_part(F, D)).max() < 1e-10
+                assert np.abs(D @ S.g.components @ base).max() < 1e-10
+                assert np.linalg.matrix_rank(D) == D.shape[0]
+                assert np.array_equal(gram, D @ S.g.components @ D.T)
+                assert np.abs(matrix - np.linalg.solve(gram, B)).max() < 1e-10, (name, F.kind)
+
+
+@pytest.mark.parametrize("kind", [FibrationKind.PI_FULL, FibrationKind.TAU])
+def test_sentinel_sees_a_tiny_sigma_tamper(kind):
+    S = conjugated_structure(2, 3, seed=23)
+    R = random_algebraic_curvature(S.g, seed=5)
+    F = make_fibration(S, kind)
+    tampered = dataclasses.replace(F, sigma=F.sigma + 1e-6)
+    slot = "pi_fibration" if kind is FibrationKind.PI_FULL else "tau_fibration"
+    clean = theorem_equivalence_report(R, S, samples=6, seed=0)
+    report = theorem_equivalence_report(R, S, samples=6, seed=0, **{slot: tampered})
+    assert clean.internal_consistency_ok and clean.sigma_identity_residual < 1e-12
+    assert not report.internal_consistency_ok
+    assert 1e-7 < report.sigma_identity_residual < 1e-5
+
+
+def test_bad_sample_errors_only_that_sample():
+    S = canonical_structure(2, 2)
+    R = phi_model_family(S, 1.0, 1.0)
+    xs = sample_phi_celestial(S, 5, seed=0).points
+    F_pi = make_fibration(S, FibrationKind.PI_FULL)
+    bad = xs.copy()
+    bad[1] *= 2.0  # not unit
+    bad[3] += 0.5 * S.xi[1]  # leaks into the vertical space
+    records = r_star_stack(R, S.g, F_pi, bad).records()
+    assert records[1].error == "Rstar base must be unit spacelike: g(x,x) = 4.000000e+00"
+    assert records[3].error == "base of Rstar must be horizontal: vertical component 5.000e-01"
+    for n in (0, 2, 4):
+        single = spectrum(r_star(R, S.g, F_pi, xs[n]))
+        assert records[n].error is None
+        assert records[n].spectrum.multiplicities == single.multiplicities
+        assert records[n].spectrum.eigenvalues == pytest.approx(single.eigenvalues, abs=1e-12)
+    decision = decide_constancy("base-osserman[pi_full]", records, 0, 1e-8, 1e-6)
+    assert decision.failure == f"sample 1: {records[1].error}"
+
+    F_tau = make_fibration(S, FibrationKind.TAU)
+    bad = xs.copy()
+    bad[2] *= 2.0  # xi_1 + 2x is not null: the quotient kernel vanishes
+    bad[4] += S.xi[1]
+    records = base_null_stack(R, S.g, F_tau, bad).records()
+    assert records[2].error == "base null quotient: restricted Gram kernel is not one-dimensional"
+    assert records[4].error == "first argument of A must be horizontal: vertical component 1.000e+00"
+    good = base_null_stack(R, S.g, F_tau, xs).records()
+    for n in (0, 1, 3):
+        assert records[n].error is None
+        assert records[n].spectrum.multiplicities == good[n].spectrum.multiplicities
+        assert records[n].spectrum.eigenvalues == pytest.approx(good[n].spectrum.eigenvalues, abs=1e-12)
