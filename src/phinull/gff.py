@@ -28,6 +28,7 @@ from .linalg import (
     NULL_ATOL,
     RANK_RTOL,
     CausalCharacterError,
+    GeometryError,
     ScalarProduct,
     SubspaceBasis,
     inner,
@@ -257,7 +258,7 @@ def _check_sample(S: GffStructure, points: np.ndarray, kind: SampleKind) -> None
         x = points - z if kind is SampleKind.N_PHI else points
         ok &= np.abs(x @ S.eta.T).max(axis=1) <= SAMPLE_ATOL
     if not ok.all():
-        raise AssertionError(f"sampled point violates {kind.value} constraints")
+        raise GeometryError(f"sampled point violates {kind.value} constraints")
 
 
 def psi(S: GffStructure, u, tol: float = NULL_ATOL) -> np.ndarray:

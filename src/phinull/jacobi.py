@@ -9,10 +9,15 @@ Three operator constructions live here:
   inner product in Lorentzian signature;
 - the null Jacobi operator on that quotient, ``x -> proj(R(x, u) u)``.
 
-A condition decider samples a sphere of directions, stacks the operators of
-all samples (``OperatorStack``), and passes iff their grouped eigenvalues
-(with multiplicities) agree within a tolerance. Reports carry the full
-per-sample spectra and base vectors so that failures are reproducible.
+Every operator, these and the transfer operators of ``submersion``, takes
+one path over all samples at once: bases -> domain rows D -> a curvature form
+-> ``operator_stack`` (symmetrize, solve against the domain Gram) ->
+``OperatorStack.records`` -> ``decide_constancy``, which passes iff the grouped
+eigenvalues of all samples agree within a tolerance. The Jacobi forms are
+``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)`` (``jacobi_covectors``),
+contracted x in slot 4, then d in slot 3 and x in slot 2: forming
+``K_x = R(., x, ., x)`` first loses more to cancellation on large-norm
+timelike x.
 
 Operator-argument ordering: the Jacobi operator of z applied to y is fixed as
 R(y, z) z, the curvature operator with pair (y, z) acting on z. With the
@@ -22,11 +27,11 @@ spacelike z on a constant-curvature-c tensor, which is the anchor test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curvature import CurvatureTensor, operator_apply
+from .curvature import CurvatureTensor
 from .gff import GffStructure, sample_phi_celestial
 from .linalg import (
     RANK_RTOL,
@@ -123,29 +128,82 @@ class NullQuotient:
         return self.gbar_signature == (self.rep_basis.dim, 0)
 
 
-def jacobi(
-    R: CurvatureTensor,
-    g: ScalarProduct,
-    z,
-    domain: SubspaceBasis | None = None,
-) -> JacobiOperator:
+def jacobi_covectors(R: CurvatureTensor, xs, D) -> np.ndarray:
+    """C[n, a, k] = R(e_a, x, d_k, x) for x = xs[n] and the rows d_k of D[n].
+
+    x goes into slot 4, then d into slot 3 and x into slot 2 (see the module docstring), in
+    plain einsum loops: at this size a BLAS product runs threaded, and slower."""
+    return np.einsum("nabc,nkc,nb->nak", np.einsum("abcd,nd->nabc", R.components, xs), D, xs)
+
+
+def perp_within(g: ScalarProduct, span: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows spanning {v in span(span) : g(v, x) = 0} for each x in xs (x must pair with the span)."""
+    _, _, vh = np.linalg.svd((xs @ g.components @ span.T)[:, None, :])
+    return vh[:, 1:, :] @ span
+
+
+def quotient_representatives(g: ScalarProduct, span: np.ndarray, us, rank_rtol: float = RANK_RTOL):
+    """Representatives of u-perp/span(u) within span(span) per u in us, with the restricted
+    Grams' kernel dims: the nondegenerate eigendirections, meaningful only where that dim is 1."""
+    perp = perp_within(g, span, us)
+    evals, evecs = np.linalg.eigh(perp @ g.components @ perp.transpose(0, 2, 1))
+    kernel = np.abs(evals) <= rank_rtol * np.maximum(np.abs(evals).max(axis=-1), 1.0)[:, None]
+    keep = np.argsort(kernel, axis=-1, kind="stable")[:, None, :-1]
+    return np.take_along_axis(evecs, keep, axis=-1).transpose(0, 2, 1) @ perp, kernel.sum(axis=-1)
+
+
+def operator_stack(bases, errors: list, g: ScalarProduct, domains, forms) -> OperatorStack:
+    """The operators solve(Gram, symmetrized form) on the domains of the error-free bases."""
+    grams = domains @ g.components @ domains.transpose(0, 2, 1)
+    matrices = np.linalg.solve(grams, 0.5 * (forms + forms.transpose(0, 2, 1)))
+    return OperatorStack(bases=bases, errors=errors, domains=domains, grams=grams, matrices=matrices)
+
+
+def _jacobi_operators(R: CurvatureTensor, g: ScalarProduct, bases, errors: list, domains) -> OperatorStack:
+    """``operator_stack`` of the Jacobi forms ``D C`` on the domains D of the error-free bases."""
+    xs = bases[[n for n, error in enumerate(errors) if error is None]]
+    return operator_stack(bases, errors, g, domains, domains @ jacobi_covectors(R, xs, domains))
+
+
+def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
+    """Per base: None if its causal character is in ``kinds``, else a CausalCharacterError of ``message``."""
+    found = [causal_character(g, base) for base in bases]
+    return [None if kind in kinds else CausalCharacterError(message.format(kind.value)) for kind in found]
+
+
+def jacobi_stack(R: CurvatureTensor, g: ScalarProduct, zs, domains=None) -> OperatorStack:
+    """Classical Jacobi operators y -> R(y, z) z of the bases z, each on z-perp (or on domains[n]).
+
+    A null or zero base gets an error instead of an operator.
+    """
+    zs = np.asarray(zs, dtype=float)
+    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
+    errors = _causal_errors(g, zs, non_null, "classical Jacobi operator needs a non-null base, got {}")
+    ok = [n for n, error in enumerate(errors) if error is None]
+    D = perp_within(g, np.eye(g.dim), zs[ok]) if domains is None else np.asarray(domains, dtype=float)[ok]
+    return _jacobi_operators(R, g, zs, errors, D)
+
+
+def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None = None) -> JacobiOperator:
     """Classical Jacobi operator y -> R(y, z) z on z-perp.
 
     ``z`` must be spacelike or timelike; for a null base use
     :func:`null_jacobi`. An explicit ``domain`` (a basis of z-perp) may be
     supplied to compare operators of parallel bases on identical coordinates.
     """
-    zv = np.asarray(z, dtype=float).reshape(-1)
-    kind = causal_character(g, zv)
-    if kind not in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE):
-        raise CausalCharacterError(
-            f"classical Jacobi operator needs a non-null base, got {kind.value}"
-        )
-    if domain is None:
-        domain = orthogonal_complement(g, [zv])
-    images = np.array([operator_apply(R, g, zv, y, zv) for y in domain.vectors])
-    matrix = domain.coordinates(g, images)
-    return JacobiOperator(base=zv, domain=domain, matrix=matrix, metric_on_domain=domain.gram)
+    zs = np.asarray(z, dtype=float).reshape(1, -1)
+    return jacobi_stack(R, g, zs, None if domain is None else domain.vectors[None]).operator()
+
+
+def _null_quotients(g: ScalarProduct, us, rank_rtol: float = RANK_RTOL) -> tuple[list, np.ndarray]:
+    """Per u in us, None or the error that leaves it without a quotient; and the others' representatives."""
+    errors = _causal_errors(g, us, (CausalCharacter.NULL,), "null quotient requires a null vector")
+    ok = [n for n, error in enumerate(errors) if error is None]
+    reps, kernel_dims = quotient_representatives(g, np.eye(g.dim), us[ok], rank_rtol)
+    for n, dim in zip(ok, kernel_dims):
+        if dim != 1:
+            errors[n] = GeometryError(f"restricted Gram on u-perp has kernel dimension {dim}, expected 1")
+    return errors, reps[kernel_dims == 1]
 
 
 def null_quotient(g: ScalarProduct, u, rank_rtol: float = RANK_RTOL) -> NullQuotient:
@@ -156,33 +214,14 @@ def null_quotient(g: ScalarProduct, u, rank_rtol: float = RANK_RTOL) -> NullQuot
     kernel of the restriction is exactly span(u).
     """
     uv = np.asarray(u, dtype=float).reshape(-1)
-    if causal_character(g, uv) is not CausalCharacter.NULL:
-        raise CausalCharacterError("null quotient requires a null vector")
-    perp = orthogonal_complement(g, [uv], rank_rtol)
-    reps, kernel_dims = quotient_representatives(perp.vectors[None], perp.gram[None], rank_rtol)
-    if kernel_dims[0] != 1:
-        raise GeometryError(f"restricted Gram on u-perp has kernel dimension {kernel_dims[0]}, expected 1")
+    errors, reps = _null_quotients(g, uv[None], rank_rtol)
+    if errors[0] is not None:
+        raise errors[0]
     return null_quotient_from_representatives(g, uv, reps[0], rank_rtol)
 
 
-def quotient_representatives(perp_vectors, perp_grams, rank_rtol: float = RANK_RTOL):
-    """Quotient representatives for stacked (N, k, m) bases of u-perp, with the Grams' kernel dims.
-
-    The k - 1 rows per sample are the Gram's nondegenerate eigendirections, in
-    ``eigh`` order; they mean something only where the kernel dim is 1.
-    """
-    evals, evecs = np.linalg.eigh(perp_grams)
-    kernel = np.abs(evals) <= rank_rtol * np.maximum(np.abs(evals).max(axis=-1), 1.0)[:, None]
-    keep = np.argsort(kernel, axis=-1, kind="stable")[:, None, :-1]
-    reps = np.take_along_axis(evecs, keep, axis=-1).transpose(0, 2, 1) @ perp_vectors
-    return reps, kernel.sum(axis=-1)
-
-
 def null_quotient_from_representatives(
-    g: ScalarProduct,
-    u,
-    representatives,
-    rank_rtol: float = RANK_RTOL,
+    g: ScalarProduct, u, representatives, rank_rtol: float = RANK_RTOL
 ) -> NullQuotient:
     """Build a quotient from explicit representatives (each must lie in u-perp)."""
     uv = np.asarray(u, dtype=float).reshape(-1)
@@ -201,11 +240,18 @@ def null_quotient_from_representatives(
     return NullQuotient(u=uv, rep_basis=basis, gbar_signature=signature)
 
 
+def null_jacobi_stack(R: CurvatureTensor, g: ScalarProduct, us) -> OperatorStack:
+    """Null Jacobi operators x -> proj(R(x, u) u) of the bases u, each on the quotient of u-perp.
+
+    A base that is not null, or whose restricted Gram has a kernel other than
+    span(u), gets an error instead of an operator.
+    """
+    us = np.asarray(us, dtype=float)
+    return _jacobi_operators(R, g, us, *_null_quotients(g, us))
+
+
 def null_jacobi(
-    R: CurvatureTensor,
-    g: ScalarProduct,
-    u,
-    quotient: NullQuotient | None = None,
+    R: CurvatureTensor, g: ScalarProduct, u, quotient: NullQuotient | None = None
 ) -> JacobiOperator:
     """Null Jacobi operator x -> proj(R(x, u) u) on the quotient of u-perp.
 
@@ -214,11 +260,8 @@ def null_jacobi(
     """
     if quotient is None:
         quotient = null_quotient(g, u)
-    uv = quotient.u
-    reps = quotient.rep_basis
-    images = np.array([operator_apply(R, g, uv, r, uv) for r in reps.vectors])
-    matrix = reps.coordinates(g, images)
-    return JacobiOperator(base=uv, domain=reps, matrix=matrix, metric_on_domain=quotient.gbar)
+    us, reps = quotient.u[None], quotient.rep_basis.vectors[None]
+    return _jacobi_operators(R, g, us, [None], reps).operator()
 
 
 def spectrum(
@@ -304,19 +347,6 @@ class OperatorStack:
     grams: np.ndarray
     matrices: np.ndarray
 
-    @classmethod
-    def from_operators(cls, bases, operator_for_base) -> "OperatorStack":
-        ops, errors = [], []
-        for base in bases:
-            try:
-                ops.append(operator_for_base(base))
-                errors.append(None)
-            except GeometryError as exc:
-                errors.append(exc)
-        domains = np.array([op.domain.vectors for op in ops])
-        grams = np.array([op.metric_on_domain for op in ops])
-        return cls(np.asarray(bases), errors, domains, grams, np.array([op.matrix for op in ops]))
-
     def operator(self) -> JacobiOperator:
         """The operator of a one-base stack; raises the base's error if it has none."""
         if self.errors[0] is not None:
@@ -394,20 +424,13 @@ def decide_constancy(
                 f"{rec.spectrum.multiplicities} vs {reference.multiplicities}"
             )
             return report
-    spreads = []
-    for gi in range(len(reference.eigenvalues)):
+    for gi, (value, multiplicity) in enumerate(zip(reference.eigenvalues, reference.multiplicities)):
         values = [rec.spectrum.eigenvalues[gi] for rec in records]
         lo, hi = float(min(values)), float(max(values))
-        spreads.append(hi - lo)
         report.groups.append(
-            {
-                "eigenvalue": reference.eigenvalues[gi],
-                "multiplicity": reference.multiplicities[gi],
-                "min": lo,
-                "max": hi,
-                "spread": hi - lo,
-            }
+            {"eigenvalue": value, "multiplicity": multiplicity, "min": lo, "max": hi, "spread": hi - lo}
         )
+    spreads = [grp["spread"] for grp in report.groups]
     worst = max(spreads)
     if worst >= tol:
         gi = spreads.index(worst)
@@ -472,7 +495,7 @@ def is_osserman_at(
 ) -> DecisionReport:
     """Pointwise Osserman decision for one causal kind of unit vectors."""
     bases = sample_unit_causal(g, kind, samples, seed)
-    records = OperatorStack.from_operators(bases, lambda z: jacobi(R, g, z)).records(grouping_tol)
+    records = jacobi_stack(R, g, bases).records(grouping_tol)
     return decide_constancy(
         f"osserman[{kind.value}]", records, seed, tol, grouping_tol,
         notes={"causal_kind": kind.value},
@@ -491,7 +514,7 @@ def is_null_osserman_wrt(
     """Null Osserman decision w.r.t. a unit timelike z, over its full celestial sphere.
 
     Null directions are produced as z + x for x on the celestial sphere of z
-    (the inverse of the congruence-to-sphere shift map).
+    (the inverse of the congruence-to-sphere shift map); each record names its x.
     """
     zv = np.asarray(z, dtype=float).reshape(-1)
     if abs(inner(g, zv, zv) + 1.0) > 1e-8:
@@ -500,8 +523,7 @@ def is_null_osserman_wrt(
     if not np.allclose(frame.gram, np.eye(frame.dim), atol=1e-10):
         raise CausalCharacterError("celestial sphere of z is not spacelike; g must be Lorentzian")
     sphere = sample_unit_sphere(g, frame, samples, seed)
-    stack = OperatorStack.from_operators(sphere, lambda x: null_jacobi(R, g, zv + x))
-    records = stack.records(grouping_tol)
+    records = replace(null_jacobi_stack(R, g, zv + sphere), bases=sphere).records(grouping_tol)
     return decide_constancy(
         "null-osserman", records, seed, tol, grouping_tol,
         notes={"reference": [float(v) for v in zv]},
@@ -548,14 +570,9 @@ def is_phi_null_osserman_wrt(
     """Phi-null Osserman decision w.r.t. the timelike frame vector of S."""
     sphere = sample_phi_celestial(S, samples, seed).points
     z = S.timelike_frame_vector
-    g = S.g
-    quotient = OperatorStack.from_operators(sphere, lambda x: null_jacobi(R, g, z + x))
-    direct = OperatorStack.from_operators(sphere, lambda x: jacobi(R, g, x))
+    quotient = replace(null_jacobi_stack(R, S.g, z + sphere), bases=sphere).records(grouping_tol)
+    direct = jacobi_stack(R, S.g, sphere).records(grouping_tol)
     return PhiNullReport(
-        quotient=decide_constancy(
-            "phi-null-osserman[quotient]", quotient.records(grouping_tol), seed, tol, grouping_tol
-        ),
-        direct=decide_constancy(
-            "phi-null-osserman[direct]", direct.records(grouping_tol), seed, tol, grouping_tol
-        ),
+        quotient=decide_constancy("phi-null-osserman[quotient]", quotient, seed, tol, grouping_tol),
+        direct=decide_constancy("phi-null-osserman[direct]", direct, seed, tol, grouping_tol),
     )

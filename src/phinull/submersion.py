@@ -31,9 +31,11 @@ is, on a domain with basis rows D, one matrix B[i, j] = g(Rstar_x(d_j), d_i):
     B = D Q_x D^T + 2 g(V, V) a a^T - g(V, V) a b^T,
     Q_x = R(x, ., x, .),   a_i = c(x, d_i),   b_j = c(d_j, x).
 
-``transfer_forms`` builds it for a whole stack of samples at once; the base
-operators (``r_star_stack``, ``base_null_stack``), the shift-identity
-sentinel and the remark identity are read off it. ``oneill_A`` and
+``transfer_forms`` builds it for a whole stack of samples at once, its first
+term as ``D C`` from ``jacobi.jacobi_covectors``; the base operators
+(``r_star_stack``, ``base_null_stack``) become operators through
+``jacobi.operator_stack`` like every other operator, and the shift-identity
+sentinel and the remark identity are read off the same form. ``oneill_A`` and
 ``r_star_form`` stay as the per-vector definitions it is tested against.
 
 On V = x-perp within Im(phi) the transfer equals g(R_x(y), z) +
@@ -63,6 +65,9 @@ from .jacobi import (
     PhiNullReport,
     decide_constancy,
     is_phi_null_osserman_wrt,
+    jacobi_covectors,
+    operator_stack,
+    perp_within,
     quotient_representatives,
 )
 from .linalg import (
@@ -227,15 +232,6 @@ def _a_coefficients(F: FibrationModel, xs: np.ndarray, rows: np.ndarray) -> tupl
     return -x_phi_d, -d_phi_x
 
 
-def _jacobi_forms(R: CurvatureTensor, xs: np.ndarray, slot: int) -> np.ndarray:
-    """Q[n, b, d] = R(x, e_b, x, e_d) (slot 0) or R(e_b, x, e_d, x) (slot 1), x = xs[n].
-
-    Staged einsum loops, one slot at a time: at this size a BLAS product runs threaded, and slower.
-    """
-    spec = ("na,abcd->nbcd", "nbcd,nc->nbd") if slot == 0 else ("nb,abcd->nacd", "nacd,nd->nac")
-    return np.einsum(spec[1], np.einsum(spec[0], xs, R.components), xs)
-
-
 def transfer_forms(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs, domains) -> np.ndarray:
     """B[n, i, j] = g(Rstar_x(d_j), d_i) for x = xs[n] and the horizontal rows d of domains[n].
 
@@ -243,21 +239,8 @@ def transfer_forms(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs, 
     """
     v = F.vertical_sum
     a, b = _a_coefficients(F, xs, domains)
-    pairing = domains @ _jacobi_forms(R, xs, 0) @ domains.transpose(0, 2, 1)
+    pairing = domains @ jacobi_covectors(R, xs, domains)
     return pairing + (v @ g.components @ v) * a[:, :, None] * (2.0 * a - b)[:, None, :]
-
-
-def _perp_within(g: ScalarProduct, span: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Rows spanning {v in span(span) : g(v, x) = 0} for each x in xs (x must pair with the span)."""
-    _, _, vh = np.linalg.svd((xs @ g.components @ span.T)[:, None, :])
-    return vh[:, 1:, :] @ span
-
-
-def _stack(bases, errors: list, g: ScalarProduct, domains, forms) -> OperatorStack:
-    """The operators solve(Gram, symmetrized form) on the domains of the error-free bases."""
-    grams = domains @ g.components @ domains.transpose(0, 2, 1)
-    matrices = np.linalg.solve(grams, 0.5 * (forms + forms.transpose(0, 2, 1)))
-    return OperatorStack(bases=bases, errors=errors, domains=domains, grams=grams, matrices=matrices)
 
 
 def r_star_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) -> OperatorStack:
@@ -268,8 +251,8 @@ def r_star_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) ->
         if errors[n] is None and abs(q - 1.0) > 1e-8:
             errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
     ok = xs[[n for n, error in enumerate(errors) if error is None]]
-    domains = _perp_within(g, F.horizontal.vectors, ok)
-    return _stack(xs, errors, g, domains, transfer_forms(R, g, F, ok, domains))
+    domains = perp_within(g, F.horizontal.vectors, ok)
+    return operator_stack(xs, errors, g, domains, transfer_forms(R, g, F, ok, domains))
 
 
 def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> JacobiOperator:
@@ -282,10 +265,10 @@ def _shift_identity_defects(R: CurvatureTensor, g: ScalarProduct, F: FibrationMo
     - 3 sigma g(., phi x) phi x in V-coordinates, and the scales of the right sides."""
     _require_horizontal(F, xs, "first argument of A")
     G = g.components
-    V = _perp_within(g, image.vectors, xs)
+    V = perp_within(g, image.vectors, xs)
     grams = V @ G @ V.transpose(0, 2, 1)
     lhs = np.linalg.solve(grams, transfer_forms(R, g, F, xs, V))
-    images = np.linalg.solve(G, _jacobi_forms(R, xs, 1) @ V.transpose(0, 2, 1))
+    images = np.linalg.solve(G, jacobi_covectors(R, xs, V))
     rhs = np.linalg.solve(grams, V @ G @ images)
     weights = np.einsum("nkm,nm->nk", V @ G, xs @ F.structure.phi.T)  # g(v_k, phi x)
     rank_one = np.linalg.solve(grams, weights[:, :, None]) * weights[:, None, :]
@@ -348,13 +331,12 @@ def base_osserman_check(
 def base_null_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) -> OperatorStack:
     """Null Jacobi operators of u = xi_1 + x on the quotient of u-perp in H, via the transfer form."""
     us = F.structure.xi[0] + np.asarray(xs, dtype=float)
-    perp = _perp_within(g, F.horizontal.vectors, us)
-    reps, kernel_dims = quotient_representatives(perp, perp @ g.components @ perp.transpose(0, 2, 1))
+    reps, kernel_dims = quotient_representatives(g, F.horizontal.vectors, us)
     errors = _horizontal_errors(F, us, "first argument of A")
     for n in np.flatnonzero(kernel_dims != 1):
         errors[n] = GeometryError("base null quotient: restricted Gram kernel is not one-dimensional")
     ok = [n for n, error in enumerate(errors) if error is None]
-    return _stack(us, errors, g, reps[ok], transfer_forms(R, g, F, us[ok], reps[ok]))
+    return operator_stack(us, errors, g, reps[ok], transfer_forms(R, g, F, us[ok], reps[ok]))
 
 
 def base_null_osserman_check(
@@ -386,7 +368,7 @@ def _hypothesis_residuals(R: CurvatureTensor, S: GffStructure, xs: np.ndarray) -
     """Relative misalignment of R_x(phi x) against phi x per sample (0 for an eigenvector)."""
     G = S.g.components
     phix = xs @ S.phi.T
-    w = np.linalg.solve(G, (_jacobi_forms(R, xs, 1) @ phix[:, :, None])[:, :, 0].T).T
+    w = np.linalg.solve(G, jacobi_covectors(R, xs, phix[:, None, :])[:, :, 0].T).T
     lam = np.einsum("nm,mk,nk->n", w, G, phix) / np.einsum("nm,mk,nk->n", phix, G, phix)
     return np.linalg.norm(w - lam[:, None] * phix, axis=1) / np.maximum(np.linalg.norm(w, axis=1), 1.0)
 

@@ -215,6 +215,26 @@ def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, 
     assert err.startswith("validation error:") and message in err
 
 
+def test_cli_sample_off_the_phi_sphere_is_a_validation_error(tmp_path, capsys):
+    # g(e_0, e_4) = 5e-12 passes validation, but the sampled phi-celestial
+    # points then miss their constraints by more than SAMPLE_ATOL.
+    data = instance_to_dict(generate_instance("constant", 2, 2))
+    data["structure"]["metric"][0 * 6 + 4] = data["structure"]["metric"][4 * 6 + 0] = 5e-12
+    path = str(tmp_path / "tilted.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_json(data))
+    assert run(["validate", path]) == 0
+    for argv in (
+        ["check", path, "--condition", "phi-null-osserman"],
+        ["verify-theorem", path],
+        ["remarks", path, "--kind", "sasaki_base"],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "violates S_phi constraints" in err
+
+
 def test_cli_check_conditions(phi_model_file, tmp_path, capsys):
     assert run(["check", phi_model_file, "--condition", "phi-null-osserman", "--samples", "8"]) == 0
     assert run(["check", phi_model_file, "--condition", "null-osserman", "--samples", "8"]) == 1

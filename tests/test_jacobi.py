@@ -11,17 +11,27 @@ from helpers import (
     expected_multiset,
     random_unit_spacelike,
 )
-from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
+from phinull.curvature import (
+    constant_curvature,
+    operator_apply,
+    phi_model_family,
+    random_algebraic_curvature,
+)
 from phinull.gff import canonical_structure, sample_phi_celestial
+from phinull.io import generate_instance
 from phinull.jacobi import (
     JacobiOperator,
+    OperatorStack,
     SpectralData,
     SpectrumError,
+    decide_constancy,
     is_null_osserman_wrt,
     is_osserman_at,
     is_phi_null_osserman_wrt,
     jacobi,
+    jacobi_stack,
     null_jacobi,
+    null_jacobi_stack,
     null_quotient,
     null_quotient_from_representatives,
     sample_null_vectors,
@@ -153,6 +163,84 @@ def test_null_jacobi_matches_oracle_on_phi_model():
         assert expected_multiset(oracle, {0.0: 3, 4.5: 1}, tol=1e-9)
         assert engine.multiplicities == (3, 1)
         assert np.abs(np.array(engine.eigenvalues) - [0.0, 4.5]).max() < 1e-9
+
+
+# -- stacked operators against the per-vector assembly -------------------------
+
+def _per_vector_matrix(R, g, base, rows):
+    """The operator's matrix on the given domain rows, one operator_apply per row, raised through g^-1."""
+    domain = SubspaceBasis(vectors=rows, gram=rows @ g.components @ rows.T)
+    return domain.coordinates(g, np.array([operator_apply(R, g, base, y, base) for y in rows]))
+
+
+def _stack_case(name):
+    S = conjugated_structure(2, 2, seed=31) if name == "conjugated" else canonical_structure(2, 2)
+    R = {
+        "constant": lambda: constant_curvature(S.g, 1.5),
+        "phi_model": lambda: phi_model_family(S, 0.5, 1.5),
+        "random": lambda: random_algebraic_curvature(S.g, seed=3),
+        "conjugated": lambda: phi_model_family(S, -0.5, 2.0),
+    }[name]()
+    return S, R
+
+
+@pytest.mark.parametrize("name", ["constant", "phi_model", "random", "conjugated"])
+def test_stacks_match_per_vector_assembly(name):
+    S, R = _stack_case(name)
+    G = S.g.components
+    xs = sample_phi_celestial(S, 8, seed=2).points
+    zs = np.vstack([xs, sample_unit_causal(S.g, CausalCharacter.TIMELIKE, 4, seed=2)])
+    us = S.xi[0] + xs
+    for stack, bases, corank in ((jacobi_stack(R, S.g, zs), zs, 1), (null_jacobi_stack(R, S.g, us), us, 2)):
+        assert stack.errors == [None] * len(bases)
+        for base, rows, matrix in zip(bases, stack.domains, stack.matrices):
+            # the domain: S.dim - corank independent rows, all g-orthogonal to the base
+            assert rows.shape == (S.dim - corank, S.dim) and np.linalg.matrix_rank(rows) == S.dim - corank
+            assert np.abs(rows @ G @ base).max() < 1e-12 * max(1.0, np.abs(base).max())
+            oracle = _per_vector_matrix(R, S.g, base, rows)
+            assert np.abs(matrix - oracle).max() < 1e-10 * max(1.0, np.abs(oracle).max())
+
+
+def test_stacks_report_a_bad_base_for_that_sample_only():
+    S = canonical_structure(2, 2)
+    R = phi_model_family(S, 0.5, 1.5)
+    xs = sample_phi_celestial(S, 5, seed=4).points
+    us = S.xi[0] + xs
+    cases = (
+        (jacobi_stack, xs, us, "classical Jacobi operator needs a non-null base, got null"),
+        (null_jacobi_stack, us, xs, "null quotient requires a null vector"),
+    )
+    for build, good, bad, message in cases:
+        clean = build(R, S.g, good).records()
+        mixed = build(R, S.g, np.vstack([good[:2], bad[2:3], good[3:]])).records()
+        assert [rec.error for rec in mixed] == [None, None, message, None, None]
+        assert mixed[2].spectrum is None
+        for n in (0, 1, 3, 4):
+            assert mixed[n].spectrum == clean[n].spectrum
+        assert decide_constancy("c", mixed, 0, 1e-8, 1e-6).failure == f"sample 2: {message}"
+
+
+def test_timelike_round_off_no_worse_than_per_vector_assembly():
+    # Dim-11 constant curvature: large-norm unit timelike samples have domain
+    # Grams with condition numbers up to 1e4, so round-off shows in the spread.
+    # Single seeds swing either way, so the routes are compared seed by seed.
+    inst = generate_instance("constant", 4, 3)
+    R, g = inst.curvature, inst.structure.g
+    ratios = []
+    for seed in range(20):
+        report = is_osserman_at(R, g, CausalCharacter.TIMELIKE, seed=seed)
+        assert report.passed, (seed, report.failure)
+        # the per-vector assembly on the same samples, diagonalized as the deciders do
+        bases = np.array([rec.base for rec in report.records])
+        domains = np.array([orthogonal_complement(g, [z]).vectors for z in bases])
+        matrices = np.array([_per_vector_matrix(R, g, z, D) for z, D in zip(bases, domains)])
+        grams = domains @ g.components @ domains.transpose(0, 2, 1)
+        records = OperatorStack(bases, [None] * len(bases), domains, grams, matrices).records()
+        per_vector = decide_constancy("per-vector", records, seed, 1e-8, 1e-6)
+        assert per_vector.passed, (seed, per_vector.failure)
+        ratios.append(report.groups[0]["spread"] / per_vector.groups[0]["spread"])
+    # paired by seed: both routes see the same samples
+    assert np.median(ratios) <= 1.0, sorted(ratios)
 
 
 # -- spectra ------------------------------------------------------------------
@@ -287,6 +375,10 @@ def test_null_osserman_space_form_passes_with_zero_spectrum():
     report = is_null_osserman_wrt(R, g, np.eye(5)[0], samples=24, seed=0)
     assert report.passed
     assert report.groups[0]["eigenvalue"] == pytest.approx(0.0, abs=1e-12)
+    # each record names its point x of the celestial sphere, not the null vector z + x
+    bases = np.array([rec.base for rec in report.records])
+    assert np.allclose(bases[:, 0], 0.0)
+    assert np.allclose(np.einsum("ni,ij,nj->n", bases, g.components, bases), 1.0)
 
 
 def test_null_osserman_fails_for_phi_model_off_image():
@@ -317,6 +409,9 @@ def test_phi_null_two_paths_on_curated_families():
     R = phi_model_family(S, -0.5, 2.0)
     report = is_phi_null_osserman_wrt(R, S, samples=24, seed=0)
     assert report.quotient.passed and report.direct.passed
+    # both paths name each sample by its point x of the phi-celestial sphere
+    for q, d in zip(report.quotient.records, report.direct.records):
+        assert np.array_equal(q.base, d.base)
     # {a with multiplicity 2n+s-2 = 4, a+3b simple}
     assert report.direct.records[0].spectrum.multiplicities == (4, 1)
     flat = constant_curvature(S.g, 4.0)
