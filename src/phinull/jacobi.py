@@ -40,17 +40,19 @@ from .linalg import (
     GeometryError,
     ScalarProduct,
     SubspaceBasis,
-    causal_character,
+    causal_characters,
     inner,
     orthogonal_complement,
     orthonormalize,
     sample_unit_sphere,
+    self_products,
 )
 
 DEFAULT_SAMPLES = 64
 DEFAULT_GROUPING_TOL = 1e-6
 DEFAULT_CONSTANCY_TOL = 1e-8
 REALNESS_RTOL = 1e-8
+SAMPLER_BLOCK = 4096
 
 
 class SpectrumError(GeometryError):
@@ -68,17 +70,14 @@ class SpectralData:
     @classmethod
     def from_values(cls, values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> "SpectralData":
         vals = np.sort(np.asarray(values, dtype=float))
-        groups: list[list[float]] = []
-        for v in vals:
-            if groups and v - groups[-1][-1] <= grouping_tol:
-                groups[-1].append(float(v))
-            else:
-                groups.append([float(v)])
-        return cls(
-            eigenvalues=tuple(float(np.mean(grp)) for grp in groups),
-            multiplicities=tuple(len(grp) for grp in groups),
-            grouping_tol=grouping_tol,
-        )
+        if vals.size and vals[-1] - vals[0] <= grouping_tol:  # one group, as on Osserman tensors
+            return cls((float(np.mean(vals)),), (vals.size,), grouping_tol)
+        split = ~(np.diff(vals) <= grouping_tol)  # a NaN gap splits too
+        edges = np.flatnonzero(np.concatenate(([True], split, [True])))[: vals.size + 1].tolist()
+        groups = list(zip(edges[:-1], edges[1:]))
+        # np.add.reduce is np.mean's sum: in order from 0.0 below 8 values, pairwise from 8
+        means = tuple(float(np.add.reduce(vals[a:b]) / (b - a)) for a, b in groups)
+        return cls(means, tuple(b - a for a, b in groups), grouping_tol)
 
     @property
     def dimension(self) -> int:
@@ -167,7 +166,7 @@ def _jacobi_operators(R: CurvatureTensor, g: ScalarProduct, bases, errors: list,
 
 def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
     """Per base: None if its causal character is in ``kinds``, else a CausalCharacterError of ``message``."""
-    found = [causal_character(g, base) for base in bases]
+    found = causal_characters(g, bases)
     return [None if kind in kinds else CausalCharacterError(message.format(kind.value)) for kind in found]
 
 
@@ -306,7 +305,7 @@ def _spectra(matrices, grams, grouping_tol: float, realness_rtol: float = REALNE
             if max_imag > realness_rtol * scale:
                 out[n] = SpectrumError(
                     f"non-real eigenvalues on an indefinite domain: max |imag| = {max_imag:.3e}; "
-                    f"eigenvalues = {np.array2string(values, precision=6)}"
+                    f"eigenvalues = {np.array2string(np.sort_complex(values), precision=6)}"
                 )
             else:
                 out[n] = SpectralData.from_values(values.real, grouping_tol)
@@ -451,25 +450,27 @@ def sample_unit_causal(
 
     The unit pseudo-spheres are noncompact in indefinite signature, so there
     is no uniform measure; normalized Gaussian draws give full support over
-    directions, which is what the constancy deciders need.
+    directions, which is what the constancy deciders need. Draws are tested in blocks, from
+    ``count`` rows doubling to ``SAMPLER_BLOCK``, and accepted in stream order, at most
+    ``max_tries * count`` in all: bit for bit the vectors of one draw at a time.
     """
     if kind not in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE):
         raise ValueError("kind must be spacelike or timelike")
     rng = np.random.default_rng(seed)
     want_positive = kind is CausalCharacter.SPACELIKE
-    out = []
-    for _ in range(max_tries * count):
-        y = rng.standard_normal(g.dim)
-        q = inner(g, y, y)
-        if abs(q) <= 1e-8 * max(float(y @ y), 1.0):
-            continue
-        if (q > 0) == want_positive:
-            out.append(y / np.sqrt(abs(q)))
-            if len(out) == count:
-                return np.array(out)
-    raise CausalCharacterError(
-        f"could not sample {count} {kind.value} unit vectors (signature {g.signature})"
-    )
+    accepted, found, drawn, budget = [], 0, 0, max_tries * count
+    while drawn < budget and found < count:
+        Y = rng.standard_normal((min(budget - drawn, SAMPLER_BLOCK, max(count, drawn)), g.dim))
+        drawn += len(Y)
+        q = self_products(g, Y)
+        keep = (np.abs(q) > 1e-8 * np.maximum(self_products(None, Y), 1.0)) & ((q > 0) == want_positive)
+        accepted.append(Y[keep] / np.sqrt(np.abs(q[keep]))[:, None])
+        found += int(keep.sum())
+    if count < 1 or found < count:
+        raise CausalCharacterError(
+            f"could not sample {count} {kind.value} unit vectors (signature {g.signature})"
+        )
+    return np.concatenate(accepted)[:count]
 
 
 def sample_null_vectors(g: ScalarProduct, count: int, seed: int) -> np.ndarray:

@@ -116,15 +116,24 @@ def inner(g: ScalarProduct, x, y) -> float:
     return 0.5 * (float(xv @ (g.components @ yv)) + float(yv @ (g.components @ xv)))
 
 
+def self_products(g: ScalarProduct | None, xs: np.ndarray) -> np.ndarray:
+    """g(x, x) (x . x for g None) per row x of a float array, bitwise ``inner(g, x, x)``: stacked
+    matmuls run one gemv and one dot a row, as 1-d products do (``einsum`` rounds differently)."""
+    GX = xs[:, :, None] if g is None else np.matmul(g.components, xs[:, :, None])
+    return np.matmul(xs[:, None, :], GX)[:, 0, 0]
+
+
+def causal_characters(g: ScalarProduct, xs, null_tol: float = NULL_ATOL) -> list[CausalCharacter]:
+    """Classify each row x of xs as spacelike / timelike / null / zero under g."""
+    X = np.asarray(xs, dtype=float)
+    q = self_products(g, X)
+    conditions = [~X.any(axis=1), np.abs(q) <= null_tol, q < 0.0]
+    return [CausalCharacter(kind) for kind in np.select(conditions, ["zero", "null", "timelike"], "spacelike")]
+
+
 def causal_character(g: ScalarProduct, x, null_tol: float = NULL_ATOL) -> CausalCharacter:
     """Classify x as spacelike / timelike / null / zero under g."""
-    xv = _as_vector(x, g.dim)
-    if not np.any(xv):
-        return CausalCharacter.ZERO
-    q = inner(g, xv, xv)
-    if abs(q) <= null_tol:
-        return CausalCharacter.NULL
-    return CausalCharacter.TIMELIKE if q < 0.0 else CausalCharacter.SPACELIKE
+    return causal_characters(g, _as_vector(x, g.dim)[None], null_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)

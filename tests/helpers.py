@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from phinull.gff import GffStructure, canonical_structure
-from phinull.linalg import ScalarProduct
+from phinull.linalg import CausalCharacter, CausalCharacterError, ScalarProduct
 
 
 def conjugated_structure(n: int, s: int, seed: int, scale: float = 0.3) -> GffStructure:
@@ -78,6 +78,41 @@ def random_unit_spacelike(g: ScalarProduct, rng: np.random.Generator) -> np.ndar
         q = float(y @ g.components @ y)
         if q > 1e-6:
             return y / np.sqrt(q)
+
+
+def sample_unit_causal_loop(
+    g: ScalarProduct, kind: CausalCharacter, count: int, seed: int, max_tries: int = 200
+) -> np.ndarray:
+    """Unit vectors of one causal kind, drawn and tested one Gaussian at a time.
+
+    The rejection loop the engine's block sampler must reproduce bit for bit:
+    the same stream, threshold, budget and failure message."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(max_tries * count):
+        y = rng.standard_normal(g.dim)
+        q = float(y @ (g.components @ y))
+        if abs(q) <= 1e-8 * max(float(y @ y), 1.0):
+            continue
+        if (q > 0) == (kind is CausalCharacter.SPACELIKE):
+            out.append(y / np.sqrt(abs(q)))
+            if len(out) == count:
+                return np.array(out)
+    raise CausalCharacterError(
+        f"could not sample {count} {kind.value} unit vectors (signature {g.signature})"
+    )
+
+
+def spectral_groups_loop(values, grouping_tol: float) -> tuple[tuple, tuple]:
+    """(group means, multiplicities) of the sorted values, grouped one value at a time:
+    a value joins the current group when within grouping_tol of the previous one."""
+    groups: list[list[float]] = []
+    for v in np.sort(np.asarray(values, dtype=float)):
+        if groups and v - groups[-1][-1] <= grouping_tol:
+            groups[-1].append(float(v))
+        else:
+            groups.append([float(v)])
+    return tuple(float(np.mean(grp)) for grp in groups), tuple(len(grp) for grp in groups)
 
 
 def horizontal_draw(F, rng: np.random.Generator) -> np.ndarray:

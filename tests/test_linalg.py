@@ -9,11 +9,13 @@ from phinull.linalg import (
     ScalarProduct,
     SubspaceBasis,
     causal_character,
+    causal_characters,
     inner,
     matrix_rank,
     orthogonal_complement,
     orthonormalize,
     sample_unit_sphere,
+    self_products,
 )
 
 
@@ -44,6 +46,16 @@ def test_inner_symmetric_bitwise():
         assert inner(g, x, y) == inner(g, y, x)
 
 
+def test_self_products_bitwise_equal_inner():
+    rng = np.random.default_rng(1)
+    for dim in (3, 11, 20):
+        mat = rng.standard_normal((dim, dim))
+        g = ScalarProduct.from_matrix(mat + mat.T)
+        xs = rng.standard_normal((300, dim)) * 10.0 ** rng.integers(-3, 4, (300, 1))
+        assert self_products(g, xs).tolist() == [inner(g, x, x) for x in xs]
+        assert self_products(None, xs).tolist() == [float(x @ x) for x in xs]
+
+
 def test_inner_dimension_mismatch():
     g = ScalarProduct.minkowski(3)
     with pytest.raises(ValueError):
@@ -69,6 +81,13 @@ def test_causal_character_examples():
     assert causal_character(g, [1.0, 0.0, 0.0]) is CausalCharacter.TIMELIKE
     assert causal_character(g, [0.0, 0.0, 0.0]) is CausalCharacter.ZERO
     assert causal_character(g, [0.0, 2.0, 0.0]) is CausalCharacter.SPACELIKE
+
+
+def test_causal_characters_classify_each_row():
+    g = ScalarProduct.diagonal([-1.0, 1.0, 1.0])
+    rows = [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+    kinds = [CausalCharacter.NULL, CausalCharacter.TIMELIKE, CausalCharacter.ZERO, CausalCharacter.SPACELIKE]
+    assert causal_characters(g, rows) == kinds
 
 
 def test_causal_character_positive_rescaling_invariance():
