@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -235,7 +236,9 @@ def cmd_spectrum(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="phinull",
         description="Spectral checks for Osserman-type conditions on Lorentzian framed structures",

@@ -74,16 +74,21 @@ def _square(data, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _floats(arr) -> list:
+    """Nested lists of Python floats, as ``float(v)`` per element would give."""
+    return np.asarray(arr, dtype=float).tolist()
+
+
 def structure_to_dict(S: GffStructure) -> dict:
     return {
         "dim": S.dim,
         "n": S.n,
         "s": S.s,
-        "metric": [float(v) for v in S.g.components.reshape(-1)],
-        "phi": [float(v) for v in S.phi.reshape(-1)],
-        "xi": [[float(v) for v in row] for row in S.xi],
-        "eta": [[float(v) for v in row] for row in S.eta],
-        "epsilon": [float(v) for v in S.epsilon],
+        "metric": _floats(S.g.components.reshape(-1)),
+        "phi": _floats(S.phi.reshape(-1)),
+        "xi": _floats(S.xi),
+        "eta": _floats(S.eta),
+        "epsilon": _floats(S.epsilon),
     }
 
 
@@ -128,7 +133,7 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
 def curvature_to_dict(R: CurvatureTensor) -> dict:
     return {
         "dim": R.dim,
-        "components": [float(v) for v in R.components.reshape(-1)],
+        "components": _floats(R.components.reshape(-1)),
     }
 
 
@@ -209,18 +214,25 @@ def instance_to_dict(inst: InstanceFile) -> dict:
 
 
 def instance_from_dict(data: dict, validate: bool = True) -> InstanceFile:
+    if not isinstance(data, dict):
+        raise ValueError(f"instance file must hold a JSON object, not {type(data).__name__}")
     for key in ("structure", "curvature", "metadata"):
         if key not in data:
             raise ValueError(f"instance file is missing the '{key}' block")
+        if not isinstance(data[key], dict):
+            raise ValueError(f"the '{key}' block must be an object, not {type(data[key]).__name__}")
     meta_raw = data["metadata"]
     family = str(meta_raw.get("family", "external"))
     if family not in FAMILIES:
         raise ValueError(f"unknown family '{family}'; expected one of {FAMILIES}")
+    parameters = meta_raw.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise ValueError(f"metadata.parameters must be an object, not {type(parameters).__name__}")
     metadata = InstanceMetadata(
         name=str(meta_raw.get("name", "")),
         seed=int(meta_raw.get("seed", 0)),
         family=family,
-        parameters=dict(meta_raw.get("parameters", {})),
+        parameters=dict(parameters),
     )
     structure = structure_from_dict(data["structure"], validate=validate)
     curvature = curvature_from_dict(data["curvature"], structure.g, validate=validate)
@@ -233,9 +245,54 @@ def load_instance(path: str | Path, validate: bool = True) -> InstanceFile:
     return instance_from_dict(data, validate=validate)
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_SLICE = 4096  # values per C-encoder pass: a long number list leaves no large temporary string
+
+
+def _write(data, indent: str, out: list) -> None:
+    """Append ``json.dumps(data, indent=2, sort_keys=True)``, nested at ``indent``, to ``out``."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(data, dict) and data:
+        for k, key in enumerate(sorted(data)):
+            # a key that is not a str is quoted the way json.dumps quotes it
+            name = _encode(key if isinstance(key, str) else _encode(key))
+            out.append((sep if k else "{\n" + inner) + name + ": ")
+            _write(data[key], inner, out)
+        out.append("\n" + indent + "}")
+    elif isinstance(data, (list, tuple)) and data:
+        # The first item only spares lists of containers or strings a wasted
+        # pass. The compact encoding decides: with no quote and no inner
+        # bracket, every item is a number, a bool, null or {}.
+        if not isinstance(data[0], (dict, list, tuple, str)):
+            flats = [_encode(data[i:i + _SLICE]) for i in range(0, len(data), _SLICE)]
+            if not any('"' in flat or "[" in flat[1:] for flat in flats):
+                for k, flat in enumerate(flats):
+                    out += [sep if k else "[\n" + inner, flat[1:-1].replace(",", sep)]
+                out.append("\n" + indent + "]")
+                return
+        for k, item in enumerate(data):
+            out.append(sep if k else "[\n" + inner)
+            _write(item, inner, out)
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_encode(data))  # a scalar, [] or {}
+
+
 def dump_json(data: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization of a report or an instance file.
+
+    The contract is byte for byte ``json.dumps(data, indent=2,
+    sort_keys=True) + "\\n"``: sorted keys, a two-space indent, ``","`` and
+    ``": "`` as separators, ASCII escapes, a trailing newline. ``json`` drops
+    to its pure-Python encoder whenever ``indent`` is set, so the layout is
+    written here and every scalar and every flat list of scalars goes through
+    the C encoder. Pieces are joined once, at the end.
+    """
+    out: list[str] = []
+    _write(data, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def save_instance(path: str | Path, inst: InstanceFile) -> None:

@@ -7,6 +7,7 @@ commands decide what to do with a failing report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -46,7 +47,8 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def worst(self) -> CheckResult:
-        return max(self.checks, key=lambda c: c.residual / c.threshold)
+        """The check furthest past its threshold; a non-finite residual ranks first."""
+        return max(self.checks, key=lambda c: (not math.isfinite(c.residual), c.residual / c.threshold))
 
     def failing(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]

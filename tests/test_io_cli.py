@@ -1,10 +1,17 @@
 """Instance files and the command-line front end (exit codes, determinism)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phinull import cli
 from phinull.cli import run
 from phinull.curvature import validate_curvature
 from phinull.gff import canonical_structure, validate_gff
@@ -215,6 +222,39 @@ def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, 
     assert err.startswith("validation error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: 5, "instance file must hold a JSON object, not int"),
+        (lambda d: {**d, "structure": 5}, "the 'structure' block must be an object, not int"),
+        (lambda d: {**d, "curvature": [1]}, "the 'curvature' block must be an object, not list"),
+        (lambda d: {**d, "metadata": 3}, "the 'metadata' block must be an object, not int"),
+        (lambda d: {**d, "metadata": {**d["metadata"], "parameters": 3}},
+         "metadata.parameters must be an object, not int"),
+    ],
+    ids=["top-level", "structure", "curvature", "metadata", "parameters"],
+)
+def test_cli_non_object_block_is_a_validation_error(tmp_path, capsys, edit, message):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(edit(instance_to_dict(generate_instance("constant", 1, 1)))))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {message}\n"
+
+
+def test_cli_nan_residual_is_named_as_the_worst_check(tmp_path, capsys):
+    # NaN never compares greater, so ranking by residual / threshold alone
+    # named a passing check with residual 0.
+    data = instance_to_dict(generate_instance("constant", 2, 2))
+    data["structure"]["metric"][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path), "--condition", "osserman", "--samples", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: structure validation failed:")
+    assert err.endswith(" residual nan\n")
+
+
 def test_cli_sample_off_the_phi_sphere_is_a_validation_error(tmp_path, capsys):
     # g(e_0, e_4) = 5e-12 passes validation, but the sampled phi-celestial
     # points then miss their constraints by more than SAMPLE_ATOL.
@@ -343,3 +383,126 @@ def test_cli_json_to_stdout(phi_model_file, capsys):
     payload = json.loads(out)
     assert payload["condition"] == "phi-null-osserman"
     assert payload["passed"] is True
+
+
+# -- canonical JSON -------------------------------------------------------------
+
+def _assert_canonical(text: str, data) -> None:
+    """``text`` is ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline.
+
+    A mismatch is reported at its first differing line: a full text diff of
+    a dim-12 instance file takes minutes.
+    """
+    want = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if text != want:
+        got_lines, want_lines = text.split("\n"), want.split("\n")
+        k = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {k}: {got_lines[k:k + 3]!r} != json.dumps {want_lines[k:k + 3]!r}")
+
+
+_text = st.text(st.sampled_from(list(',[{"\\: \u00e9\u221e\u2028\U0001f600')) | st.characters(),
+                max_size=6)
+_numbers = st.one_of(
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.sampled_from([-0.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf")]),
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.booleans(),
+    st.none(),
+)
+_trees = st.recursive(
+    _numbers | _text | st.lists(_numbers, max_size=8),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_text, kids, max_size=4),
+        # a number first, then anything: the writer's flat-list path must say no
+        st.builds(lambda head, rest: [head, *rest], _numbers, st.lists(kids, max_size=3)),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+def test_dump_json_is_json_dumps_byte_for_byte(tree):
+    _assert_canonical(dump_json(tree), tree)
+    with mock.patch("phinull.io._SLICE", 3):  # number lists across slice boundaries
+        _assert_canonical(dump_json(tree), tree)
+
+
+@pytest.mark.parametrize("tree", [
+    {2: [1], 10: [], -1: {}},
+    {1.5: 0, float("inf"): "x", -0.0: [2, 3]},
+    {True: 1, False: [0.5]},
+    {None: (1, "a,b")},
+], ids=["int", "float", "bool", "none"])
+def test_dump_json_non_string_keys(tree):
+    _assert_canonical(dump_json(tree), tree)
+
+
+@pytest.mark.parametrize("family", ["constant", "phi_model", "random"])
+def test_dump_json_on_instance_files(family):
+    data = instance_to_dict(generate_instance(family, 5, 2, seed=4))
+    _assert_canonical(dump_json(data), data)
+
+
+def test_dump_json_on_every_report(tmp_path, monkeypatch):
+    emitted = []
+
+    def checked(data):
+        text = dump_json(data)
+        _assert_canonical(text, data)
+        emitted.append(data)
+        return text
+
+    monkeypatch.setattr(cli, "dump_json", checked)
+    report = str(tmp_path / "report.json")
+    for family in ("phi_model", "random"):
+        path = str(tmp_path / f"{family}.json")
+        save_instance(path, generate_instance(family, 2, 2, seed=5))
+        commands = [
+            ["validate", path],
+            ["check", path, "--condition", "osserman", "--samples", "6"],
+            ["check", path, "--condition", "osserman", "--causal-kind", "timelike", "--samples", "6"],
+            ["check", path, "--condition", "null-osserman", "--samples", "6"],
+            ["check", path, "--condition", "phi-null-osserman", "--samples", "6"],
+            ["remarks", path, "--kind", "sasaki_base", "--samples", "6"],
+            ["remarks", path, "--kind", "lorentz_sasaki_base", "--samples", "6"],
+            ["verify-theorem", path, "--samples", "6"],
+            ["spectrum", path, "--vector", "0,0,1,0,0,0"],
+        ]
+        for argv in commands:
+            run(argv + ["--json", report])
+    # every command emits a report, except spectrum on the random tensor (exit 1)
+    assert len(emitted) == 2 * len(commands) - 1
+
+
+def test_cached_parser_keeps_no_state_between_calls(phi_model_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage layout in and out of process
+    check = ["check", phi_model_file, "--condition", "osserman", "--samples", "6", "--seed", "3"]
+    spectrum = ["spectrum", phi_model_file, "--vector", "1,0,0,0,0,0,0", "--json"]
+    sequence = [
+        check + ["--json", "{report}"],
+        check,
+        spectrum + ["--grouping-tol", "0.5"],
+        spectrum,
+        ["check", phi_model_file, "--condition", "no-such-condition"],
+        ["check", phi_model_file, "--condition", "null-osserman", "--samples", "6"],
+    ]
+    for k, argv in enumerate(sequence):
+        in_process = str(tmp_path / f"in-{k}.json")
+        alone = str(tmp_path / f"alone-{k}.json")
+        capsys.readouterr()
+        try:
+            code = run([a.format(report=in_process) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "phinull.cli",
+                               *[a.format(report=alone) for a in argv]],
+                              capture_output=True, text=True)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        if "{report}" in argv:
+            assert Path(in_process).read_bytes() == Path(alone).read_bytes()
+    assert code == 1 and "FAIL" in out
