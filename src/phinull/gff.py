@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,12 @@ class GffStructure:
     def is_lorentzian_frame(self) -> bool:
         """Exactly one epsilon is -1 and it is the first."""
         return int(np.sum(self.epsilon < 0)) == 1 and self.epsilon[0] < 0
+
+    @cached_property
+    def image_frame(self) -> SubspaceBasis:
+        """``phi_image_frame`` of this structure, computed once: the samplers, the fibrations and
+        the sentinel of every command read the same frame."""
+        return phi_image_frame(self)
 
 
 class SampleKind(Enum):
@@ -213,8 +220,7 @@ def _require_lorentzian(S: GffStructure) -> None:
 def sample_phi_celestial(S: GffStructure, count: int, seed: int) -> CelestialSample:
     """Uniform sample of unit vectors in Im(phi) orthogonal to the timelike frame."""
     _require_lorentzian(S)
-    frame = phi_image_frame(S)
-    points = sample_unit_sphere(S.g, frame, count, seed)
+    points = sample_unit_sphere(S.g, S.image_frame, count, seed)
     _check_sample(S, points, SampleKind.S_PHI)
     return CelestialSample(points=points, kind=SampleKind.S_PHI, seed=seed, count=count)
 

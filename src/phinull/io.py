@@ -74,6 +74,14 @@ def _square(data, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _integer(value, field: str) -> int:
+    """``int(value)``, or a ValueError naming the field where it fails (a list, an object, null, NaN, inf)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
 def _floats(arr) -> list:
     """Nested lists of Python floats, as ``float(v)`` per element would give."""
     return np.asarray(arr, dtype=float).tolist()
@@ -96,7 +104,7 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
     for key in ("dim", "n", "s", "metric", "phi", "xi", "eta", "epsilon"):
         if key not in data:
             raise ValueError(f"structure block is missing the '{key}' field")
-    n, s, dim = int(data["n"]), int(data["s"]), int(data["dim"])
+    n, s, dim = (_integer(data[key], f"structure.{key}") for key in ("n", "s", "dim"))
     if dim != 2 * n + s:
         raise ValueError(f"dim = {dim} does not equal 2n+s = {2 * n + s}")
     g = ScalarProduct.from_matrix(_square(data["metric"], dim, "metric"))
@@ -140,7 +148,7 @@ def curvature_to_dict(R: CurvatureTensor) -> dict:
 def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> CurvatureTensor:
     if "dim" not in data:
         raise ValueError("curvature block is missing the 'dim' field")
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "curvature.dim")
     if dim != g.dim:
         raise ValueError(f"curvature dim {dim} does not match structure dim {g.dim}")
     if "components" in data:
@@ -160,7 +168,7 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
             try:
                 idx = tuple(int(entry[k]) for k in ("i", "j", "k", "l"))
                 value = float(entry["value"])
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"sparse entry {entry!r} is not numeric: {exc}") from None
             if any(not 0 <= q < dim for q in idx):
                 raise ValueError(f"sparse entry index {idx} out of range for dim {dim}")
@@ -230,7 +238,7 @@ def instance_from_dict(data: dict, validate: bool = True) -> InstanceFile:
         raise ValueError(f"metadata.parameters must be an object, not {type(parameters).__name__}")
     metadata = InstanceMetadata(
         name=str(meta_raw.get("name", "")),
-        seed=int(meta_raw.get("seed", 0)),
+        seed=_integer(meta_raw.get("seed", 0), "metadata.seed"),
         family=family,
         parameters=dict(parameters),
     )

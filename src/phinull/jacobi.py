@@ -14,10 +14,18 @@ one path over all samples at once: bases -> domain rows D -> a curvature form
 -> ``operator_stack`` (symmetrize, solve against the domain Gram) ->
 ``OperatorStack.records`` -> ``decide_constancy``, which passes iff the grouped
 eigenvalues of all samples agree within a tolerance. The Jacobi forms are
-``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)`` (``jacobi_covectors``),
-contracted x in slot 4, then d in slot 3 and x in slot 2: forming
-``K_x = R(., x, ., x)`` first loses more to cancellation on large-norm
-timelike x.
+``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)``, contracted x in slot 4, then
+d in slot 3 and x in slot 2: forming ``K_x = R(., x, ., x)`` first loses more
+to cancellation on large-norm timelike x. The slot-4 contraction
+(``slot4_contraction``) is made once per stack of bases and every form on
+those bases is built from it (``jacobi_covectors``), so a decider that shares
+its bases with another, as the theorem report's do, contracts them once.
+
+Spectra are taken for the whole stack at once. The sorted eigenvalues are one
+array; one ``np.diff`` along it splits every row into groups, and the rows that
+share a split pattern get their group means together, ``np.add.reduce`` along
+each row being ``np.mean``'s sum bit for bit. ``SpectralData.from_values`` is
+the same grouping for a single row.
 
 Operator-argument ordering: the Jacobi operator of z applied to y is fixed as
 R(y, z) z, the curvature operator with pair (y, z) acting on z. With the
@@ -69,15 +77,7 @@ class SpectralData:
 
     @classmethod
     def from_values(cls, values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> "SpectralData":
-        vals = np.sort(np.asarray(values, dtype=float))
-        if vals.size and vals[-1] - vals[0] <= grouping_tol:  # one group, as on Osserman tensors
-            return cls((float(np.mean(vals)),), (vals.size,), grouping_tol)
-        split = ~(np.diff(vals) <= grouping_tol)  # a NaN gap splits too
-        edges = np.flatnonzero(np.concatenate(([True], split, [True])))[: vals.size + 1].tolist()
-        groups = list(zip(edges[:-1], edges[1:]))
-        # np.add.reduce is np.mean's sum: in order from 0.0 below 8 values, pairwise from 8
-        means = tuple(float(np.add.reduce(vals[a:b]) / (b - a)) for a, b in groups)
-        return cls(means, tuple(b - a for a, b in groups), grouping_tol)
+        return _grouped(np.asarray(values, dtype=float).reshape(1, -1), grouping_tol)[0]
 
     @property
     def dimension(self) -> int:
@@ -127,12 +127,25 @@ class NullQuotient:
         return self.gbar_signature == (self.rep_basis.dim, 0)
 
 
-def jacobi_covectors(R: CurvatureTensor, xs, D) -> np.ndarray:
-    """C[n, a, k] = R(e_a, x, d_k, x) for x = xs[n] and the rows d_k of D[n].
+def slot4_contraction(R: CurvatureTensor, xs) -> np.ndarray:
+    """RX[n, a, b, c] = R(e_a, e_b, e_c, x) for x = xs[n]: the first contraction of every form
+    built on the bases xs, made once per stack of bases."""
+    return np.einsum("abcd,nd->nabc", R.components, xs)
 
-    x goes into slot 4, then d into slot 3 and x into slot 2 (see the module docstring), in
+
+def jacobi_covectors(RX: np.ndarray, xs, D) -> np.ndarray:
+    """C[n, a, k] = R(e_a, x, d_k, x) for x = xs[n], RX = ``slot4_contraction(R, xs)`` and the
+    rows d_k of D[n].
+
+    x went into slot 4; d goes into slot 3 and x into slot 2 (see the module docstring), in
     plain einsum loops: at this size a BLAS product runs threaded, and slower."""
-    return np.einsum("nabc,nkc,nb->nak", np.einsum("abcd,nd->nabc", R.components, xs), D, xs)
+    return np.einsum("nabc,nkc,nb->nak", RX, D, xs)
+
+
+def _error_free(errors: list):
+    """The index of the bases with no error: every row (a slice, no copy) or a list of rows."""
+    ok = [n for n, error in enumerate(errors) if error is None]
+    return slice(None) if len(ok) == len(errors) else ok
 
 
 def perp_within(g: ScalarProduct, span: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -158,10 +171,11 @@ def operator_stack(bases, errors: list, g: ScalarProduct, domains, forms) -> Ope
     return OperatorStack(bases=bases, errors=errors, domains=domains, grams=grams, matrices=matrices)
 
 
-def _jacobi_operators(R: CurvatureTensor, g: ScalarProduct, bases, errors: list, domains) -> OperatorStack:
-    """``operator_stack`` of the Jacobi forms ``D C`` on the domains D of the error-free bases."""
-    xs = bases[[n for n, error in enumerate(errors) if error is None]]
-    return operator_stack(bases, errors, g, domains, domains @ jacobi_covectors(R, xs, domains))
+def _jacobi_operators(RX: np.ndarray, g: ScalarProduct, bases, errors: list, domains) -> OperatorStack:
+    """``operator_stack`` of the Jacobi forms ``D C`` on the domains D of the error-free bases;
+    RX is the slot-4 contraction of all the bases."""
+    ok = _error_free(errors)
+    return operator_stack(bases, errors, g, domains, domains @ jacobi_covectors(RX[ok], bases[ok], domains))
 
 
 def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
@@ -176,11 +190,16 @@ def jacobi_stack(R: CurvatureTensor, g: ScalarProduct, zs, domains=None) -> Oper
     A null or zero base gets an error instead of an operator.
     """
     zs = np.asarray(zs, dtype=float)
+    return _jacobi_stack(slot4_contraction(R, zs), g, zs, domains)
+
+
+def _jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray, domains=None) -> OperatorStack:
+    """``jacobi_stack`` of the bases zs from their slot-4 contraction RX."""
     non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
     errors = _causal_errors(g, zs, non_null, "classical Jacobi operator needs a non-null base, got {}")
-    ok = [n for n, error in enumerate(errors) if error is None]
+    ok = _error_free(errors)
     D = perp_within(g, np.eye(g.dim), zs[ok]) if domains is None else np.asarray(domains, dtype=float)[ok]
-    return _jacobi_operators(R, g, zs, errors, D)
+    return _jacobi_operators(RX, g, zs, errors, D)
 
 
 def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None = None) -> JacobiOperator:
@@ -246,7 +265,12 @@ def null_jacobi_stack(R: CurvatureTensor, g: ScalarProduct, us) -> OperatorStack
     span(u), gets an error instead of an operator.
     """
     us = np.asarray(us, dtype=float)
-    return _jacobi_operators(R, g, us, *_null_quotients(g, us))
+    return _null_jacobi_stack(slot4_contraction(R, us), g, us)
+
+
+def _null_jacobi_stack(RU: np.ndarray, g: ScalarProduct, us: np.ndarray) -> OperatorStack:
+    """``null_jacobi_stack`` of the bases us from their slot-4 contraction RU."""
+    return _jacobi_operators(RU, g, us, *_null_quotients(g, us))
 
 
 def null_jacobi(
@@ -260,7 +284,7 @@ def null_jacobi(
     if quotient is None:
         quotient = null_quotient(g, u)
     us, reps = quotient.u[None], quotient.rep_basis.vectors[None]
-    return _jacobi_operators(R, g, us, [None], reps).operator()
+    return _jacobi_operators(slot4_contraction(R, us), g, us, [None], reps).operator()
 
 
 def spectrum(
@@ -296,19 +320,49 @@ def _spectra(matrices, grams, grouping_tol: float, realness_rtol: float = REALNE
         L = np.linalg.cholesky(G)
         half = np.linalg.solve(L, 0.5 * (A + A.transpose(0, 2, 1)))
         whitened = np.linalg.solve(L, half.transpose(0, 2, 1))
-        for n, values in zip(np.flatnonzero(definite), np.linalg.eigvalsh(whitened)):
-            out[n] = SpectralData.from_values(values, grouping_tol)
+        spectra = _grouped(np.linalg.eigvalsh(whitened), grouping_tol)
+        for n, data in zip(np.flatnonzero(definite).tolist(), spectra):
+            out[n] = data
     if not definite.all():
-        for n, values in zip(np.flatnonzero(~definite), np.linalg.eigvals(matrices[~definite])):
-            scale = max(float(np.abs(values).max()), 1.0)
-            max_imag = float(np.abs(values.imag).max())
-            if max_imag > realness_rtol * scale:
-                out[n] = SpectrumError(
-                    f"non-real eigenvalues on an indefinite domain: max |imag| = {max_imag:.3e}; "
-                    f"eigenvalues = {np.array2string(np.sort_complex(values), precision=6)}"
-                )
-            else:
-                out[n] = SpectralData.from_values(values.real, grouping_tol)
+        rows = np.flatnonzero(~definite)
+        values = np.linalg.eigvals(matrices[~definite])
+        max_imag = np.abs(values.imag).max(axis=1)
+        unreal = max_imag > realness_rtol * np.maximum(np.abs(values).max(axis=1), 1.0)
+        for n, vals, imag in zip(rows[unreal], values[unreal], max_imag[unreal]):
+            out[n] = SpectrumError(
+                f"non-real eigenvalues on an indefinite domain: max |imag| = {imag:.3e}; "
+                f"eigenvalues = {np.array2string(np.sort_complex(vals), precision=6)}"
+            )
+        for n, data in zip(rows[~unreal].tolist(), _grouped(values[~unreal].real, grouping_tol)):
+            out[n] = data
+    return out
+
+
+def _grouped(values: np.ndarray, grouping_tol: float) -> list[SpectralData]:
+    """SpectralData of each row of a stack of eigenvalues, sorted and grouped as one array.
+
+    A value joins its left neighbour's group when within grouping_tol of it (a NaN gap splits).
+    Rows that share a split pattern get their group means together: ``np.add.reduce`` along a
+    row is ``np.mean``'s sum, in order from 0.0 below 8 values and pairwise from 8.
+    """
+    vals = np.sort(values, axis=1)
+    split = ~(np.diff(vals, axis=1) <= grouping_tol)
+    raw, width = split.tobytes(), split.shape[1]
+    patterns: dict = {}  # the rows of each split pattern
+    for n in range(len(vals)):
+        patterns.setdefault(raw[n * width:(n + 1) * width], []).append(n)
+    out: list = [None] * len(vals)
+    for rows in patterns.values():
+        pattern = split[rows[0]]
+        edges = np.flatnonzero(np.concatenate(([True], pattern, [True])))[: vals.shape[1] + 1].tolist()
+        groups = list(zip(edges[:-1], edges[1:]))
+        block = vals[rows]
+        means = np.empty((len(rows), len(groups)))
+        for j, (a, b) in enumerate(groups):
+            means[:, j] = np.add.reduce(block[:, a:b], axis=1) / (b - a)
+        multiplicities = tuple(b - a for a, b in groups)
+        for n, row in zip(rows, means.tolist()):
+            out[n] = SpectralData(tuple(row), multiplicities, grouping_tol)
     return out
 
 
@@ -325,7 +379,7 @@ class SampleRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"base": [float(v) for v in self.base]}
+        out: dict = {"base": self.base.tolist()}
         if self.spectrum is not None:
             out["spectrum"] = self.spectrum.to_dict()
         if self.error is not None:
@@ -570,10 +624,25 @@ def is_phi_null_osserman_wrt(
 ) -> PhiNullReport:
     """Phi-null Osserman decision w.r.t. the timelike frame vector of S."""
     sphere = sample_phi_celestial(S, samples, seed).points
-    z = S.timelike_frame_vector
-    quotient = replace(null_jacobi_stack(R, S.g, z + sphere), bases=sphere).records(grouping_tol)
-    direct = jacobi_stack(R, S.g, sphere).records(grouping_tol)
+    us = S.timelike_frame_vector + sphere
     return PhiNullReport(
-        quotient=decide_constancy("phi-null-osserman[quotient]", quotient, seed, tol, grouping_tol),
-        direct=decide_constancy("phi-null-osserman[direct]", direct, seed, tol, grouping_tol),
+        quotient=_phi_null_quotient(slot4_contraction(R, us), S.g, us, sphere, seed, tol, grouping_tol),
+        direct=_phi_null_direct(slot4_contraction(R, sphere), S.g, sphere, seed, tol, grouping_tol),
     )
+
+
+def _phi_null_quotient(
+    RU: np.ndarray, g: ScalarProduct, us, sphere, seed: int, tol: float, grouping_tol: float
+) -> DecisionReport:
+    """The quotient path on the phi-null congruence us = xi_1 + sphere, from its slot-4
+    contraction RU; each record names its sphere point."""
+    records = replace(_null_jacobi_stack(RU, g, us), bases=sphere).records(grouping_tol)
+    return decide_constancy("phi-null-osserman[quotient]", records, seed, tol, grouping_tol)
+
+
+def _phi_null_direct(
+    RX: np.ndarray, g: ScalarProduct, sphere, seed: int, tol: float, grouping_tol: float
+) -> DecisionReport:
+    """The direct path on the phi-celestial sphere, from its slot-4 contraction RX."""
+    records = _jacobi_stack(RX, g, sphere).records(grouping_tol)
+    return decide_constancy("phi-null-osserman[direct]", records, seed, tol, grouping_tol)

@@ -38,23 +38,31 @@ term as ``D C`` from ``jacobi.jacobi_covectors``; the base operators
 sentinel and the remark identity are read off the same form. ``oneill_A`` and
 ``r_star_form`` stay as the per-vector definitions it is tested against.
 
+A theorem report samples one phi-celestial sphere and contracts curvature
+with two stacks of bases only: the sphere and the null bases xi_1 + x. Each
+public decider samples its sphere and calls the private body the report
+calls with those shared pieces, so a decider run alone and its block of the
+report are the same computation.
+
 On V = x-perp within Im(phi) the transfer equals g(R_x(y), z) +
 3 sigma g(y, phi x) g(phi x, z). The identity is algebraic, so it doubles as
 the internal-consistency sentinel, comparing two independent routes: the
 transfer form with the actual g(V, V), against R_x raised through g^-1 plus
 the rank-one term with the fibration's recorded sigma. A violation means a
-bug (or a tampered sigma), never a property of the instance.
+bug (or a tampered sigma), never a property of the instance. V, its Grams,
+the covectors on V and the right side's pieces are built once per report
+once per report; only a, b, g(V, V) and sigma are the fibration's.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .curvature import CurvatureTensor, operator_apply, sectional_curvature
-from .gff import GffStructure, phi_image_frame, sample_phi_celestial, validate_gff
+from .gff import GffStructure, sample_phi_celestial, validate_gff
 from .jacobi import (
     DEFAULT_CONSTANCY_TOL,
     DEFAULT_GROUPING_TOL,
@@ -63,12 +71,15 @@ from .jacobi import (
     JacobiOperator,
     OperatorStack,
     PhiNullReport,
+    _error_free,
+    _phi_null_direct,
+    _phi_null_quotient,
     decide_constancy,
-    is_phi_null_osserman_wrt,
     jacobi_covectors,
     operator_stack,
     perp_within,
     quotient_representatives,
+    slot4_contraction,
 )
 from .linalg import (
     CausalCharacterError,
@@ -120,7 +131,7 @@ def make_fibration(S: GffStructure, kind: FibrationKind) -> FibrationModel:
     elif S.s < 2:
         raise ValueError(f"{kind.value} requires s >= 2, got s = {S.s}")
 
-    image = phi_image_frame(S)
+    image = S.image_frame
     if kind in (FibrationKind.PI_FULL, FibrationKind.PI_PRIME):
         horizontal_rows = image.vectors
         vertical_indices = tuple(range(S.s))
@@ -232,27 +243,33 @@ def _a_coefficients(F: FibrationModel, xs: np.ndarray, rows: np.ndarray) -> tupl
     return -x_phi_d, -d_phi_x
 
 
-def transfer_forms(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs, domains) -> np.ndarray:
+def transfer_forms(g: ScalarProduct, F: FibrationModel, xs, domains, C) -> np.ndarray:
     """B[n, i, j] = g(Rstar_x(d_j), d_i) for x = xs[n] and the horizontal rows d of domains[n].
 
-    ``D Q_x D^T + 2 g(V,V) a a^T - g(V,V) a b^T`` with the actual g(V, V).
+    ``D Q_x D^T + 2 g(V,V) a a^T - g(V,V) a b^T`` with the actual g(V, V), its first term as
+    ``D C`` from ``C = jacobi_covectors(RX, xs, domains)``.
     """
     v = F.vertical_sum
     a, b = _a_coefficients(F, xs, domains)
-    pairing = domains @ jacobi_covectors(R, xs, domains)
-    return pairing + (v @ g.components @ v) * a[:, :, None] * (2.0 * a - b)[:, None, :]
+    return domains @ C + (v @ g.components @ v) * a[:, :, None] * (2.0 * a - b)[:, None, :]
 
 
 def r_star_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) -> OperatorStack:
     """Base-space Jacobi operators of unit spacelike horizontal bases, each on x-perp in H."""
     xs = np.asarray(xs, dtype=float)
+    return _r_star_stack(slot4_contraction(R, xs), g, F, xs)
+
+
+def _r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.ndarray) -> OperatorStack:
+    """``r_star_stack`` of the bases xs from their slot-4 contraction RX."""
     errors = _horizontal_errors(F, xs, "base of Rstar")
     for n, q in enumerate(np.einsum("nm,mk,nk->n", xs, g.components, xs)):
         if errors[n] is None and abs(q - 1.0) > 1e-8:
             errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
-    ok = xs[[n for n, error in enumerate(errors) if error is None]]
-    domains = perp_within(g, F.horizontal.vectors, ok)
-    return operator_stack(xs, errors, g, domains, transfer_forms(R, g, F, ok, domains))
+    ok = _error_free(errors)
+    domains = perp_within(g, F.horizontal.vectors, xs[ok])
+    C = jacobi_covectors(RX[ok], xs[ok], domains)
+    return operator_stack(xs, errors, g, domains, transfer_forms(g, F, xs[ok], domains, C))
 
 
 def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> JacobiOperator:
@@ -260,20 +277,28 @@ def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> Jacobi
     return r_star_stack(R, g, F, np.asarray(x, dtype=float).reshape(1, -1)).operator()
 
 
-def _shift_identity_defects(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs, image) -> tuple:
-    """V = x-perp in Im(phi), its Grams, the defects proj_V Rstar|_V - proj_V R_x|_V
-    - 3 sigma g(., phi x) phi x in V-coordinates, and the scales of the right sides."""
-    _require_horizontal(F, xs, "first argument of A")
-    G = g.components
-    V = perp_within(g, image.vectors, xs)
+def _sentinel_frame(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> tuple:
+    """What the sentinel shares between fibrations on the bases xs, from their slot-4 contraction
+    RX: V = x-perp in Im(phi), its Grams, ``C = jacobi_covectors`` on V, and the right side's R_x
+    raised through g^-1 and rank-one term ``g(., phi x) phi x``, both in V-coordinates."""
+    G = S.g.components
+    V = perp_within(S.g, S.image_frame.vectors, xs)
     grams = V @ G @ V.transpose(0, 2, 1)
-    lhs = np.linalg.solve(grams, transfer_forms(R, g, F, xs, V))
-    images = np.linalg.solve(G, jacobi_covectors(R, xs, V))
-    rhs = np.linalg.solve(grams, V @ G @ images)
-    weights = np.einsum("nkm,nm->nk", V @ G, xs @ F.structure.phi.T)  # g(v_k, phi x)
+    C = jacobi_covectors(RX, xs, V)
+    raised = np.linalg.solve(grams, V @ G @ np.linalg.solve(G, C))
+    weights = np.einsum("nkm,nm->nk", V @ G, xs @ S.phi.T)  # g(v_k, phi x)
     rank_one = np.linalg.solve(grams, weights[:, :, None]) * weights[:, None, :]
-    scales = np.maximum(np.abs(rhs).max(axis=(1, 2)), max(1.0, abs(3.0 * F.sigma)))
-    return V, grams, lhs - rhs - 3.0 * F.sigma * rank_one, scales
+    return V, grams, C, raised, rank_one
+
+
+def _shift_identity_defects(g: ScalarProduct, F: FibrationModel, xs: np.ndarray, frame: tuple) -> tuple:
+    """The defects proj_V Rstar|_V - proj_V R_x|_V - 3 sigma g(., phi x) phi x in V-coordinates,
+    and the scales of the right sides. Only a, b, g(V, V) and sigma are the fibration's."""
+    _require_horizontal(F, xs, "first argument of A")
+    V, grams, C, raised, rank_one = frame
+    lhs = np.linalg.solve(grams, transfer_forms(g, F, xs, V, C))
+    scales = np.maximum(np.abs(raised).max(axis=(1, 2)), max(1.0, abs(3.0 * F.sigma)))
+    return lhs - raised - 3.0 * F.sigma * rank_one, scales
 
 
 @dataclass(frozen=True)
@@ -294,10 +319,11 @@ def shift_identity_residual(R: CurvatureTensor, S: GffStructure, F: FibrationMod
     against V is returned separately, not folded into the residual.
     """
     g = S.g
-    xv = _require_horizontal(F, x, "base of the shift identity")
+    xs = _require_horizontal(F, x, "base of the shift identity").reshape(1, -1)
     yv = np.asarray(y, dtype=float).reshape(-1)
-    V, grams, defects, _ = _shift_identity_defects(R, g, F, xv[None], phi_image_frame(S))
-    V, gram = V[0], grams[0]
+    frame = _sentinel_frame(slot4_contraction(R, xs), S, xs)
+    defects, _ = _shift_identity_defects(g, F, xs, frame)
+    xv, V, gram = xs[0], frame[0][0], frame[1][0]
     y_coords = np.linalg.solve(gram, V @ g.components @ yv)
     if np.linalg.norm(yv - y_coords @ V) > 1e-8 * max(np.linalg.norm(yv), 1.0):
         raise ValueError("y must lie in x-perp within Im(phi)")
@@ -319,11 +345,18 @@ def base_osserman_check(
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> DecisionReport:
     """Pointwise Osserman condition of the complex-type base, through the transfer operator."""
+    sphere = sample_phi_celestial(S, samples, seed).points
+    return _base_osserman(slot4_contraction(R, sphere), S.g, F, sphere, seed, tol, grouping_tol)
+
+
+def _base_osserman(
+    RX: np.ndarray, g: ScalarProduct, F: FibrationModel, sphere, seed: int, tol: float, grouping_tol: float
+) -> DecisionReport:
+    """``base_osserman_check`` on the sampled sphere, from its slot-4 contraction RX."""
     if F.kind not in (FibrationKind.PI_FULL, FibrationKind.PI_PRIME):
         raise ValueError(f"base Osserman check applies to pi_full/pi_prime, got {F.kind.value}")
-    sphere = sample_phi_celestial(S, samples, seed).points
     return decide_constancy(
-        f"base-osserman[{F.kind.value}]", r_star_stack(R, S.g, F, sphere).records(grouping_tol),
+        f"base-osserman[{F.kind.value}]", _r_star_stack(RX, g, F, sphere).records(grouping_tol),
         seed, tol, grouping_tol, notes={"sigma": F.sigma},
     )
 
@@ -331,12 +364,18 @@ def base_osserman_check(
 def base_null_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) -> OperatorStack:
     """Null Jacobi operators of u = xi_1 + x on the quotient of u-perp in H, via the transfer form."""
     us = F.structure.xi[0] + np.asarray(xs, dtype=float)
+    return _base_null_stack(slot4_contraction(R, us), g, F, us)
+
+
+def _base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.ndarray) -> OperatorStack:
+    """``base_null_stack`` of the null bases us from their slot-4 contraction RU."""
     reps, kernel_dims = quotient_representatives(g, F.horizontal.vectors, us)
     errors = _horizontal_errors(F, us, "first argument of A")
     for n in np.flatnonzero(kernel_dims != 1):
         errors[n] = GeometryError("base null quotient: restricted Gram kernel is not one-dimensional")
-    ok = [n for n, error in enumerate(errors) if error is None]
-    return operator_stack(us, errors, g, reps[ok], transfer_forms(R, g, F, us[ok], reps[ok]))
+    ok = _error_free(errors)
+    C = jacobi_covectors(RU[ok], us[ok], reps[ok])
+    return operator_stack(us, errors, g, reps[ok], transfer_forms(g, F, us[ok], reps[ok], C))
 
 
 def base_null_osserman_check(
@@ -355,20 +394,28 @@ def base_null_osserman_check(
     the phi-celestial sphere upstairs; null directions are xi_1 + x and their
     quotient operators are assembled from the transfer form.
     """
+    us = F.structure.xi[0] + sample_phi_celestial(S, samples, seed).points
+    return _base_null_osserman(slot4_contraction(R, us), S.g, F, us, seed, tol, grouping_tol)
+
+
+def _base_null_osserman(
+    RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us, seed: int, tol: float, grouping_tol: float
+) -> DecisionReport:
+    """``base_null_osserman_check`` on the null bases us = xi_1 + x, from their slot-4 contraction RU."""
     if F.kind is not FibrationKind.TAU:
         raise ValueError(f"base null Osserman check applies to the tau kind, got {F.kind.value}")
-    sphere = sample_phi_celestial(S, samples, seed).points
     return decide_constancy(
-        "base-null-osserman[tau]", base_null_stack(R, S.g, F, sphere).records(grouping_tol),
+        "base-null-osserman[tau]", _base_null_stack(RU, g, F, us).records(grouping_tol),
         seed, tol, grouping_tol, notes={"sigma": F.sigma},
     )
 
 
-def _hypothesis_residuals(R: CurvatureTensor, S: GffStructure, xs: np.ndarray) -> np.ndarray:
-    """Relative misalignment of R_x(phi x) against phi x per sample (0 for an eigenvector)."""
+def _hypothesis_residuals(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> np.ndarray:
+    """Relative misalignment of R_x(phi x) against phi x per sample (0 for an eigenvector),
+    from the slot-4 contraction RX of the samples."""
     G = S.g.components
     phix = xs @ S.phi.T
-    w = np.linalg.solve(G, jacobi_covectors(R, xs, phix[:, None, :])[:, :, 0].T).T
+    w = np.linalg.solve(G, jacobi_covectors(RX, xs, phix[:, None, :])[:, :, 0].T).T
     lam = np.einsum("nm,mk,nk->n", w, G, phix) / np.einsum("nm,mk,nk->n", phix, G, phix)
     return np.linalg.norm(w - lam[:, None] * phix, axis=1) / np.maximum(np.linalg.norm(w, axis=1), 1.0)
 
@@ -469,21 +516,33 @@ def theorem_equivalence_report(
         raise ValueError(f"theorem report requires s >= 2, got s = {S.s}")
     F_pi = pi_fibration if pi_fibration is not None else make_fibration(S, FibrationKind.PI_FULL)
     F_tau = tau_fibration if tau_fibration is not None else make_fibration(S, FibrationKind.TAU)
+    if F_pi.structure is not S or F_tau.structure is not S:
+        raise ValueError("the theorem report needs fibrations of its own structure")
+    g = S.g
 
+    # One sphere and one slot-4 contraction per stack of bases: RX for the sphere, freed once
+    # its last form is built, then RU for u = xi_1 + x.
     sphere = sample_phi_celestial(S, samples, seed).points
-    hyp_residual = float(_hypothesis_residuals(R, S, sphere).max())
+    RX = slot4_contraction(R, sphere)
+    hyp_residual = float(_hypothesis_residuals(RX, S, sphere).max())
     hypothesis_holds = hyp_residual <= tol
-
-    phi_null = is_phi_null_osserman_wrt(R, S, samples, seed, tol, grouping_tol)
-    base = base_osserman_check(R, S, F_pi, samples, seed, tol, grouping_tol)
-    base_null = base_null_osserman_check(R, S, F_tau, samples, seed, tol, grouping_tol)
-
-    image = phi_image_frame(S)
+    direct = _phi_null_direct(RX, g, sphere, seed, tol, grouping_tol)
+    base = _base_osserman(RX, g, F_pi, sphere, seed, tol, grouping_tol)
+    frame = _sentinel_frame(RX, S, sphere)
+    del RX
     sigma_residual = 0.0
     for F in (F_pi, F_tau):
-        _, _, defects, scales = _shift_identity_defects(R, S.g, F, sphere, image)
+        defects, scales = _shift_identity_defects(g, F, sphere, frame)
         sigma_residual = max(sigma_residual, float((np.abs(defects).max(axis=(1, 2)) / scales).max()))
     consistency_ok = sigma_residual < IDENTITY_ATOL
+    del frame
+
+    us = S.timelike_frame_vector + sphere
+    RU = slot4_contraction(R, us)
+    phi_null = PhiNullReport(
+        quotient=_phi_null_quotient(RU, g, us, sphere, seed, tol, grouping_tol), direct=direct
+    )
+    base_null = _base_null_osserman(RU, g, F_tau, us, seed, tol, grouping_tol)
 
     a, b, c = phi_null.direct.passed, base.passed, base_null.passed
     if hypothesis_holds:
@@ -523,7 +582,7 @@ class RemarkSample:
     necessary_ok: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "base": list(self.base)}
 
 
 @dataclass
@@ -586,11 +645,12 @@ def remark_sectional_conditions(
     pairs = ((xs, xs), (phix, phix), (xs, phix))
     q_x, q_phix, q_mixed = (np.einsum("nm,mk,nk->n", u, G, w) for u, w in pairs)
     delta = q_x * q_phix - q_mixed**2
-    k_base = transfer_forms(R, g, F, xs, phix[:, None, :])[:, 0, 0] / delta
+    C = jacobi_covectors(slot4_contraction(R, xs), xs, phix[:, None, :])
+    k_base = transfer_forms(g, F, xs, phix[:, None, :], C)[:, 0, 0] / delta
     a_sq = inner(g, F.vertical_sum, F.vertical_sum) * _a_coefficients(F, xs, phix[:, None, :])[0][:, 0] ** 2
     out = [
         RemarkSample(
-            base=[float(c) for c in x],
+            base=x.tolist(),
             phi_sectional=float(kt),
             base_sectional=float(kb),
             a_norm_sq=float(asq),

@@ -180,7 +180,7 @@ def test_cli_generate_deterministic(tmp_path):
     argv = ["generate", "--family", "random", "--n", "1", "--s", "2", "--seed", "11"]
     assert run(argv + ["--out", a]) == 0
     assert run(argv + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_cli_validate_catches_perturbed_phi(tmp_path, capsys):
@@ -210,6 +210,7 @@ def test_cli_malformed_json_is_io_error(tmp_path, capsys):
         ({"i": 0, "j": 1, "k": 0, "l": 1, "value": "six"}, "six"),
         ({"i": 0, "j": 1, "k": 0, "l": 1, "value": None}, "not numeric"),
         ([0, 1, 0, 1, 6.0], "not an object"),
+        ({"i": float("inf"), "j": 1, "k": 0, "l": 1, "value": 6.0}, "not numeric"),
     ],
 )
 def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, entry, message):
@@ -240,6 +241,22 @@ def test_cli_non_object_block_is_a_validation_error(tmp_path, capsys, edit, mess
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("block, key", [
+    ("metadata", "seed"), ("structure", "dim"), ("structure", "n"), ("structure", "s"), ("curvature", "dim"),
+])
+def test_cli_non_integer_field_is_a_validation_error(tmp_path, capsys, block, key):
+    # int() raised TypeError (exit 1, a traceback) on a list, an object or null, and
+    # OverflowError on an infinity
+    for value in ([6], {"value": 6}, None, float("inf")):
+        data = instance_to_dict(generate_instance("constant", 1, 1))
+        data[block][key] = value
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", str(path)]) == 2, value
+        err = capsys.readouterr().err
+        assert err == f"validation error: {block}.{key} must be an integer, got {value!r}\n"
 
 
 def test_cli_nan_residual_is_named_as_the_worst_check(tmp_path, capsys):
@@ -352,7 +369,7 @@ def test_cli_json_reports_are_deterministic(phi_model_file, tmp_path):
     for name in ("r1.json", "r2.json"):
         target = str(tmp_path / name)
         assert run(["verify-theorem", phi_model_file, "--samples", "5", "--json", target]) == 0
-        pairs.append(open(target, "rb").read())
+        pairs.append(Path(target).read_bytes())
     assert pairs[0] == pairs[1]
     payload = json.loads(pairs[0])
     assert payload["verdicts"]["phi_null_osserman"] is True
@@ -372,7 +389,7 @@ def test_cli_determinism_across_processes(phi_model_file, tmp_path):
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(open(target, "rb").read())
+        outputs.append(Path(target).read_bytes())
     assert outputs[0] == outputs[1]
 
 

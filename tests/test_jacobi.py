@@ -5,6 +5,8 @@ import importlib
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bf_jacobi_spectrum,
@@ -29,6 +31,7 @@ from phinull.jacobi import (
     OperatorStack,
     SpectralData,
     SpectrumError,
+    _grouped,
     decide_constancy,
     is_null_osserman_wrt,
     is_osserman_at,
@@ -328,6 +331,54 @@ def test_spectral_data_matches_one_value_at_a_time(values):
     means, multiplicities = spectral_groups_loop(values, grouping_tol=1e-6)
     assert data.multiplicities == multiplicities
     assert [float(v).hex() for v in data.eigenvalues] == [v.hex() for v in means]
+
+
+GROUPING_TOL = 1e-6
+# steps between sorted neighbours: inside a group (0, 1e-9, 3e-7, the tolerance itself), a gap, a NaN
+_STEPS = st.sampled_from([0.0, -0.0, 1e-9, 3e-7, GROUPING_TOL, 2.5, 100.0, float("nan")])
+
+
+@st.composite
+def _eigenvalue_rows(draw, d: int) -> list:
+    """A row of d values: free steps, blocks of 8, 128 or 129 values, one group, or NaNs."""
+    kind = draw(st.sampled_from(["steps", "blocks", "one-group", "nan"]))
+    value = draw(st.floats(-1e3, 1e3) | st.just(-0.0))
+    if kind == "blocks":
+        sizes: list = []
+        while sum(sizes) < d:
+            sizes.append(min(draw(st.sampled_from([1, 3, 8, 128, 129])), d - sum(sizes)))
+        steps = [s for size in sizes for s in [2.5] + [1e-9] * (size - 1)][1:]
+    elif kind == "one-group":
+        steps = [1e-9] * (d - 1)
+    else:
+        steps = draw(st.lists(_STEPS, min_size=max(d - 1, 0), max_size=max(d - 1, 0)))
+    row = [value]
+    for step in steps:
+        row.append(row[-1] + step)
+    if kind == "nan" and d:
+        row[draw(st.integers(0, d - 1))] = float("nan")
+    return row[:d]
+
+
+@st.composite
+def _eigenvalue_stacks(draw) -> np.ndarray:
+    d = draw(st.sampled_from([0, 1, 2, 7, 8, 9, 16, 128, 129, 130]))
+    rows = draw(st.lists(_eigenvalue_rows(d), max_size=5))
+    # rows that repeat a split pattern at other values share one block of group means
+    rows += [[v + 0.5 for v in row] for row in rows[: draw(st.integers(0, len(rows)))]]
+    return np.array(rows, dtype=float).reshape(len(rows), d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_eigenvalue_stacks())
+def test_stacked_grouping_matches_one_value_at_a_time(stack):
+    spectra = _grouped(stack, GROUPING_TOL)
+    assert len(spectra) == len(stack)
+    for row, data in zip(stack, spectra):
+        means, multiplicities = spectral_groups_loop(row, GROUPING_TOL)
+        assert data.multiplicities == multiplicities
+        assert [v.hex() for v in data.eigenvalues] == [v.hex() for v in means]
+        assert all(type(v) is float for v in data.eigenvalues)
 
 
 def test_spectrum_reconstruction_residual():

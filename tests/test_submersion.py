@@ -8,10 +8,22 @@ import pytest
 from helpers import bf_form_matrix, conjugated_structure, horizontal_draw
 from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
 from phinull.gff import canonical_structure, phi_image_frame, sample_phi_celestial, validate_gff
-from phinull.jacobi import decide_constancy, spectrum
+from phinull.cli import run
+from phinull.io import dump_json, generate_instance, save_instance
+from phinull.jacobi import (
+    DEFAULT_SAMPLES,
+    decide_constancy,
+    is_phi_null_osserman_wrt,
+    jacobi_covectors,
+    slot4_contraction,
+    spectrum,
+)
 from phinull.linalg import GeometryError, inner, nullspace
 from phinull.submersion import (
     FibrationKind,
+    _hypothesis_residuals,
+    _sentinel_frame,
+    _shift_identity_defects,
     RemarkKind,
     base_null_osserman_check,
     base_null_stack,
@@ -377,6 +389,76 @@ def test_theorem_tampered_sigma_trips_sentinel():
     assert report.sigma_identity_residual > 1e-3
 
 
+STOCK = [(family, n, s, seed) for family in ("constant", "phi_model", "random")
+         for n, s in ((2, 2), (4, 3), (5, 2)) for seed in (0, 1, 56)]
+
+
+@pytest.mark.parametrize("family, n, s, seed", STOCK)
+def test_theorem_shares_pieces_without_changing_a_bit(family, n, s, seed):
+    inst = generate_instance(family, n, s, seed=7)
+    R, S = inst.curvature, inst.structure
+    report = theorem_equivalence_report(R, S, seed=seed)
+    # the deciders run alone, each on its own sphere and contractions
+    F_pi, F_tau = make_fibration(S, FibrationKind.PI_FULL), make_fibration(S, FibrationKind.TAU)
+    alone = {
+        "phi_null": is_phi_null_osserman_wrt(R, S, seed=seed),
+        "base": base_osserman_check(R, S, F_pi, seed=seed),
+        "base_null": base_null_osserman_check(R, S, F_tau, seed=seed),
+    }
+    for name, decision in alone.items():
+        assert dump_json(getattr(report, name).to_dict()) == dump_json(decision.to_dict()), name
+    # the residuals, each fibration with pieces of its own
+    sphere = sample_phi_celestial(S, DEFAULT_SAMPLES, seed).points
+    hypothesis = _hypothesis_residuals(slot4_contraction(R, sphere), S, sphere).max()
+    sentinel = 0.0
+    for F in (F_pi, F_tau):
+        frame = _sentinel_frame(slot4_contraction(R, sphere), S, sphere)
+        defects, scales = _shift_identity_defects(S.g, F, sphere, frame)
+        sentinel = max(sentinel, float((np.abs(defects).max(axis=(1, 2)) / scales).max()))
+    assert report.hypothesis_residual == hypothesis
+    assert report.sigma_identity_residual == sentinel
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify-theorem"], {"sphere": 1, "frame": 1, "slot4": 2}),
+    (["check", "--condition", "phi-null-osserman"], {"sphere": 1, "frame": 1, "slot4": 2}),
+    (["remarks", "--kind", "lorentz_sasaki_base"], {"sphere": 1, "frame": 1, "slot4": 1}),
+], ids=["verify-theorem", "check-phi-null", "remarks"])
+def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, argv, expected):
+    import phinull.gff as gff
+
+    path = str(tmp_path / "instance.json")
+    save_instance(path, generate_instance("phi_model", 2, 2))
+    counts = {"sphere": 0, "frame": 0, "slot4": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    np_einsum = np.einsum
+
+    def einsum(subscripts, *operands, **kwargs):
+        counts["slot4"] += subscripts == "abcd,nd->nabc"  # the slot-4 contraction
+        return np_einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(gff, "sample_unit_sphere", counted("sphere", gff.sample_unit_sphere))
+    monkeypatch.setattr(gff, "phi_image_frame", counted("frame", gff.phi_image_frame))
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert run([argv[0], path, *argv[1:]]) == 0
+    assert counts == expected
+
+
+def test_theorem_refuses_fibrations_of_another_structure():
+    # the report shares one sphere and its contractions with both fibrations
+    S, other = canonical_structure(2, 2), canonical_structure(2, 2)
+    R = phi_model_family(S, 1.0, 1.0)
+    for slot, kind in (("pi_fibration", FibrationKind.PI_FULL), ("tau_fibration", FibrationKind.TAU)):
+        with pytest.raises(ValueError, match="fibrations of its own structure"):
+            theorem_equivalence_report(R, S, samples=4, **{slot: make_fibration(other, kind)})
+
+
 def test_theorem_requires_s_at_least_two():
     S = canonical_structure(2, 1)
     with pytest.raises(ValueError):
@@ -530,7 +612,8 @@ def test_transfer_forms_match_per_vector_oracle(conjugated):
         for kind in KINDS_S2:
             F = make_fibration(S, kind)
             domains = np.array([[horizontal_draw(F, rng) for _ in range(3)] for _ in xs])
-            batched = transfer_forms(R, S.g, F, xs, domains)
+            C = jacobi_covectors(slot4_contraction(R, xs), xs, domains)
+            batched = transfer_forms(S.g, F, xs, domains, C)
             oracle = _oracle_forms(R, F, xs, domains)
             scale = max(1.0, float(np.abs(oracle).max()))
             assert np.abs(batched - oracle).max() < 1e-12 * scale, (name, kind)
