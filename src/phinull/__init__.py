@@ -29,11 +29,11 @@ from .gff import (
 )
 from .curvature import (
     CurvatureTensor,
-    PlaneSection,
     constant_curvature,
     phi_model_family,
     random_algebraic_curvature,
     sectional_curvature,
+    sectional_curvatures,
     symmetrize_curvature,
     validate_curvature,
 )
@@ -88,8 +88,8 @@ __all__ = [
     "sample_null_congruence", "sample_phi_celestial",
     "sample_phi_null_congruence", "validate_gff",
     # curvature
-    "CurvatureTensor", "PlaneSection", "constant_curvature",
-    "phi_model_family", "random_algebraic_curvature", "sectional_curvature",
+    "CurvatureTensor", "constant_curvature", "phi_model_family",
+    "random_algebraic_curvature", "sectional_curvature", "sectional_curvatures",
     "symmetrize_curvature", "validate_curvature",
     # jacobi
     "DecisionReport", "JacobiOperator", "NullQuotient", "PhiNullReport",

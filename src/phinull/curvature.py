@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gff import GffStructure
-from .linalg import DegenerateSubspaceError, ScalarProduct, inner
+from .linalg import DegenerateSubspaceError, ScalarProduct, self_products
 from .reports import ValidationReport
 
 VALIDATE_ATOL = 1e-10
@@ -51,31 +51,6 @@ class CurvatureTensor:
         """The scalar R(X, Y, Z, W)."""
         vectors = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
         return float(np.einsum("abcd,a,b,c,d->", self.components, *vectors))
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneSection:
-    """A plane span(x, y) with its Gram determinant delta = g(x,x)g(y,y) - g(x,y)^2."""
-
-    x: np.ndarray
-    y: np.ndarray
-    delta: float
-
-    @classmethod
-    def from_vectors(cls, g: ScalarProduct, x, y) -> "PlaneSection":
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        yv = np.asarray(y, dtype=float).reshape(-1)
-        delta = inner(g, xv, xv) * inner(g, yv, yv) - inner(g, xv, yv) ** 2
-        return cls(x=xv, y=yv, delta=float(delta))
-
-    def scale(self, g: ScalarProduct) -> float:
-        """Natural magnitude of delta for these vectors: (|g| |x|^2) (|g| |y|^2).
-
-        Degeneracy must be judged against the vectors' size, not against the
-        value of the products, which collapse together near a null plane.
-        """
-        gmax = float(np.abs(g.components).max())
-        return (gmax * float(self.x @ self.x)) * (gmax * float(self.y @ self.y))
 
 
 def operator_apply(R: CurvatureTensor, g: ScalarProduct, y, pair_a, pair_b) -> np.ndarray:
@@ -165,23 +140,32 @@ def phi_model_family(S: GffStructure, a: float, b: float) -> CurvatureTensor:
     return CurvatureTensor(components=comps)
 
 
-def sectional_curvature(
-    R: CurvatureTensor,
-    g: ScalarProduct,
-    x,
-    y,
-    plane_rtol: float = PLANE_RTOL,
-) -> float:
-    """R(x, y, x, y) / delta for a nondegenerate plane span(x, y).
+def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys, plane_rtol=PLANE_RTOL) -> np.ndarray:
+    """R(x, y, x, y) / delta per row pair (x, y), delta = g(x,x) g(y,y) - g(x,y)^2 from products
+    bitwise ``inner``'s; the numerator comes straight from the components.
 
-    Raises ``DegenerateSubspaceError`` when |delta| falls below the relative
-    tolerance -- dependent vectors and degenerate (null-containing) planes
-    alike.
+    Raises ``DegenerateSubspaceError`` at the first |delta| at or below plane_rtol times the
+    pair's size (|g| |x|^2)(|g| |y|^2) -- dependent vectors and degenerate (null-containing)
+    planes alike. The size, not the products, is the yardstick: they collapse near a null plane.
     """
-    plane = PlaneSection.from_vectors(g, x, y)
-    threshold = plane_rtol * max(plane.scale(g), 1e-300)
-    if abs(plane.delta) <= threshold:
+    X, Y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    G = g.components
+    q_xy = 0.5 * (np.matmul(X[:, None, :], G @ Y[:, :, None]) + np.matmul(Y[:, None, :], G @ X[:, :, None]))
+    delta = self_products(g, X) * self_products(g, Y) - q_xy[:, 0, 0] ** 2
+    gmax = np.abs(G).max()
+    size = (gmax * np.einsum("ni,ni->n", X, X)) * (gmax * np.einsum("ni,ni->n", Y, Y))
+    threshold = plane_rtol * np.maximum(size, 1e-300)
+    degenerate = np.flatnonzero(np.abs(delta) <= threshold)
+    if degenerate.size:
+        n = degenerate[0]
         raise DegenerateSubspaceError(
-            f"plane is degenerate: |delta| = {abs(plane.delta):.3e} <= {threshold:.3e}"
+            f"plane is degenerate: |delta| = {abs(delta[n]):.3e} <= {threshold[n]:.3e}"
         )
-    return R.value(plane.x, plane.y, plane.x, plane.y) / plane.delta
+    XY = (X[:, :, None] * Y[:, None, :]).reshape(len(X), -1)  # rows x (x) y: R(x, y, x, y) = XY R XY^T
+    return np.einsum("ni,ni->n", XY @ R.components.reshape(XY.shape[1], -1), XY) / delta
+
+
+def sectional_curvature(R: CurvatureTensor, g: ScalarProduct, x, y, plane_rtol=PLANE_RTOL) -> float:
+    """R(x, y, x, y) / delta for a nondegenerate plane span(x, y): one pair of ``sectional_curvatures``."""
+    xs, ys = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y))
+    return float(sectional_curvatures(R, g, xs, ys, plane_rtol)[0])

@@ -75,11 +75,13 @@ def _square(data, dim: int, what: str) -> np.ndarray:
 
 
 def _integer(value, field: str) -> int:
-    """``int(value)``, or a ValueError naming the field where it fails (a list, an object, null, NaN, inf)."""
-    try:
+    """An int that is not a bool, or an integral float, as an int; anything else (a
+    fraction, a string, a list, an object, null, NaN, inf) is a ValueError naming the field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def _floats(arr) -> list:
@@ -165,8 +167,8 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
             for key in ("i", "j", "k", "l", "value"):
                 if key not in entry:
                     raise ValueError(f"sparse entry {entry!r} is missing the '{key}' field")
+            idx = tuple(_integer(entry[k], f"sparse entry {entry!r} is not numeric: '{k}'") for k in "ijkl")
             try:
-                idx = tuple(int(entry[k]) for k in ("i", "j", "k", "l"))
                 value = float(entry["value"])
             except (TypeError, OverflowError) as exc:
                 raise ValueError(f"sparse entry {entry!r} is not numeric: {exc}") from None

@@ -116,11 +116,18 @@ def inner(g: ScalarProduct, x, y) -> float:
     return 0.5 * (float(xv @ (g.components @ yv)) + float(yv @ (g.components @ xv)))
 
 
-def self_products(g: ScalarProduct | None, xs: np.ndarray) -> np.ndarray:
-    """g(x, x) (x . x for g None) per row x of a float array, bitwise ``inner(g, x, x)``: stacked
-    matmuls run one gemv and one dot a row, as 1-d products do (``einsum`` rounds differently)."""
-    GX = xs[:, :, None] if g is None else np.matmul(g.components, xs[:, :, None])
-    return np.matmul(xs[:, None, :], GX)[:, 0, 0]
+def self_products(g: ScalarProduct, xs: np.ndarray) -> np.ndarray:
+    """g(x, x) per row x of a float array, bitwise ``inner(g, x, x)``: stacked matmuls run one
+    gemv and one dot a row, as 1-d products do (``einsum`` rounds differently)."""
+    return np.matmul(xs[:, None, :], np.matmul(g.components, xs[:, :, None]))[:, 0, 0]
+
+
+def orthonormal_frame(g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
+    """A g-orthonormal frame from ``eigh(G)``, rows ``evecs[:, i] / sqrt(|lambda_i|)``, split
+    into its timelike block (g = -1 on each row) and its spacelike block (g = +1)."""
+    evals, evecs = np.linalg.eigh(g.components)
+    frame = (evecs / np.sqrt(np.abs(evals))).T
+    return frame[: g.signature[1]], frame[g.signature[1]:]
 
 
 def causal_characters(g: ScalarProduct, xs, null_tol: float = NULL_ATOL) -> list[CausalCharacter]:

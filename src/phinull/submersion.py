@@ -50,8 +50,8 @@ the internal-consistency sentinel, comparing two independent routes: the
 transfer form with the actual g(V, V), against R_x raised through g^-1 plus
 the rank-one term with the fibration's recorded sigma. A violation means a
 bug (or a tampered sigma), never a property of the instance. V, its Grams,
-the covectors on V and the right side's pieces are built once per report
-once per report; only a, b, g(V, V) and sigma are the fibration's.
+the covectors on V and the right side's pieces are built once per report;
+only a, b, g(V, V) and sigma are the fibration's.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curvature import CurvatureTensor, operator_apply, sectional_curvature
+from .curvature import CurvatureTensor, operator_apply, sectional_curvatures
 from .gff import GffStructure, sample_phi_celestial, validate_gff
 from .jacobi import (
     DEFAULT_CONSTANCY_TOL,
@@ -640,7 +640,7 @@ def remark_sectional_conditions(
     G = g.components
     xs = sample_phi_celestial(S, samples, seed).points
     phix = xs @ S.phi.T
-    k_total = [sectional_curvature(R, g, x, px) for x, px in zip(xs, phix)]
+    k_total = sectional_curvatures(R, g, xs, phix)
     _require_horizontal(F, xs, "first argument of A")
     pairs = ((xs, xs), (phix, phix), (xs, phix))
     q_x, q_phix, q_mixed = (np.einsum("nm,mk,nk->n", u, G, w) for u, w in pairs)

@@ -11,6 +11,7 @@ from phinull.curvature import (
     phi_model_family,
     random_algebraic_curvature,
     sectional_curvature,
+    sectional_curvatures,
     symmetrize_curvature,
     validate_curvature,
 )
@@ -81,6 +82,28 @@ def test_sectional_curvature_degenerate_plane_raises():
     x = np.array([1.0, 1.0])
     with pytest.raises(DegenerateSubspaceError):
         sectional_curvature(R, g, x, x + np.array([0.0, 1e-13]))
+
+
+def test_sectional_curvatures_batch_the_one_plane_form():
+    g = conjugated_structure(2, 2, seed=5).g
+    R = random_algebraic_curvature(g, seed=6)
+    rng = np.random.default_rng(7)
+    xs, ys = rng.standard_normal((2, 40, g.dim))
+    ks = sectional_curvatures(R, g, xs, ys)
+    for x, y, k in zip(xs, ys, ks):
+        # the numerator by one einsum over the components, the Gram determinant through inner
+        delta = inner(g, x, x) * inner(g, y, y) - inner(g, x, y) ** 2
+        oracle = np.einsum("abcd,a,b,c,d->", R.components, x, y, x, y) / delta
+        assert k == pytest.approx(oracle, rel=1e-12, abs=1e-12 * np.abs(R.components).max())
+        assert sectional_curvature(R, g, x, y) == pytest.approx(k, rel=1e-12, abs=1e-12)
+    # a degenerate pair among good ones raises the one-plane error for that pair
+    bad = ys.copy()
+    bad[3] = xs[3]
+    with pytest.raises(DegenerateSubspaceError) as batched:
+        sectional_curvatures(R, g, xs, bad)
+    with pytest.raises(DegenerateSubspaceError) as single:
+        sectional_curvature(R, g, xs[3], xs[3])
+    assert str(batched.value) == str(single.value)
 
 
 def test_sectional_curvature_plane_basis_invariance():

@@ -211,6 +211,8 @@ def test_cli_malformed_json_is_io_error(tmp_path, capsys):
         ({"i": 0, "j": 1, "k": 0, "l": 1, "value": None}, "not numeric"),
         ([0, 1, 0, 1, 6.0], "not an object"),
         ({"i": float("inf"), "j": 1, "k": 0, "l": 1, "value": 6.0}, "not numeric"),
+        # int() truncated a fractional index to 0
+        ({"i": 0.5, "j": 1, "k": 0, "l": 1, "value": 6.0}, "not numeric: 'i' must be an integer, got 0.5"),
     ],
 )
 def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, entry, message):
@@ -257,6 +259,24 @@ def test_cli_non_integer_field_is_a_validation_error(tmp_path, capsys, block, ke
         assert run(["validate", str(path)]) == 2, value
         err = capsys.readouterr().err
         assert err == f"validation error: {block}.{key} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("metadata", "seed", 3.7), ("structure", "dim", 3.5), ("structure", "n", 1.5),
+    ("structure", "s", True), ("curvature", "dim", "3"),
+])
+def test_cli_non_integral_field_is_a_validation_error(tmp_path, capsys, block, key, value):
+    # int() truncated a fraction and parsed a string; a bool is an int to Python, not to JSON
+    data = instance_to_dict(generate_instance("constant", 1, 1))
+    path = tmp_path / "fields.json"
+    data[block][key] = float(data[block][key])  # an integral float is still an integer
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    data[block][key] = value
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"validation error: {block}.{key} must be an integer, got {value!r}\n"
 
 
 def test_cli_nan_residual_is_named_as_the_worst_check(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Jacobi operators, null quotients, spectra, and the condition deciders."""
 
-import importlib
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +24,7 @@ from phinull.curvature import (
 from phinull.gff import canonical_structure, sample_phi_celestial
 from phinull.io import generate_instance
 from phinull.jacobi import (
-    SAMPLER_BLOCK,
+    BOOST_WINDOW,
     JacobiOperator,
     OperatorStack,
     SpectralData,
@@ -51,11 +49,9 @@ from phinull.linalg import (
     CausalCharacterError,
     ScalarProduct,
     SubspaceBasis,
+    causal_characters,
     orthogonal_complement,
 )
-
-jacobi_module = importlib.import_module("phinull.jacobi")  # the name `phinull.jacobi` is the function
-
 
 # -- classical operator -------------------------------------------------------
 
@@ -231,17 +227,19 @@ def test_stacks_report_a_bad_base_for_that_sample_only():
 
 
 def test_timelike_round_off_no_worse_than_per_vector_assembly():
-    # Dim-11 constant curvature: large-norm unit timelike samples have domain
-    # Grams with condition numbers up to 1e4, so round-off shows in the spread.
+    # Dim-11 constant curvature on the rejection draws of helpers.sample_unit_causal_loop:
+    # large-norm unit timelike bases (Euclidean norms up to ~114) have domain Grams with
+    # condition numbers up to 1e4, so round-off shows in the spread. The engine's own draws
+    # stay below norm ~3.2, where both routes sit at the same round-off.
     # Single seeds swing either way, so the routes are compared seed by seed.
     inst = generate_instance("constant", 4, 3)
     R, g = inst.curvature, inst.structure.g
     ratios = []
     for seed in range(20):
-        report = is_osserman_at(R, g, CausalCharacter.TIMELIKE, seed=seed)
+        bases = sample_unit_causal_loop(g, CausalCharacter.TIMELIKE, 64, seed)
+        report = decide_constancy("stacked", jacobi_stack(R, g, bases).records(), seed, 1e-8, 1e-6)
         assert report.passed, (seed, report.failure)
-        # the per-vector assembly on the same samples, diagonalized as the deciders do
-        bases = np.array([rec.base for rec in report.records])
+        # the per-vector assembly on the same bases, diagonalized as the deciders do
         domains = np.array([orthogonal_complement(g, [z]).vectors for z in bases])
         matrices = np.array([_per_vector_matrix(R, g, z, D) for z, D in zip(bases, domains)])
         grams = domains @ g.components @ domains.transpose(0, 2, 1)
@@ -459,57 +457,70 @@ def test_osserman_generic_tensor_fails_with_witnesses():
 
 def test_unit_causal_sampler_failure_in_definite_signature():
     g = ScalarProduct.diagonal([1.0, 1.0])
-    with pytest.raises(CausalCharacterError):
-        sample_unit_causal(g, CausalCharacter.TIMELIKE, count=2, seed=0, max_tries=50)
+    message = r"could not sample 2 timelike unit vectors \(signature \(2, 0\)\)"
+    with pytest.raises(CausalCharacterError, match=message):
+        sample_unit_causal(g, CausalCharacter.TIMELIKE, count=2, seed=0)
 
 
-def _draws_or_message(sampler, *args, **kwargs):
-    try:
-        return sampler(*args, **kwargs)
-    except CausalCharacterError as exc:
-        return str(exc)
+def _signature_metric(p: int, q: int, seed: int) -> ScalarProduct:
+    """Signature (p, q) in a random well-conditioned frame."""
+    L = np.eye(p + q) + 0.3 * np.random.default_rng(seed).standard_normal((p + q, p + q))
+    return ScalarProduct.from_matrix(L.T @ np.diag([-1.0] * q + [1.0] * p) @ L)
 
 
-SAMPLER_METRICS = {
-    "minkowski6": ScalarProduct.minkowski(6),
-    "minkowski11": ScalarProduct.minkowski(11),
-    "minkowski12": ScalarProduct.minkowski(12),
-    "conjugated": conjugated_structure(2, 3, seed=5).g,
-    # |g(y, y)| <= 1e-8 max(y . y, 1) for many draws: the near-null rejection decides
-    "near-null": ScalarProduct.diagonal([-2e-9, 3e-8]),
+_sampler_metrics = st.one_of(
+    st.integers(2, 24).map(ScalarProduct.minkowski),
+    st.builds(lambda n, s, seed: conjugated_structure(n, s, seed).g,
+              st.integers(1, 4), st.integers(1, 3), st.integers(0, 100)),
+    st.builds(_signature_metric, st.integers(0, 5), st.integers(2, 5), st.integers(0, 100)),
+    st.just(ScalarProduct.diagonal([-2e-9, 3e-8])),  # the near-null metric
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sampler_metrics, st.sampled_from([CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE]),
+       st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_unit_causal_sampler_draws_bounded_unit_vectors_of_the_kind(g, kind, count, seed):
+    sign = 1.0 if kind is CausalCharacter.SPACELIKE else -1.0
+    G = g.components
+    evals = np.linalg.eigvalsh(G)
+    if not np.any(sign * evals > 0):
+        with pytest.raises(CausalCharacterError):
+            sample_unit_causal(g, kind, count, seed)
+        return
+    xs = sample_unit_causal(g, kind, count, seed)
+    assert xs.shape == (count, g.dim)
+    norms_sq = np.einsum("ni,ni->n", xs, xs)
+    q = np.einsum("ni,ij,nj->n", xs, G, xs)
+    assert np.all(np.abs(q - sign) <= 1e-12 * norms_sq * np.linalg.norm(G, 2))
+    assert causal_characters(g, xs) == [kind] * count
+    np.testing.assert_array_equal(sample_unit_causal(g, kind, count, seed), xs)
+    # the frame rows have Euclidean norm 1 / sqrt|lambda|, so ||E||_2 = 1 / sqrt(min |lambda|)
+    bound = np.sqrt(np.cosh(2 * BOOST_WINDOW) / np.abs(evals).min())
+    assert np.all(np.sqrt(norms_sq) <= bound * (1 + 1e-12))
+
+
+CONSTANT_TIMELIKE_CASES = {
+    # rejection sampling raised on every seed at dims 20 and 24 and on most seeds in the
+    # conjugated dim-11 frames, and failed on large-norm draws at the listed dim-11 and 12 seeds
+    "minkowski20": (lambda: ScalarProduct.minkowski(20), (0, 1)),
+    "minkowski24": (lambda: ScalarProduct.minkowski(24), (0, 1)),
+    "conjugated-seed1": (lambda: conjugated_structure(4, 3, seed=1).g, (0, 1, 2)),
+    "conjugated-seed2": (lambda: conjugated_structure(4, 3, seed=2).g, (0, 1, 2)),
+    "dim11": (lambda: generate_instance("constant", 4, 3).structure.g, (56, 189)),
+    "dim12": (lambda: generate_instance("constant", 5, 2).structure.g, (13, 74, 85)),
 }
 
 
-@pytest.mark.parametrize("kind", [CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE], ids=lambda k: k.value)
-@pytest.mark.parametrize("metric", list(SAMPLER_METRICS))
-def test_unit_causal_sampler_matches_one_draw_at_a_time(metric, kind, monkeypatch):
-    g = SAMPLER_METRICS[metric]
-    for seed in range(50):
-        expected = _draws_or_message(sample_unit_causal_loop, g, kind, 16, seed)
-        for block in (SAMPLER_BLOCK, 5):  # the default cap, and a cap that most draws reach
-            monkeypatch.setattr(jacobi_module, "SAMPLER_BLOCK", block)
-            got = _draws_or_message(sample_unit_causal, g, kind, 16, seed)
-            if isinstance(expected, str):
-                assert got == expected
-            else:
-                np.testing.assert_array_equal(got, expected)
-
-
-@pytest.mark.parametrize(
-    "g, count, max_tries",
-    [
-        (ScalarProduct.diagonal([1.0, 1.0]), 2, 50),
-        # a known defect (an open item in ROADMAP.md), pinned, not fixed: rejection finds too few
-        # timelike vectors at dim 20
-        (ScalarProduct.minkowski(20), 64, 200),
-    ],
-    ids=["definite", "minkowski20"],
-)
-def test_unit_causal_sampler_exhausted_budget_raises_as_one_draw_at_a_time(g, count, max_tries):
-    with pytest.raises(CausalCharacterError) as info:
-        sample_unit_causal(g, CausalCharacter.TIMELIKE, count, seed=0, max_tries=max_tries)
-    expected = _draws_or_message(sample_unit_causal_loop, g, CausalCharacter.TIMELIKE, count, 0, max_tries)
-    assert str(info.value) == expected
+@pytest.mark.parametrize("case", list(CONSTANT_TIMELIKE_CASES))
+def test_constant_curvature_timelike_osserman_passes(case):
+    metric, seeds = CONSTANT_TIMELIKE_CASES[case]
+    g = metric()
+    R = constant_curvature(g, 1.0)
+    for seed in seeds:
+        report = is_osserman_at(R, g, CausalCharacter.TIMELIKE, seed=seed)
+        assert report.passed, (seed, report.failure)
+        assert report.groups[0]["eigenvalue"] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_null_osserman_space_form_passes_with_zero_spectrum():

@@ -53,7 +53,6 @@ def test_self_products_bitwise_equal_inner():
         g = ScalarProduct.from_matrix(mat + mat.T)
         xs = rng.standard_normal((300, dim)) * 10.0 ** rng.integers(-3, 4, (300, 1))
         assert self_products(g, xs).tolist() == [inner(g, x, x) for x in xs]
-        assert self_products(None, xs).tolist() == [float(x @ x) for x in xs]
 
 
 def test_inner_dimension_mismatch():
