@@ -15,7 +15,6 @@ from .linalg import (
     orthonormalize,
 )
 from .gff import (
-    CelestialSample,
     GffStructure,
     canonical_structure,
     fundamental_two_form,
@@ -83,7 +82,7 @@ __all__ = [
     "GeometryError", "ScalarProduct", "SubspaceBasis", "causal_character",
     "inner", "orthogonal_complement", "orthonormalize",
     # gff
-    "CelestialSample", "GffStructure", "canonical_structure",
+    "GffStructure", "canonical_structure",
     "fundamental_two_form", "psi", "psi_inverse", "sample_celestial",
     "sample_null_congruence", "sample_phi_celestial",
     "sample_phi_null_congruence", "validate_gff",

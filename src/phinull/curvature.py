@@ -65,8 +65,8 @@ def operator_apply(R: CurvatureTensor, g: ScalarProduct, y, pair_a, pair_b) -> n
     return np.linalg.solve(g.components, covector)
 
 
-def validate_curvature(R: CurvatureTensor, g: ScalarProduct, tol: float = VALIDATE_ATOL) -> ValidationReport:
-    """Residual report for the four curvature symmetries."""
+def validate_curvature(R: CurvatureTensor, g: ScalarProduct) -> ValidationReport:
+    """Residual report for the four curvature symmetries; pass iff all < VALIDATE_ATOL."""
     if R.dim != g.dim:
         raise ValueError(f"curvature dim {R.dim} != metric dim {g.dim}")
     comps = R.components
@@ -75,7 +75,7 @@ def validate_curvature(R: CurvatureTensor, g: ScalarProduct, tol: float = VALIDA
     def _add(name: str, deviation: np.ndarray) -> None:
         residual = float(np.abs(deviation).max())
         idx = np.unravel_index(int(np.abs(deviation).argmax()), deviation.shape)
-        report.add(name, residual, tol, detail=f"worst at indices {tuple(int(i) for i in idx)}")
+        report.add(name, residual, VALIDATE_ATOL, detail=f"worst at indices {tuple(int(i) for i in idx)}")
 
     _add("skew_first_pair", comps + comps.transpose(1, 0, 2, 3))
     _add("skew_second_pair", comps + comps.transpose(0, 1, 3, 2))
@@ -140,11 +140,11 @@ def phi_model_family(S: GffStructure, a: float, b: float) -> CurvatureTensor:
     return CurvatureTensor(components=comps)
 
 
-def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys, plane_rtol=PLANE_RTOL) -> np.ndarray:
+def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys) -> np.ndarray:
     """R(x, y, x, y) / delta per row pair (x, y), delta = g(x,x) g(y,y) - g(x,y)^2 from products
     bitwise ``inner``'s; the numerator comes straight from the components.
 
-    Raises ``DegenerateSubspaceError`` at the first |delta| at or below plane_rtol times the
+    Raises ``DegenerateSubspaceError`` at the first |delta| at or below PLANE_RTOL times the
     pair's size (|g| |x|^2)(|g| |y|^2) -- dependent vectors and degenerate (null-containing)
     planes alike. The size, not the products, is the yardstick: they collapse near a null plane.
     """
@@ -154,7 +154,7 @@ def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys, plane_rto
     delta = self_products(g, X) * self_products(g, Y) - q_xy[:, 0, 0] ** 2
     gmax = np.abs(G).max()
     size = (gmax * np.einsum("ni,ni->n", X, X)) * (gmax * np.einsum("ni,ni->n", Y, Y))
-    threshold = plane_rtol * np.maximum(size, 1e-300)
+    threshold = PLANE_RTOL * np.maximum(size, 1e-300)
     degenerate = np.flatnonzero(np.abs(delta) <= threshold)
     if degenerate.size:
         n = degenerate[0]
@@ -165,7 +165,7 @@ def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys, plane_rto
     return np.einsum("ni,ni->n", XY @ R.components.reshape(XY.shape[1], -1), XY) / delta
 
 
-def sectional_curvature(R: CurvatureTensor, g: ScalarProduct, x, y, plane_rtol=PLANE_RTOL) -> float:
+def sectional_curvature(R: CurvatureTensor, g: ScalarProduct, x, y) -> float:
     """R(x, y, x, y) / delta for a nondegenerate plane span(x, y): one pair of ``sectional_curvatures``."""
     xs, ys = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y))
-    return float(sectional_curvatures(R, g, xs, ys, plane_rtol)[0])
+    return float(sectional_curvatures(R, g, xs, ys)[0])

@@ -20,7 +20,6 @@ keeping the redundancy makes validation discriminating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +40,6 @@ from .linalg import (
 from .reports import ValidationReport
 
 VALIDATE_ATOL = 1e-10
-SAMPLE_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,23 +98,6 @@ class GffStructure:
         return phi_image_frame(self)
 
 
-class SampleKind(Enum):
-    S_OF_Z = "S_of_z"
-    S_PHI = "S_phi"
-    N_OF_Z = "N_of_z"
-    N_PHI = "N_phi"
-
-
-@dataclass(frozen=True, eq=False)
-class CelestialSample:
-    """A batch of sampled directions with the constraints of its kind verified."""
-
-    points: np.ndarray
-    kind: SampleKind
-    seed: int
-    count: int
-
-
 def canonical_structure(n: int, s: int) -> GffStructure:
     """The block model on R^(2n+s).
 
@@ -144,8 +125,9 @@ def canonical_structure(n: int, s: int) -> GffStructure:
     return GffStructure(n=n, s=s, g=g, phi=phi, xi=xi, eta=eta, epsilon=epsilon)
 
 
-def validate_gff(S: GffStructure, tol: float = VALIDATE_ATOL) -> ValidationReport:
-    """Residual report for every structure equation; pass iff all < tol."""
+def validate_gff(S: GffStructure) -> ValidationReport:
+    """Residual report for every structure equation; pass iff all < VALIDATE_ATOL."""
+    tol = VALIDATE_ATOL
     report = ValidationReport(subject="gff-structure")
     m = S.dim
     G = S.g.components
@@ -217,77 +199,80 @@ def _require_lorentzian(S: GffStructure) -> None:
         )
 
 
-def sample_phi_celestial(S: GffStructure, count: int, seed: int) -> CelestialSample:
-    """Uniform sample of unit vectors in Im(phi) orthogonal to the timelike frame."""
+def sample_phi_celestial(S: GffStructure, count: int, seed: int) -> np.ndarray:
+    """Uniform sample of unit vectors in Im(phi) orthogonal to the timelike frame, as rows."""
     _require_lorentzian(S)
     points = sample_unit_sphere(S.g, S.image_frame, count, seed)
-    _check_sample(S, points, SampleKind.S_PHI)
-    return CelestialSample(points=points, kind=SampleKind.S_PHI, seed=seed, count=count)
+    _check_sample(S, points, on_sphere=True, in_image=True)
+    return points
 
 
-def sample_celestial(S: GffStructure, count: int, seed: int) -> CelestialSample:
-    """Uniform sample of the full celestial sphere of the timelike frame vector."""
+def sample_celestial(S: GffStructure, count: int, seed: int) -> np.ndarray:
+    """Uniform sample of the full celestial sphere of the timelike frame vector, as rows."""
     _require_lorentzian(S)
-    complement = orthogonal_complement(S.g, [S.timelike_frame_vector])
-    frame = orthonormalize(S.g, complement)
+    frame = orthonormalize(S.g, orthogonal_complement(S.g, [S.timelike_frame_vector]))
     points = sample_unit_sphere(S.g, frame, count, seed)
-    _check_sample(S, points, SampleKind.S_OF_Z)
-    return CelestialSample(points=points, kind=SampleKind.S_OF_Z, seed=seed, count=count)
+    _check_sample(S, points, on_sphere=True, in_image=False)
+    return points
 
 
-def sample_null_congruence(S: GffStructure, count: int, seed: int) -> CelestialSample:
-    """Null vectors u with g(u, u) = 0, g(u, xi_1) = -1, covering the full sphere."""
-    sphere = sample_celestial(S, count, seed)
-    points = sphere.points + S.timelike_frame_vector
-    _check_sample(S, points, SampleKind.N_OF_Z)
-    return CelestialSample(points=points, kind=SampleKind.N_OF_Z, seed=seed, count=count)
+def sample_null_congruence(S: GffStructure, count: int, seed: int) -> np.ndarray:
+    """Null vectors u with g(u, u) = 0, g(u, xi_1) = -1, covering the full sphere, as rows."""
+    points = sample_celestial(S, count, seed) + S.timelike_frame_vector
+    _check_sample(S, points, on_sphere=False, in_image=False)
+    return points
 
 
-def sample_phi_null_congruence(S: GffStructure, count: int, seed: int) -> CelestialSample:
-    """The psi-preimage of the phi-celestial sphere: u = xi_1 + x, x in S_phi."""
-    sphere = sample_phi_celestial(S, count, seed)
-    points = sphere.points + S.timelike_frame_vector
-    _check_sample(S, points, SampleKind.N_PHI)
-    return CelestialSample(points=points, kind=SampleKind.N_PHI, seed=seed, count=count)
+def sample_phi_null_congruence(S: GffStructure, count: int, seed: int) -> np.ndarray:
+    """The psi-preimage of the phi-celestial sphere: u = xi_1 + x, x in S_phi, as rows."""
+    points = sample_phi_celestial(S, count, seed) + S.timelike_frame_vector
+    _check_sample(S, points, on_sphere=False, in_image=True)
+    return points
 
 
-def _check_sample(S: GffStructure, points: np.ndarray, kind: SampleKind) -> None:
-    """Verify the defining constraints of a sample kind to SAMPLE_ATOL."""
+def _check_sample(S: GffStructure, points: np.ndarray, on_sphere: bool, in_image: bool) -> None:
+    """Verify the defining constraints of a sample: g(p, p) = 1, g(p, z) = 0 on a sphere,
+    g(p, p) = 0, g(p, z) = -1 on a congruence p = z + x, and eta(x) = 0 for Im(phi) points.
+
+    They hold only as well as the validated identities they combine (g(z, z) = -1, g(x, z) = 0,
+    eta(x) = 0 through x = -phi(phi x) on Im(phi)), each good to VALIDATE_ATOL per entry. A
+    contraction a^T M b of such an identity M is at most VALIDATE_ATOL |a|_1 |b|_1, so each point
+    is judged against VALIDATE_ATOL (1 + |x|_1 + |phi x|_1)^2: the coefficients of z, x and phi x.
+    """
     z = S.timelike_frame_vector
-    on_sphere = kind in (SampleKind.S_OF_Z, SampleKind.S_PHI)
+    x = points if on_sphere else points - z
     q = np.einsum("nm,mk,nk->n", points, S.g.components, points)
     zp = points @ S.g.components @ z
-    # sphere points: g(p, p) = 1, g(p, z) = 0; congruence points: g(p, p) = 0, g(p, z) = -1
-    ok = (np.abs(q - float(on_sphere)) <= SAMPLE_ATOL) & (np.abs(zp + float(not on_sphere)) <= SAMPLE_ATOL)
-    if kind in (SampleKind.S_PHI, SampleKind.N_PHI):
-        # Membership of the Im(phi) part: eta vanishes on Im(phi).
-        x = points - z if kind is SampleKind.N_PHI else points
-        ok &= np.abs(x @ S.eta.T).max(axis=1) <= SAMPLE_ATOL
+    tol = VALIDATE_ATOL * (1.0 + np.abs(x).sum(axis=1) + np.abs(x @ S.phi.T).sum(axis=1)) ** 2
+    ok = (np.abs(q - float(on_sphere)) <= tol) & (np.abs(zp + float(not on_sphere)) <= tol)
+    if in_image:
+        ok &= np.abs(x @ S.eta.T).max(axis=1) <= tol
     if not ok.all():
-        raise GeometryError(f"sampled point violates {kind.value} constraints")
+        kind = ("S_" if on_sphere else "N_") + ("phi" if in_image else "of_z")
+        raise GeometryError(f"sampled point violates {kind} constraints")
 
 
-def psi(S: GffStructure, u, tol: float = NULL_ATOL) -> np.ndarray:
+def psi(S: GffStructure, u) -> np.ndarray:
     """Map a null-congruence vector u to the celestial sphere: u - xi_1."""
     _require_lorentzian(S)
     uv = np.asarray(u, dtype=float).reshape(-1)
     q = inner(S.g, uv, uv)
-    if abs(q) > tol:
+    if abs(q) > NULL_ATOL:
         raise CausalCharacterError(f"psi requires a null vector: g(u,u) = {q:.3e}")
     zp = inner(S.g, uv, S.timelike_frame_vector)
-    if abs(zp + 1.0) > tol:
+    if abs(zp + 1.0) > NULL_ATOL:
         raise CausalCharacterError(f"psi requires g(u, xi_1) = -1: got {zp:.6e}")
     return uv - S.timelike_frame_vector
 
 
-def psi_inverse(S: GffStructure, x, tol: float = NULL_ATOL) -> np.ndarray:
+def psi_inverse(S: GffStructure, x) -> np.ndarray:
     """Map a celestial-sphere vector x to the null congruence: xi_1 + x."""
     _require_lorentzian(S)
     xv = np.asarray(x, dtype=float).reshape(-1)
     q = inner(S.g, xv, xv)
-    if abs(q - 1.0) > tol:
+    if abs(q - 1.0) > NULL_ATOL:
         raise CausalCharacterError(f"psi_inverse requires a unit vector: g(x,x) = {q:.6e}")
     zp = inner(S.g, xv, S.timelike_frame_vector)
-    if abs(zp) > tol:
+    if abs(zp) > NULL_ATOL:
         raise CausalCharacterError(f"psi_inverse requires g(x, xi_1) = 0: got {zp:.3e}")
     return S.timelike_frame_vector + xv

@@ -65,8 +65,21 @@ class InstanceValidationError(GeometryError):
         self.report = report
 
 
+def _numbers(value, field: str) -> np.ndarray:
+    """A float array of a number or nested lists of numbers. An object, a string, null, a list of
+    bools, a ragged list or a NaN or infinity anywhere in it is a ValueError naming the field; a
+    bool among numbers reads as 0 or 1, as ``float`` reads it."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{field} must hold finite numbers (nested lists of numbers)")
+    return arr.astype(float, copy=False)
+
+
 def _square(data, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _numbers(data, f"structure.{what}")
     if arr.shape == (dim * dim,):
         arr = arr.reshape(dim, dim)
     if arr.shape != (dim, dim):
@@ -111,9 +124,7 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
         raise ValueError(f"dim = {dim} does not equal 2n+s = {2 * n + s}")
     g = ScalarProduct.from_matrix(_square(data["metric"], dim, "metric"))
     phi = _square(data["phi"], dim, "phi")
-    xi = np.asarray(data["xi"], dtype=float)
-    eta = np.asarray(data["eta"], dtype=float)
-    epsilon = np.asarray(data["epsilon"], dtype=float)
+    xi, eta, epsilon = (_numbers(data[key], f"structure.{key}") for key in ("xi", "eta", "epsilon"))
     if xi.shape != (s, dim) or eta.shape != (s, dim) or epsilon.shape != (s,):
         raise ValueError("xi/eta must be s rows of length dim, epsilon length s")
 
@@ -154,12 +165,14 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
     if dim != g.dim:
         raise ValueError(f"curvature dim {dim} does not match structure dim {g.dim}")
     if "components" in data:
-        comps = np.asarray(data["components"], dtype=float)
+        comps = _numbers(data["components"], "curvature.components")
         if comps.shape == (dim**4,):
             comps = comps.reshape((dim,) * 4)
         if comps.shape != (dim,) * 4:
             raise ValueError(f"components must be rank-4 of size {dim}, got shape {comps.shape}")
     elif "entries" in data:
+        if not isinstance(data["entries"], list):
+            raise ValueError(f"curvature.entries must be a list, not {type(data['entries']).__name__}")
         comps = np.zeros((dim,) * 4)
         for entry in data["entries"]:
             if not isinstance(entry, dict):
@@ -320,7 +333,6 @@ def generate_instance(
     s: int,
     parameters: dict | None = None,
     seed: int = 0,
-    name: str | None = None,
 ) -> InstanceFile:
     """Build a canonical-structure instance of one of the stock families.
 
@@ -345,7 +357,7 @@ def generate_instance(
     else:
         raise ValueError(f"unknown family '{family}'; expected constant, phi_model or random")
     metadata = InstanceMetadata(
-        name=name or f"{family}-n{n}-s{s}-seed{seed}",
+        name=f"{family}-n{n}-s{s}-seed{seed}",
         seed=seed,
         family=f"canonical+{family}",
         parameters=params,

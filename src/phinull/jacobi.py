@@ -73,7 +73,6 @@ class SpectralData:
 
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    grouping_tol: float
 
     @classmethod
     def from_values(cls, values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> "SpectralData":
@@ -154,12 +153,12 @@ def perp_within(g: ScalarProduct, span: np.ndarray, xs: np.ndarray) -> np.ndarra
     return vh[:, 1:, :] @ span
 
 
-def quotient_representatives(g: ScalarProduct, span: np.ndarray, us, rank_rtol: float = RANK_RTOL):
+def quotient_representatives(g: ScalarProduct, span: np.ndarray, us):
     """Representatives of u-perp/span(u) within span(span) per u in us, with the restricted
     Grams' kernel dims: the nondegenerate eigendirections, meaningful only where that dim is 1."""
     perp = perp_within(g, span, us)
     evals, evecs = np.linalg.eigh(perp @ g.components @ perp.transpose(0, 2, 1))
-    kernel = np.abs(evals) <= rank_rtol * np.maximum(np.abs(evals).max(axis=-1), 1.0)[:, None]
+    kernel = np.abs(evals) <= RANK_RTOL * np.maximum(np.abs(evals).max(axis=-1), 1.0)[:, None]
     keep = np.argsort(kernel, axis=-1, kind="stable")[:, None, :-1]
     return np.take_along_axis(evecs, keep, axis=-1).transpose(0, 2, 1) @ perp, kernel.sum(axis=-1)
 
@@ -213,18 +212,18 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None
     return jacobi_stack(R, g, zs, None if domain is None else domain.vectors[None]).operator()
 
 
-def _null_quotients(g: ScalarProduct, us, rank_rtol: float = RANK_RTOL) -> tuple[list, np.ndarray]:
+def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray]:
     """Per u in us, None or the error that leaves it without a quotient; and the others' representatives."""
     errors = _causal_errors(g, us, (CausalCharacter.NULL,), "null quotient requires a null vector")
     ok = [n for n, error in enumerate(errors) if error is None]
-    reps, kernel_dims = quotient_representatives(g, np.eye(g.dim), us[ok], rank_rtol)
+    reps, kernel_dims = quotient_representatives(g, np.eye(g.dim), us[ok])
     for n, dim in zip(ok, kernel_dims):
         if dim != 1:
             errors[n] = GeometryError(f"restricted Gram on u-perp has kernel dimension {dim}, expected 1")
     return errors, reps[kernel_dims == 1]
 
 
-def null_quotient(g: ScalarProduct, u, rank_rtol: float = RANK_RTOL) -> NullQuotient:
+def null_quotient(g: ScalarProduct, u) -> NullQuotient:
     """Quotient of u-perp by span(u) for a null vector u.
 
     Representatives are chosen as the nondegenerate eigendirections of the
@@ -232,15 +231,13 @@ def null_quotient(g: ScalarProduct, u, rank_rtol: float = RANK_RTOL) -> NullQuot
     kernel of the restriction is exactly span(u).
     """
     uv = np.asarray(u, dtype=float).reshape(-1)
-    errors, reps = _null_quotients(g, uv[None], rank_rtol)
+    errors, reps = _null_quotients(g, uv[None])
     if errors[0] is not None:
         raise errors[0]
-    return null_quotient_from_representatives(g, uv, reps[0], rank_rtol)
+    return null_quotient_from_representatives(g, uv, reps[0])
 
 
-def null_quotient_from_representatives(
-    g: ScalarProduct, u, representatives, rank_rtol: float = RANK_RTOL
-) -> NullQuotient:
+def null_quotient_from_representatives(g: ScalarProduct, u, representatives) -> NullQuotient:
     """Build a quotient from explicit representatives (each must lie in u-perp)."""
     uv = np.asarray(u, dtype=float).reshape(-1)
     reps = np.atleast_2d(np.asarray(representatives, dtype=float))
@@ -249,9 +246,9 @@ def null_quotient_from_representatives(
     pairing = reps @ g.components @ uv
     if np.abs(pairing).max() > 1e-8 * max(float(np.abs(reps).max()), 1.0):
         raise ValueError("representatives must be orthogonal to u")
-    basis = SubspaceBasis.from_vectors(g, reps, rank_rtol)
+    basis = SubspaceBasis.from_vectors(g, reps)
     evals = np.linalg.eigvalsh(basis.gram)
-    tol = rank_rtol * max(float(np.abs(evals).max()), 1.0)
+    tol = RANK_RTOL * max(float(np.abs(evals).max()), 1.0)
     if np.any(np.abs(evals) <= tol):
         raise ValueError("representatives are degenerate modulo span(u)")
     signature = (int(np.sum(evals > 0)), int(np.sum(evals < 0)))
@@ -287,11 +284,7 @@ def null_jacobi(
     return _jacobi_operators(slot4_contraction(R, us), g, us, [None], reps).operator()
 
 
-def spectrum(
-    op: JacobiOperator,
-    grouping_tol: float = DEFAULT_GROUPING_TOL,
-    realness_rtol: float = REALNESS_RTOL,
-) -> SpectralData:
+def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:
     """Grouped eigenvalues of a Jacobi operator.
 
     With a positive definite domain Gram = L L^T the generalized symmetric
@@ -301,13 +294,13 @@ def spectrum(
     beyond tolerance raise ``SpectrumError`` -- they are possible for spacelike
     bases in indefinite signature.
     """
-    result = _spectra(op.matrix[None], op.metric_on_domain[None], grouping_tol, realness_rtol)[0]
+    result = _spectra(op.matrix[None], op.metric_on_domain[None], grouping_tol)[0]
     if isinstance(result, SpectrumError):
         raise result
     return result
 
 
-def _spectra(matrices, grams, grouping_tol: float, realness_rtol: float = REALNESS_RTOL) -> list:
+def _spectra(matrices, grams, grouping_tol: float) -> list:
     """``spectrum`` of each stacked operator: its SpectralData, or the SpectrumError it raises."""
     out: list = [None] * len(matrices)
     if not out:
@@ -327,7 +320,7 @@ def _spectra(matrices, grams, grouping_tol: float, realness_rtol: float = REALNE
         rows = np.flatnonzero(~definite)
         values = np.linalg.eigvals(matrices[~definite])
         max_imag = np.abs(values.imag).max(axis=1)
-        unreal = max_imag > realness_rtol * np.maximum(np.abs(values).max(axis=1), 1.0)
+        unreal = max_imag > REALNESS_RTOL * np.maximum(np.abs(values).max(axis=1), 1.0)
         for n, vals, imag in zip(rows[unreal], values[unreal], max_imag[unreal]):
             out[n] = SpectrumError(
                 f"non-real eigenvalues on an indefinite domain: max |imag| = {imag:.3e}; "
@@ -362,7 +355,7 @@ def _grouped(values: np.ndarray, grouping_tol: float) -> list[SpectralData]:
             means[:, j] = np.add.reduce(block[:, a:b], axis=1) / (b - a)
         multiplicities = tuple(b - a for a, b in groups)
         for n, row in zip(rows, means.tolist()):
-            out[n] = SpectralData(tuple(row), multiplicities, grouping_tol)
+            out[n] = SpectralData(tuple(row), multiplicities)
     return out
 
 
@@ -563,10 +556,7 @@ def is_null_osserman_wrt(
     zv = np.asarray(z, dtype=float).reshape(-1)
     if abs(inner(g, zv, zv) + 1.0) > 1e-8:
         raise CausalCharacterError("null Osserman reference vector must be unit timelike")
-    frame = orthonormalize(g, orthogonal_complement(g, [zv]))
-    if not np.allclose(frame.gram, np.eye(frame.dim), atol=1e-10):
-        raise CausalCharacterError("celestial sphere of z is not spacelike; g must be Lorentzian")
-    sphere = sample_unit_sphere(g, frame, samples, seed)
+    sphere = sample_unit_sphere(g, orthonormalize(g, orthogonal_complement(g, [zv])), samples, seed)
     records = replace(null_jacobi_stack(R, g, zv + sphere), bases=sphere).records(grouping_tol)
     return decide_constancy(
         "null-osserman", records, seed, tol, grouping_tol,
@@ -612,7 +602,7 @@ def is_phi_null_osserman_wrt(
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> PhiNullReport:
     """Phi-null Osserman decision w.r.t. the timelike frame vector of S."""
-    sphere = sample_phi_celestial(S, samples, seed).points
+    sphere = sample_phi_celestial(S, samples, seed)
     us = S.timelike_frame_vector + sphere
     return PhiNullReport(
         quotient=_phi_null_quotient(slot4_contraction(R, us), S.g, us, sphere, seed, tol, grouping_tol),

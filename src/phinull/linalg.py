@@ -13,8 +13,7 @@ Conventions
 - A ``SubspaceBasis`` stores its basis vectors as the *rows* of a ``(k, m)``
   array together with the ``(k, k)`` Gram matrix of the restricted form.
 - Rank decisions use a relative tolerance (``RANK_RTOL`` times the matrix
-  max-norm); the causal-character cutoff is absolute (``NULL_ATOL``). Both
-  defaults can be overridden per call.
+  max-norm); the causal-character cutoff is absolute (``NULL_ATOL``).
 - Complements are computed from the nullspace of the Gram map via SVD, not by
   pivoted elimination, so they behave uniformly across signatures.
 """
@@ -69,14 +68,14 @@ class ScalarProduct:
     signature: tuple[int, int]
 
     @classmethod
-    def from_matrix(cls, matrix, rank_rtol: float = RANK_RTOL) -> "ScalarProduct":
+    def from_matrix(cls, matrix) -> "ScalarProduct":
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"scalar product needs a square matrix, got shape {mat.shape}")
         sym = 0.5 * (mat + mat.T)
         scale = float(np.abs(sym).max()) if sym.size else 0.0
         eigvals = np.linalg.eigvalsh(sym)
-        tol = rank_rtol * max(scale, 1.0)
+        tol = RANK_RTOL * max(scale, 1.0)
         if np.any(np.abs(eigvals) <= tol):
             raise DegenerateSubspaceError(
                 f"scalar product is degenerate: eigenvalue of magnitude "
@@ -130,17 +129,17 @@ def orthonormal_frame(g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
     return frame[: g.signature[1]], frame[g.signature[1]:]
 
 
-def causal_characters(g: ScalarProduct, xs, null_tol: float = NULL_ATOL) -> list[CausalCharacter]:
+def causal_characters(g: ScalarProduct, xs) -> list[CausalCharacter]:
     """Classify each row x of xs as spacelike / timelike / null / zero under g."""
     X = np.asarray(xs, dtype=float)
     q = self_products(g, X)
-    conditions = [~X.any(axis=1), np.abs(q) <= null_tol, q < 0.0]
+    conditions = [~X.any(axis=1), np.abs(q) <= NULL_ATOL, q < 0.0]
     return [CausalCharacter(kind) for kind in np.select(conditions, ["zero", "null", "timelike"], "spacelike")]
 
 
-def causal_character(g: ScalarProduct, x, null_tol: float = NULL_ATOL) -> CausalCharacter:
+def causal_character(g: ScalarProduct, x) -> CausalCharacter:
     """Classify x as spacelike / timelike / null / zero under g."""
-    return causal_characters(g, _as_vector(x, g.dim)[None], null_tol)[0]
+    return causal_characters(g, _as_vector(x, g.dim)[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,11 +155,11 @@ class SubspaceBasis:
     gram: np.ndarray
 
     @classmethod
-    def from_vectors(cls, g: ScalarProduct, vectors, rank_rtol: float = RANK_RTOL) -> "SubspaceBasis":
+    def from_vectors(cls, g: ScalarProduct, vectors) -> "SubspaceBasis":
         rows = np.atleast_2d(np.asarray(vectors, dtype=float))
         if rows.shape[1] != g.dim:
             raise ValueError(f"basis vectors have length {rows.shape[1]}, expected {g.dim}")
-        if matrix_rank(rows, rank_rtol) != rows.shape[0]:
+        if matrix_rank(rows) != rows.shape[0]:
             raise ValueError("basis vectors are linearly dependent")
         gram = rows @ g.components @ rows.T
         rows = rows.copy()
@@ -180,26 +179,26 @@ class SubspaceBasis:
         return np.linalg.solve(self.gram, self.vectors @ g.components @ np.asarray(vectors, dtype=float).T)
 
 
-def matrix_rank(matrix: np.ndarray, rank_rtol: float = RANK_RTOL) -> int:
+def matrix_rank(matrix: np.ndarray) -> int:
     """Rank with the package-wide relative tolerance (vs. the max-norm)."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     if mat.size == 0:
         return 0
     svals = np.linalg.svd(mat, compute_uv=False)
-    tol = rank_rtol * max(float(np.abs(mat).max()), 1.0)
+    tol = RANK_RTOL * max(float(np.abs(mat).max()), 1.0)
     return int(np.sum(svals > tol))
 
 
-def nullspace(matrix: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal (Euclidean) basis of the nullspace, rows of shape (dim_null, m)."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, svals, vh = np.linalg.svd(mat)
-    tol = rank_rtol * max(float(np.abs(mat).max()), 1.0)
+    tol = RANK_RTOL * max(float(np.abs(mat).max()), 1.0)
     rank = int(np.sum(svals > tol))
     return vh[rank:]
 
 
-def orthogonal_complement(g: ScalarProduct, vectors, rank_rtol: float = RANK_RTOL) -> SubspaceBasis:
+def orthogonal_complement(g: ScalarProduct, vectors) -> SubspaceBasis:
     """Basis of {y : g(y, v) = 0 for all given v}.
 
     For nondegenerate g and k independent inputs the result has dimension
@@ -208,24 +207,18 @@ def orthogonal_complement(g: ScalarProduct, vectors, rank_rtol: float = RANK_RTO
     rows = np.atleast_2d(np.asarray(vectors, dtype=float))
     if rows.shape[1] != g.dim:
         raise ValueError(f"vectors have length {rows.shape[1]}, expected {g.dim}")
-    if matrix_rank(rows, rank_rtol) != rows.shape[0]:
+    if matrix_rank(rows) != rows.shape[0]:
         raise ValueError("input vectors are linearly dependent")
-    constraints = rows @ g.components
-    basis = nullspace(constraints, rank_rtol)
-    return SubspaceBasis.from_vectors(g, basis, rank_rtol)
+    return SubspaceBasis.from_vectors(g, nullspace(rows @ g.components))
 
 
-def orthonormalize(
-    g: ScalarProduct,
-    basis: SubspaceBasis,
-    pivot_tol: float = NULL_ATOL,
-) -> SubspaceBasis:
+def orthonormalize(g: ScalarProduct, basis: SubspaceBasis) -> SubspaceBasis:
     """Indefinite Gram-Schmidt: output Gram is diag(+-1), same span.
 
     Raises ``DegenerateSubspaceError`` when a pivot's self-product falls below
-    tolerance -- the same obstruction as a degenerate plane. No pivoting is
-    attempted: a null leading vector is an error even when the span itself is
-    nondegenerate.
+    ``NULL_ATOL`` times its size -- the same obstruction as a degenerate plane.
+    No pivoting is attempted: a null leading vector is an error even when the
+    span itself is nondegenerate.
     """
     out: list[np.ndarray] = []
     signs: list[float] = []
@@ -236,7 +229,7 @@ def orthonormalize(
             v -= sign * inner(g, v, u) * u
         q = inner(g, v, v)
         scale = gmax * max(float(v @ v), 1.0)
-        if abs(q) <= pivot_tol * scale:
+        if abs(q) <= NULL_ATOL * scale:
             raise DegenerateSubspaceError(
                 f"degenerate pivot at position {len(out)}: |g(v,v)| = {abs(q):.3e}"
             )
@@ -264,14 +257,5 @@ def sample_unit_sphere(
         raise DegenerateSubspaceError(
             "sphere sampling requires a positive definite, orthonormal frame"
         )
-    rng = np.random.default_rng(seed)
-    coeffs = np.empty((count, k))
-    filled = 0
-    while filled < count:
-        draw = rng.standard_normal((count - filled, k))
-        norms = np.linalg.norm(draw, axis=1)
-        keep = norms > 1e-12
-        kept = draw[keep] / norms[keep, None]
-        coeffs[filled : filled + kept.shape[0]] = kept
-        filled += kept.shape[0]
-    return coeffs @ frame.vectors
+    draw = np.random.default_rng(seed).standard_normal((count, k))
+    return (draw / np.linalg.norm(draw, axis=1, keepdims=True)) @ frame.vectors

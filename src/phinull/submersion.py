@@ -345,7 +345,7 @@ def base_osserman_check(
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> DecisionReport:
     """Pointwise Osserman condition of the complex-type base, through the transfer operator."""
-    sphere = sample_phi_celestial(S, samples, seed).points
+    sphere = sample_phi_celestial(S, samples, seed)
     return _base_osserman(slot4_contraction(R, sphere), S.g, F, sphere, seed, tol, grouping_tol)
 
 
@@ -394,7 +394,7 @@ def base_null_osserman_check(
     the phi-celestial sphere upstairs; null directions are xi_1 + x and their
     quotient operators are assembled from the transfer form.
     """
-    us = F.structure.xi[0] + sample_phi_celestial(S, samples, seed).points
+    us = F.structure.xi[0] + sample_phi_celestial(S, samples, seed)
     return _base_null_osserman(slot4_contraction(R, us), S.g, F, us, seed, tol, grouping_tol)
 
 
@@ -522,7 +522,7 @@ def theorem_equivalence_report(
 
     # One sphere and one slot-4 contraction per stack of bases: RX for the sphere, freed once
     # its last form is built, then RU for u = xi_1 + x.
-    sphere = sample_phi_celestial(S, samples, seed).points
+    sphere = sample_phi_celestial(S, samples, seed)
     RX = slot4_contraction(R, sphere)
     hyp_residual = float(_hypothesis_residuals(RX, S, sphere).max())
     hypothesis_holds = hyp_residual <= tol
@@ -638,7 +638,7 @@ def remark_sectional_conditions(
 
     g = S.g
     G = g.components
-    xs = sample_phi_celestial(S, samples, seed).points
+    xs = sample_phi_celestial(S, samples, seed)
     phix = xs @ S.phi.T
     k_total = sectional_curvatures(R, g, xs, phix)
     _require_horizontal(F, xs, "first argument of A")

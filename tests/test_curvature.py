@@ -154,7 +154,7 @@ def test_phi_model_validates_and_matches_oracle_spectrum():
     S = canonical_structure(2, 2)
     R = phi_model_family(S, a=1.0, b=1.0)
     assert validate_curvature(R, S.g).passed
-    for x in sample_phi_celestial(S, 50, seed=10).points:
+    for x in sample_phi_celestial(S, 50, seed=10):
         values = bf_jacobi_spectrum(R.components, S.g.components, x)
         # {a with multiplicity 2n+s-2 = 4, a+3b = 4 simple}
         assert expected_multiset(values, {1.0: 4, 4.0: 1}, tol=1e-9)
@@ -165,7 +165,7 @@ def test_phi_model_jacobi_action_identities():
     S = conjugated_structure(2, 3, seed=12)
     a, b = 0.7, -0.4
     R = phi_model_family(S, a, b)
-    for x in sample_phi_celestial(S, 10, seed=2).points:
+    for x in sample_phi_celestial(S, 10, seed=2):
         phix = S.phi @ x
         out = operator_apply(R, S.g, x, phix, x)
         assert np.abs(out - (a + 3 * b) * phix).max() < 1e-10
@@ -178,7 +178,7 @@ def test_phi_sectional_curvature_of_family():
     S = conjugated_structure(2, 2, seed=14)
     a, b = 1.0, 1.0
     R = phi_model_family(S, a, b)
-    for x in sample_phi_celestial(S, 20, seed=3).points:
+    for x in sample_phi_celestial(S, 20, seed=3):
         k = sectional_curvature(R, S.g, x, S.phi @ x)
         assert k == pytest.approx(a + 3 * b, abs=1e-9)
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import conjugated_structure
 from phinull.gff import (
@@ -19,7 +21,17 @@ from phinull.gff import (
     sample_phi_null_congruence,
     validate_gff,
 )
-from phinull.linalg import CausalCharacter, CausalCharacterError, causal_character, inner, matrix_rank
+from phinull.linalg import (
+    CausalCharacter,
+    CausalCharacterError,
+    GeometryError,
+    ScalarProduct,
+    causal_character,
+    inner,
+    matrix_rank,
+)
+
+SAMPLERS = (sample_phi_celestial, sample_celestial, sample_null_congruence, sample_phi_null_congruence)
 
 
 def test_canonical_small_structure():
@@ -97,7 +109,7 @@ def test_two_form_skew_and_kernel():
 
 def test_phi_celestial_sampler_canonical_plane():
     S = canonical_structure(1, 1)
-    pts = sample_phi_celestial(S, 32, seed=0).points
+    pts = sample_phi_celestial(S, 32, seed=0)
     assert np.abs(pts[:, 2]).max() < 1e-12  # inside the first coordinate plane
     assert np.abs(np.linalg.norm(pts[:, :2], axis=1) - 1.0).max() < 1e-12
 
@@ -106,8 +118,8 @@ def test_phi_celestial_points_are_spacelike_and_deterministic():
     S = conjugated_structure(2, 2, seed=3)
     sample = sample_phi_celestial(S, 16, seed=5)
     again = sample_phi_celestial(S, 16, seed=5)
-    assert np.array_equal(sample.points, again.points)
-    for x in sample.points:
+    assert np.array_equal(sample, again)
+    for x in sample:
         assert causal_character(S.g, x) is CausalCharacter.SPACELIKE
         phix = S.phi @ x
         # phi x is unit, spacelike, orthogonal to x
@@ -120,13 +132,13 @@ def test_phi_celestial_points_are_spacelike_and_deterministic():
 def test_other_sampler_kinds_satisfy_their_constraints():
     S = conjugated_structure(1, 2, seed=11)
     z = S.timelike_frame_vector
-    for u in sample_null_congruence(S, 8, seed=2).points:
+    for u in sample_null_congruence(S, 8, seed=2):
         assert abs(inner(S.g, u, u)) < 1e-12
         assert inner(S.g, u, z) == pytest.approx(-1.0, abs=1e-12)
-    for u in sample_phi_null_congruence(S, 8, seed=2).points:
+    for u in sample_phi_null_congruence(S, 8, seed=2):
         assert abs(inner(S.g, u, u)) < 1e-12
         assert np.abs(S.eta @ (u - z)).max() < 1e-12
-    for x in sample_celestial(S, 8, seed=2).points:
+    for x in sample_celestial(S, 8, seed=2):
         assert inner(S.g, x, x) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -147,7 +159,7 @@ def test_psi_defining_identities():
 
 def test_psi_round_trips_on_sphere_points():
     S = conjugated_structure(2, 2, seed=7)
-    for x in sample_celestial(S, 100, seed=13).points:
+    for x in sample_celestial(S, 100, seed=13):
         u = psi_inverse(S, x)
         assert np.abs(psi(S, u) - x).max() < 1e-12
         assert abs(inner(S.g, u, u)) < 1e-12
@@ -165,7 +177,7 @@ def test_psi_rejects_wrong_normalization():
 def test_phi_null_restriction_of_psi():
     # u in the phi-null congruence iff psi(u) in the phi-celestial sphere
     S = conjugated_structure(1, 3, seed=15)
-    for u in sample_phi_null_congruence(S, 10, seed=4).points:
+    for u in sample_phi_null_congruence(S, 10, seed=4):
         x = psi(S, u)
         assert np.abs(S.eta @ x).max() < 1e-12
 
@@ -174,3 +186,58 @@ def test_shape_mismatch_raises():
     S = canonical_structure(1, 1)
     with pytest.raises(ValueError):
         GffStructure(n=1, s=1, g=S.g, phi=S.phi[:2, :2], xi=S.xi, eta=S.eta, epsilon=S.epsilon)
+
+
+def _perturbed(S: GffStructure, fields, size: float, seed: int) -> GffStructure:
+    """S with every entry of the named fields moved by up to ``size`` (the metric kept symmetric)."""
+    rng = np.random.default_rng(seed)
+    changes = {name: getattr(S, name) + size * rng.uniform(-1.0, 1.0, getattr(S, name).shape)
+               for name in fields if name != "metric"}
+    if "metric" in fields:
+        noise = size * rng.uniform(-1.0, 1.0, (S.dim, S.dim))
+        changes["g"] = ScalarProduct.from_matrix(S.g.components + 0.5 * (noise + noise.T))
+    return dataclasses.replace(S, **changes)
+
+
+_structures = st.one_of(
+    st.sampled_from([(1, 1), (2, 2), (4, 3), (5, 2)]).map(lambda ns: canonical_structure(*ns)),
+    st.builds(conjugated_structure, st.integers(1, 3), st.integers(1, 3), st.integers(0, 20)),
+)
+_fields = st.lists(st.sampled_from(["metric", "phi", "xi", "eta"]), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structures, _fields, st.floats(-12.0, -9.5), st.integers(0, 2**32 - 1))
+def test_a_validated_structure_samples_without_error(S, fields, log_size, seed):
+    # The sampler checks judge each constraint by the validated identities it combines, so
+    # whatever validate_gff lets through samples: the absolute 1e-12 check rejected thousands
+    # of such structures (metric, phi, xi or eta off by 1e-12 to 3e-10).
+    T = _perturbed(S, fields, 10.0**log_size, seed)
+    if validate_gff(T).passed:
+        for sampler in SAMPLERS:
+            assert sampler(T, 64, seed % 1000).shape == (64, T.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 2), (4, 3), (5, 2)]), st.sampled_from(["metric", "eta"]),
+       st.integers(0, 9), st.sampled_from([-1e-6, 1e-6]))
+def test_a_structure_off_by_1e_6_is_rejected_by_validation_and_by_the_samplers(ns, field, i, delta):
+    # Coupling an Im(phi) coordinate to xi_1 (through g or eta) by 1e-6 moves Im(phi) samples off
+    # g(x, xi_1) = 0 or eta(x) = 0 by far more than the sampler tolerance (at most ~4e-9 here).
+    # The full celestial sphere is built from xi_1's own complement, so it still samples.
+    S = canonical_structure(*ns)
+    i %= 2 * S.n
+    if field == "metric":
+        G = S.g.components.copy()
+        G[i, 2 * S.n] = G[2 * S.n, i] = delta
+        T = dataclasses.replace(S, g=ScalarProduct.from_matrix(G))
+    else:
+        eta = S.eta.copy()
+        eta[0, i] = delta
+        T = dataclasses.replace(S, eta=eta)
+    assert not validate_gff(T).passed
+    for sampler in (sample_phi_celestial, sample_phi_null_congruence):
+        with pytest.raises(GeometryError, match="violates S_phi constraints"):
+            sampler(T, 64, 0)
+    for sampler in (sample_celestial, sample_null_congruence):
+        sampler(T, 64, 0)

@@ -1,8 +1,10 @@
 """Instance files and the command-line front end (exit codes, determinism)."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phinull import cli
+from phinull import cli, gff
 from phinull.cli import run
 from phinull.curvature import validate_curvature
 from phinull.gff import canonical_structure, validate_gff
@@ -279,28 +281,93 @@ def test_cli_non_integral_field_is_a_validation_error(tmp_path, capsys, block, k
     assert capsys.readouterr().err == f"validation error: {block}.{key} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("structure", "metric", {"x": 1}),
+    ("structure", "phi", {"x": 1}),
+    ("structure", "xi", [{"a": 1}]),
+    ("structure", "eta", [[1, "b"]]),
+    ("structure", "epsilon", None),
+    ("curvature", "components", {"x": 1}),
+    ("structure", "metric", [float("nan")] * 36),
+    ("structure", "phi", [float("inf")] * 36),
+    ("structure", "xi", [[True] * 6] * 2),
+    ("structure", "eta", [[0.0] * 6, [0.0] * 5]),
+])
+def test_cli_non_numeric_field_is_a_validation_error(tmp_path, capsys, block, key, value):
+    # An object raised TypeError out of cli.run (exit 1, a traceback); a NaN metric read
+    # "Eigenvalues did not converge"
+    data = instance_to_dict(generate_instance("constant", 2, 2))
+    data[block][key] = value
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {block}.{key} must hold finite numbers (nested lists of numbers)\n"
+
+
+@pytest.mark.parametrize("entries", [5, None, {"x": 1}, "ab"])
+def test_cli_sparse_entries_must_be_a_list(tmp_path, capsys, entries):
+    # 5 and null raised TypeError; an object or a string was iterated as keys or characters
+    data = instance_to_dict(generate_instance("constant", 1, 1))
+    data["curvature"] = {"dim": 3, "entries": entries}
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: curvature.entries must be a list, not {type(entries).__name__}\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-2**70, 2**70) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=7) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=40,
+)
+_fields = [("structure", key) for key in ("dim", "n", "s", "metric", "phi", "xi", "eta", "epsilon")]
+_fields += [("curvature", key) for key in ("dim", "components", "entries")]
+_fields += [("metadata", key) for key in ("name", "seed", "family", "parameters")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_fields), _json_values)
+def test_cli_never_raises_on_any_field_value(field, value):
+    block, key = field
+    data = instance_to_dict(generate_instance("constant", 2, 2))
+    data[block][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with mock.patch("sys.stdout", new=io.StringIO()), mock.patch("sys.stderr", new=io.StringIO()) as err:
+            code = run(["validate", path])
+            assert code in (0, 2, 3), (code, err.getvalue())
+            if code:
+                assert err.getvalue() or "FAIL" in sys.stdout.getvalue()
+            assert run(["check", path, "--condition", "phi-null-osserman", "--samples", "4"]) in (0, 1, 2, 3)
+
+
 def test_cli_nan_residual_is_named_as_the_worst_check(tmp_path, capsys):
     # NaN never compares greater, so ranking by residual / threshold alone
     # named a passing check with residual 0.
+    # A finite metric entry whose products overflow gives the NaN residual (a NaN in the file is
+    # refused on reading; see test_cli_non_numeric_field_is_a_validation_error).
     data = instance_to_dict(generate_instance("constant", 2, 2))
-    data["structure"]["metric"][0] = float("nan")
+    data["structure"]["metric"][0] = 1.7e308
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(data))
-    assert run(["check", str(path), "--condition", "osserman", "--samples", "4"]) == 2
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings would go to stderr
+        assert run(["check", str(path), "--condition", "osserman", "--samples", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: structure validation failed:")
     assert err.endswith(" residual nan\n")
 
 
-def test_cli_sample_off_the_phi_sphere_is_a_validation_error(tmp_path, capsys):
-    # g(e_0, e_4) = 5e-12 passes validation, but the sampled phi-celestial
-    # points then miss their constraints by more than SAMPLE_ATOL.
-    data = instance_to_dict(generate_instance("constant", 2, 2))
-    data["structure"]["metric"][0 * 6 + 4] = data["structure"]["metric"][4 * 6 + 0] = 5e-12
-    path = str(tmp_path / "tilted.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(data))
-    assert run(["validate", path]) == 0
+def test_cli_sample_off_the_phi_sphere_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    # Sampled points 1e-6 off the unit sphere (g(p, p) = 1 + 2e-6) fail the samplers' own
+    # constraint check, which reaches the user as a validation error.
+    path = str(tmp_path / "constant.json")
+    save_instance(path, generate_instance("constant", 2, 2))
+    draw = gff.sample_unit_sphere
+    monkeypatch.setattr(gff, "sample_unit_sphere", lambda *args: (1.0 + 1e-6) * draw(*args))
     for argv in (
         ["check", path, "--condition", "phi-null-osserman"],
         ["verify-theorem", path],
@@ -310,6 +377,30 @@ def test_cli_sample_off_the_phi_sphere_is_a_validation_error(tmp_path, capsys):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "violates S_phi constraints" in err
+
+
+def test_cli_near_tolerance_metric_passes_validation_and_sampling(tmp_path, capsys):
+    # g(e_0, e_4) = 5e-12 passes validation, and its samples miss their constraints by about as
+    # much; an absolute 1e-12 sampler check turned every sampling command into exit 2.
+    data = instance_to_dict(generate_instance("constant", 2, 2))
+    exact = str(tmp_path / "exact.json")
+    save_instance(exact, instance_from_dict(data))
+    data["structure"]["metric"][0 * 6 + 4] = data["structure"]["metric"][4 * 6 + 0] = 5e-12
+    tilted = str(tmp_path / "tilted.json")
+    with open(tilted, "w", encoding="utf-8") as fh:
+        fh.write(dump_json(data))
+    assert run(["validate", tilted]) == 0
+    for argv in (
+        ["check", "--condition", "phi-null-osserman"],
+        ["check", "--condition", "null-osserman"],
+        ["verify-theorem"],
+        ["remarks", "--kind", "sasaki_base"],
+        ["remarks", "--kind", "lorentz_sasaki_base"],
+    ):
+        want = run([argv[0], exact, *argv[1:]])
+        capsys.readouterr()
+        assert run([argv[0], tilted, *argv[1:]]) == want == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_check_conditions(phi_model_file, tmp_path, capsys):

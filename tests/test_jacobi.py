@@ -47,6 +47,7 @@ from phinull.jacobi import (
 from phinull.linalg import (
     CausalCharacter,
     CausalCharacterError,
+    GeometryError,
     ScalarProduct,
     SubspaceBasis,
     causal_characters,
@@ -103,7 +104,7 @@ def test_jacobi_scale_covariance():
 def test_phi_model_direct_spectrum_against_oracle():
     S = canonical_structure(2, 3)
     R = phi_model_family(S, 1.0, 1.0)
-    for x in sample_phi_celestial(S, 50, seed=0).points:
+    for x in sample_phi_celestial(S, 50, seed=0):
         engine = spectrum(jacobi(R, S.g, x))
         oracle = bf_jacobi_spectrum(R.components, S.g.components, x)
         assert expected_multiset(oracle, {1.0: 5, 4.0: 1}, tol=1e-9)
@@ -161,7 +162,7 @@ def test_null_jacobi_vanishes_for_space_forms():
 def test_null_jacobi_matches_oracle_on_phi_model():
     S = canonical_structure(2, 2)
     R = phi_model_family(S, 0.5, 1.5)
-    for x in sample_phi_celestial(S, 20, seed=1).points:
+    for x in sample_phi_celestial(S, 20, seed=1):
         u = S.xi[0] + x
         engine = spectrum(null_jacobi(R, S.g, u))
         oracle = bf_null_jacobi_spectrum(R.components, S.g.components, u)
@@ -194,7 +195,7 @@ def _stack_case(name):
 def test_stacks_match_per_vector_assembly(name):
     S, R = _stack_case(name)
     G = S.g.components
-    xs = sample_phi_celestial(S, 8, seed=2).points
+    xs = sample_phi_celestial(S, 8, seed=2)
     zs = np.vstack([xs, sample_unit_causal(S.g, CausalCharacter.TIMELIKE, 4, seed=2)])
     us = S.xi[0] + xs
     for stack, bases, corank in ((jacobi_stack(R, S.g, zs), zs, 1), (null_jacobi_stack(R, S.g, us), us, 2)):
@@ -210,7 +211,7 @@ def test_stacks_match_per_vector_assembly(name):
 def test_stacks_report_a_bad_base_for_that_sample_only():
     S = canonical_structure(2, 2)
     R = phi_model_family(S, 0.5, 1.5)
-    xs = sample_phi_celestial(S, 5, seed=4).points
+    xs = sample_phi_celestial(S, 5, seed=4)
     us = S.xi[0] + xs
     cases = (
         (jacobi_stack, xs, us, "classical Jacobi operator needs a non-null base, got null"),
@@ -556,6 +557,16 @@ def test_null_osserman_requires_unit_timelike_reference():
     R = constant_curvature(g, 1.0)
     with pytest.raises(CausalCharacterError):
         is_null_osserman_wrt(R, g, 2.0 * np.eye(4)[0], samples=4)
+
+
+@pytest.mark.parametrize("diagonal", [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0, 1.0]])
+def test_null_osserman_refuses_a_non_lorentzian_metric(diagonal):
+    # With two negative directions the celestial sphere of a unit timelike z is not spacelike;
+    # the sphere sampler's orthonormal-frame check is the one that refuses it.
+    g = ScalarProduct.diagonal(diagonal)
+    R = constant_curvature(g, 1.0)
+    with pytest.raises(GeometryError):
+        is_null_osserman_wrt(R, g, np.eye(len(diagonal))[0], samples=4)
 
 
 def test_phi_null_two_paths_on_curated_families():

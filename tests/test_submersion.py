@@ -82,7 +82,7 @@ def test_A_on_timelike_frame_anchor():
     # A_x xi_1 = -epsilon_1 phi x = +phi x for the full projection
     S = canonical_structure(2, 3)
     F = make_fibration(S, FibrationKind.PI_FULL)
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     assert np.abs(oneill_A(F, x, S.xi[0]) - S.phi @ x).max() < 1e-12
     # spacelike frame directions: A_x xi_a = -phi x
     assert np.abs(oneill_A(F, x, S.xi[1]) + S.phi @ x).max() < 1e-12
@@ -135,7 +135,7 @@ def test_A_output_spaces():
 def test_A_rejects_bad_arguments():
     S = canonical_structure(1, 2)
     F = make_fibration(S, FibrationKind.PI_FULL)
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     with pytest.raises(GeometryError):
         oneill_A(F, S.xi[0], x)  # vertical first argument
     with pytest.raises(GeometryError):
@@ -154,7 +154,7 @@ def test_A_composition_law_every_kind():
         S = conjugated_structure(n, s, seed=100 + s)
         F = make_fibration(S, kind)
         for i in range(25):
-            x = sample_phi_celestial(S, 1, seed=1000 + i).points[0]
+            x = sample_phi_celestial(S, 1, seed=1000 + i)[0]
             y = horizontal_draw(F, rng)
             composed = oneill_A(F, x, oneill_A(F, x, y))
             predicted = -F.sigma * inner(S.g, y, S.phi @ x) * (S.phi @ x)
@@ -168,7 +168,7 @@ def test_r_star_zero_curvature_sigma_zero():
     F = make_fibration(S, FibrationKind.PI_FULL)
     assert F.sigma == 0.0
     R = constant_curvature(S.g, 0.0)
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     assert np.abs(r_star(R, S.g, F, x).matrix).max() < 1e-12
 
 
@@ -178,7 +178,7 @@ def test_r_star_constant_curvature_closed_form():
     c = -1.5
     R = constant_curvature(S.g, c)
     F = make_fibration(S, FibrationKind.PI_FULL)
-    x = sample_phi_celestial(S, 1, seed=3).points[0]
+    x = sample_phi_celestial(S, 1, seed=3)[0]
     op = r_star(R, S.g, F, x)
     phix = S.phi @ x
     for j, y in enumerate(op.domain.vectors):
@@ -193,7 +193,7 @@ def test_r_star_spectra_on_family_with_oracle():
     R = phi_model_family(S, a, b)
     F_pi = make_fibration(S, FibrationKind.PI_FULL)
     F_tau = make_fibration(S, FibrationKind.TAU)
-    for x in sample_phi_celestial(S, 10, seed=4).points:
+    for x in sample_phi_celestial(S, 10, seed=4):
         pi_data = spectrum(r_star(R, S.g, F_pi, x))
         assert pi_data.multiplicities == (2, 1)
         assert np.abs(np.array(pi_data.eigenvalues) - [a, a + 3 * b + 3 * (S.s - 2)]).max() < 1e-9
@@ -208,7 +208,7 @@ def test_r_star_requires_unit_horizontal_base():
     R = constant_curvature(S.g, 1.0)
     with pytest.raises(GeometryError):
         r_star(R, S.g, F, S.xi[1])  # vertical
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     with pytest.raises(GeometryError):
         r_star(R, S.g, F, 2.0 * x)  # not unit
 
@@ -237,7 +237,7 @@ def test_shift_identity_for_random_tensors_all_kinds():
         F = make_fibration(S, kind)
         for seed in range(10):
             R = random_algebraic_curvature(S.g, seed=seed)
-            x = sample_phi_celestial(S, 1, seed=seed).points[0]
+            x = sample_phi_celestial(S, 1, seed=seed)[0]
             y = _v_draw(S, x, rng)
             check = shift_identity_residual(R, S, F, x, y)
             assert check.residual < 1e-9
@@ -251,7 +251,7 @@ def test_shift_identity_s2_exactness():
     F = make_fibration(S, FibrationKind.PI_FULL)
     assert F.sigma == 0.0
     R = random_algebraic_curvature(S.g, seed=9)
-    x = sample_phi_celestial(S, 1, seed=1).points[0]
+    x = sample_phi_celestial(S, 1, seed=1)[0]
     op = r_star(R, S.g, F, x)
     V = op.domain
     form = bf_form_matrix(R.components, V.vectors, x)
@@ -265,7 +265,7 @@ def test_shift_identity_s1_sign():
     F = make_fibration(S, FibrationKind.PI_PRIME)
     a, b = 0.3, 0.8
     R = phi_model_family(S, a, b)
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     op = r_star(R, S.g, F, x)
     phix = S.phi @ x
     for j, y in enumerate(op.domain.vectors):
@@ -279,7 +279,7 @@ def test_shift_identity_rejects_y_outside_v():
     S = canonical_structure(1, 2)
     F = make_fibration(S, FibrationKind.PI_FULL)
     R = constant_curvature(S.g, 1.0)
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     with pytest.raises(ValueError):
         shift_identity_residual(R, S, F, x, S.xi[1])
 
@@ -288,7 +288,7 @@ def test_v_leak_reported_for_generic_tensors():
     S = canonical_structure(2, 2)
     F = make_fibration(S, FibrationKind.PI_FULL)
     R = random_algebraic_curvature(S.g, seed=12)
-    x = sample_phi_celestial(S, 1, seed=2).points[0]
+    x = sample_phi_celestial(S, 1, seed=2)[0]
     check = shift_identity_residual(R, S, F, x, S.phi @ x)
     assert check.residual < 1e-9
     assert check.v_leak > 1e-3  # generic tensors do not preserve V
@@ -408,7 +408,7 @@ def test_theorem_shares_pieces_without_changing_a_bit(family, n, s, seed):
     for name, decision in alone.items():
         assert dump_json(getattr(report, name).to_dict()) == dump_json(decision.to_dict()), name
     # the residuals, each fibration with pieces of its own
-    sphere = sample_phi_celestial(S, DEFAULT_SAMPLES, seed).points
+    sphere = sample_phi_celestial(S, DEFAULT_SAMPLES, seed)
     hypothesis = _hypothesis_residuals(slot4_contraction(R, sphere), S, sphere).max()
     sentinel = 0.0
     for F in (F_pi, F_tau):
@@ -577,7 +577,7 @@ def test_r_star_form_symmetry():
     F = make_fibration(S, FibrationKind.TAU)
     R = random_algebraic_curvature(S.g, seed=15)
     rng = np.random.default_rng(7)
-    x = sample_phi_celestial(S, 1, seed=0).points[0]
+    x = sample_phi_celestial(S, 1, seed=0)[0]
     for _ in range(10):
         y, z = horizontal_draw(F, rng), horizontal_draw(F, rng)
         assert r_star_form(R, S.g, F, x, y, z) == pytest.approx(
@@ -607,7 +607,7 @@ def _oracle_forms(R, F, xs, domains):
 def test_transfer_forms_match_per_vector_oracle(conjugated):
     S = conjugated_structure(2, 3, seed=17) if conjugated else canonical_structure(2, 3)
     rng = np.random.default_rng(3)
-    xs = sample_phi_celestial(S, 5, seed=2).points
+    xs = sample_phi_celestial(S, 5, seed=2)
     for name, R in _families(S).items():
         for kind in KINDS_S2:
             F = make_fibration(S, kind)
@@ -622,7 +622,7 @@ def test_transfer_forms_match_per_vector_oracle(conjugated):
 @pytest.mark.parametrize("conjugated", [False, True])
 def test_stacked_base_operators_match_per_vector_assembly(conjugated):
     S = conjugated_structure(2, 2, seed=19) if conjugated else canonical_structure(2, 2)
-    xs = sample_phi_celestial(S, 6, seed=4).points
+    xs = sample_phi_celestial(S, 6, seed=4)
     F_pi = make_fibration(S, FibrationKind.PI_FULL)
     F_tau = make_fibration(S, FibrationKind.TAU)
     for name, R in _families(S).items():
@@ -656,7 +656,7 @@ def test_sentinel_sees_a_tiny_sigma_tamper(kind):
 def test_bad_sample_errors_only_that_sample():
     S = canonical_structure(2, 2)
     R = phi_model_family(S, 1.0, 1.0)
-    xs = sample_phi_celestial(S, 5, seed=0).points
+    xs = sample_phi_celestial(S, 5, seed=0)
     F_pi = make_fibration(S, FibrationKind.PI_FULL)
     bad = xs.copy()
     bad[1] *= 2.0  # not unit

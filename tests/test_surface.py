@@ -1,0 +1,65 @@
+"""The public surface keeps one value per tolerance.
+
+Every tolerance is a module constant read where it is used. The only tolerance parameters are
+the ones the CLI's ``--tol`` and ``--grouping-tol`` set: those of the deciders, of ``spectrum``
+and ``SpectralData.from_values``, and of ``OperatorStack.records``, which carries the deciders'
+grouping tolerance to the spectra.
+"""
+
+import importlib
+import inspect
+
+# by module path: the package's own ``jacobi`` is the function of that name
+MODULES = [importlib.import_module(f"phinull.{name}")
+           for name in ("linalg", "gff", "curvature", "jacobi", "submersion", "io")]
+
+DECIDERS = (
+    "jacobi.decide_constancy",
+    "jacobi.is_osserman_at",
+    "jacobi.is_null_osserman_wrt",
+    "jacobi.is_phi_null_osserman_wrt",
+    "submersion.base_osserman_check",
+    "submersion.base_null_osserman_check",
+    "submersion.theorem_equivalence_report",
+)
+ALLOWED = (
+    {(name, "tol") for name in DECIDERS + ("submersion.remark_sectional_conditions",)}
+    | {(name, "grouping_tol") for name in DECIDERS}
+    | {(name, "grouping_tol") for name in
+       ("jacobi.spectrum", "jacobi.SpectralData.from_values", "jacobi.OperatorStack.records")}
+)
+
+
+def _public_callables():
+    """(dotted name, callable) for every public function, and every public method of a public
+    class, defined in the engine's modules."""
+    for module in MODULES:
+        prefix = module.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{prefix}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_") or isinstance(member, property):
+                        continue
+                    function = getattr(member, "__func__", member)  # classmethods and staticmethods
+                    if inspect.isfunction(function):
+                        yield f"{prefix}.{name}.{attr}", function
+
+
+def test_only_the_cli_tolerances_are_parameters():
+    found = {
+        (name, param)
+        for name, function in _public_callables()
+        for param in inspect.signature(function).parameters
+        if "tol" in param.lower()
+    }
+    assert found == ALLOWED
+
+
+def test_the_walk_sees_methods_and_classmethods():
+    names = {name for name, _ in _public_callables()}
+    assert {"linalg.ScalarProduct.from_matrix", "linalg.orthonormalize", "jacobi.OperatorStack.records",
+            "curvature.sectional_curvatures", "io.generate_instance"} <= names
