@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,13 +60,24 @@ EXIT_IO = 3
 EXIT_SENTINEL = 4
 
 
+def _tolerance(text: str) -> float:
+    """A positive finite float: a NaN tolerance would pass every comparison it is meant to fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                         help=f"sphere samples per decision (default {DEFAULT_SAMPLES})")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_CONSTANCY_TOL,
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_CONSTANCY_TOL,
                         help="spectral constancy tolerance (default 1e-8)")
-    parser.add_argument("--grouping-tol", type=float, default=DEFAULT_GROUPING_TOL,
+    parser.add_argument("--grouping-tol", type=_tolerance, default=DEFAULT_GROUPING_TOL,
                         help="eigenvalue multiplicity grouping tolerance (default 1e-6)")
 
 
@@ -209,6 +221,8 @@ def cmd_spectrum(args) -> int:
     inst = load_instance(args.path)
     R, S = inst.curvature, inst.structure
     vec = np.array([float(v) for v in args.vector.split(",")])
+    if vec.shape != (S.dim,) or not np.isfinite(vec).all():
+        raise ValueError(f"--vector must hold {S.dim} finite numbers, got {args.vector!r}")
     kind = causal_character(S.g, vec)
     if kind is CausalCharacter.ZERO:
         raise InstanceValidationError("cannot take the spectrum at the zero vector")
@@ -288,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Jacobi spectrum at a given base vector")
     p.add_argument("path")
     p.add_argument("--vector", required=True, help="comma-separated coordinates")
-    p.add_argument("--grouping-tol", type=float, default=DEFAULT_GROUPING_TOL)
+    p.add_argument("--grouping-tol", type=_tolerance, default=DEFAULT_GROUPING_TOL)
     _add_json_flag(p)
     p.set_defaults(func=cmd_spectrum)
     return parser

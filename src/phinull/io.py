@@ -181,10 +181,9 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
                 if key not in entry:
                     raise ValueError(f"sparse entry {entry!r} is missing the '{key}' field")
             idx = tuple(_integer(entry[k], f"sparse entry {entry!r} is not numeric: '{k}'") for k in "ijkl")
-            try:
-                value = float(entry["value"])
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"sparse entry {entry!r} is not numeric: {exc}") from None
+            value = _numbers(entry["value"], f"sparse entry {entry!r} is not numeric: 'value'")
+            if value.ndim:
+                raise ValueError(f"sparse entry {entry!r} is not numeric: 'value' must be a number")
             if any(not 0 <= q < dim for q in idx):
                 raise ValueError(f"sparse entry index {idx} out of range for dim {dim}")
             comps[idx] = value
@@ -268,8 +267,21 @@ def load_instance(path: str | Path, validate: bool = True) -> InstanceFile:
     return instance_from_dict(data, validate=validate)
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The C encoder that ``json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode`` builds on
+# every call, built once. It keeps no cycle markers (None): a markers dict shared between calls
+# would hold on to the containers of every encoding that raised, and ``_write``, which owns the
+# recursion, checks for no cycles either.
+_c_encoder = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True,
+)
+_quote = json.encoder.encode_basestring_ascii
 _SLICE = 4096  # values per C-encoder pass: a long number list leaves no large temporary string
+
+
+def _encode(data) -> str:
+    """``data`` in compact JSON with sorted keys, as ``json.dumps`` writes it without an indent."""
+    return "".join(_c_encoder(data, 0))
 
 
 def _write(data, indent: str, out: list) -> None:
@@ -279,7 +291,7 @@ def _write(data, indent: str, out: list) -> None:
     if isinstance(data, dict) and data:
         for k, key in enumerate(sorted(data)):
             # a key that is not a str is quoted the way json.dumps quotes it
-            name = _encode(key if isinstance(key, str) else _encode(key))
+            name = _quote(key if isinstance(key, str) else _encode(key))
             out.append((sep if k else "{\n" + inner) + name + ": ")
             _write(data[key], inner, out)
         out.append("\n" + indent + "}")
@@ -288,12 +300,18 @@ def _write(data, indent: str, out: list) -> None:
         # pass. The compact encoding decides: with no quote and no inner
         # bracket, every item is a number, a bool, null or {}.
         if not isinstance(data[0], (dict, list, tuple, str)):
-            flats = [_encode(data[i:i + _SLICE]) for i in range(0, len(data), _SLICE)]
-            if not any('"' in flat or "[" in flat[1:] for flat in flats):
-                for k, flat in enumerate(flats):
-                    out += [sep if k else "[\n" + inner, flat[1:-1].replace(",", sep)]
-                out.append("\n" + indent + "]")
-                return
+            if len(data) <= _SLICE:
+                flat = _encode(data)
+                if '"' not in flat and "[" not in flat[1:]:
+                    out += ["[\n" + inner, flat[1:-1].replace(",", sep), "\n" + indent + "]"]
+                    return
+            else:
+                flats = [_encode(data[i:i + _SLICE]) for i in range(0, len(data), _SLICE)]
+                if not any('"' in flat or "[" in flat[1:] for flat in flats):
+                    for k, flat in enumerate(flats):
+                        out += [sep if k else "[\n" + inner, flat[1:-1].replace(",", sep)]
+                    out.append("\n" + indent + "]")
+                    return
         for k, item in enumerate(data):
             out.append(sep if k else "[\n" + inner)
             _write(item, inner, out)
@@ -309,8 +327,10 @@ def dump_json(data: dict) -> str:
     sort_keys=True) + "\\n"``: sorted keys, a two-space indent, ``","`` and
     ``": "`` as separators, ASCII escapes, a trailing newline. ``json`` drops
     to its pure-Python encoder whenever ``indent`` is set, so the layout is
-    written here and every scalar and every flat list of scalars goes through
-    the C encoder. Pieces are joined once, at the end.
+    written here. One C encoder, built at import, writes every scalar and
+    every flat list of scalars in one pass (a list of up to ``_SLICE``
+    values, then one ``replace`` lays it out), and ``str`` keys go through
+    the C quoting function. Pieces are joined once, at the end.
     """
     out: list[str] = []
     _write(data, "", out)

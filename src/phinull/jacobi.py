@@ -20,6 +20,10 @@ to cancellation on large-norm timelike x. The slot-4 contraction
 (``slot4_contraction``) is made once per stack of bases and every form on
 those bases is built from it (``jacobi_covectors``), so a decider that shares
 its bases with another, as the theorem report's do, contracts them once.
+Each contraction is a stack of BLAS products, one per sample: a sample's
+matrix is far below OpenBLAS's threading threshold, so it runs on one thread,
+where one product over the whole stack goes threaded and can stall for
+milliseconds on a busy core.
 
 Spectra are taken for the whole stack at once. The sorted eigenvalues are one
 array; one ``np.diff`` along it splits every row into groups, and the rows that
@@ -128,17 +132,22 @@ class NullQuotient:
 
 def slot4_contraction(R: CurvatureTensor, xs) -> np.ndarray:
     """RX[n, a, b, c] = R(e_a, e_b, e_c, x) for x = xs[n]: the first contraction of every form
-    built on the bases xs, made once per stack of bases."""
-    return np.einsum("abcd,nd->nabc", R.components, xs)
+    built on the bases xs, made once per stack of bases, one matrix-vector product per sample."""
+    xs = np.asarray(xs, dtype=float)
+    m = R.dim
+    return (R.components.reshape(m**3, m) @ xs[:, :, None]).reshape(len(xs), m, m, m)
 
 
 def jacobi_covectors(RX: np.ndarray, xs, D) -> np.ndarray:
     """C[n, a, k] = R(e_a, x, d_k, x) for x = xs[n], RX = ``slot4_contraction(R, xs)`` and the
     rows d_k of D[n].
 
-    x went into slot 4; d goes into slot 3 and x into slot 2 (see the module docstring), in
-    plain einsum loops: at this size a BLAS product runs threaded, and slower."""
-    return np.einsum("nabc,nkc,nb->nak", RX, D, xs)
+    x went into slot 4; d goes into slot 3 and x into slot 2 (see the module docstring), each a
+    stack of per-sample products: one product over the whole stack runs threaded, and stalls."""
+    n, m, _, _ = RX.shape
+    k = D.shape[1]
+    T = RX.reshape(n, m * m, m) @ D.transpose(0, 2, 1)  # R(e_a, e_b, d_k, x)
+    return (xs[:, None, None, :] @ T.reshape(n, m, m, k)).reshape(n, m, k)
 
 
 def _error_free(errors: list):
@@ -447,7 +456,8 @@ def decide_constancy(
     grouping_tol: float,
     notes: dict | None = None,
 ) -> DecisionReport:
-    """Pass iff all sampled spectra exist, share one group pattern, and agree within tol."""
+    """Pass iff all sampled spectra exist, share one group pattern, and agree within tol: every
+    group's spread is below tol (a NaN spread or tol fails)."""
     report = DecisionReport(
         condition=condition,
         passed=False,
@@ -472,15 +482,14 @@ def decide_constancy(
             return report
     for gi, (value, multiplicity) in enumerate(zip(reference.eigenvalues, reference.multiplicities)):
         values = [rec.spectrum.eigenvalues[gi] for rec in records]
-        lo, hi = float(min(values)), float(max(values))
+        lo, hi = float(np.min(values)), float(np.max(values))  # a NaN value makes a NaN spread
         report.groups.append(
             {"eigenvalue": value, "multiplicity": multiplicity, "min": lo, "max": hi, "spread": hi - lo}
         )
-    spreads = [grp["spread"] for grp in report.groups]
-    worst = max(spreads)
-    if worst >= tol:
-        gi = spreads.index(worst)
-        report.failure = f"group {gi} eigenvalue spread {worst:.3e} >= tol {tol:.1e}"
+    spreads = np.array([grp["spread"] for grp in report.groups])
+    gi = int(np.argmax(spreads))  # the first widest group, or the first NaN spread
+    if not spreads[gi] < tol:
+        report.failure = f"group {gi} eigenvalue spread {spreads[gi]:.3e} >= tol {tol:.1e}"
         return report
     report.passed = True
     return report

@@ -215,6 +215,10 @@ def test_cli_malformed_json_is_io_error(tmp_path, capsys):
         ({"i": float("inf"), "j": 1, "k": 0, "l": 1, "value": 6.0}, "not numeric"),
         # int() truncated a fractional index to 0
         ({"i": 0.5, "j": 1, "k": 0, "l": 1, "value": 6.0}, "not numeric: 'i' must be an integer, got 0.5"),
+        # float() parsed a numeric string
+        ({"i": 0, "j": 1, "k": 0, "l": 1, "value": "1.5"}, "not numeric: 'value' must hold finite numbers"),
+        ({"i": 0, "j": 1, "k": 0, "l": 1, "value": float("nan")}, "not numeric: 'value' must hold finite"),
+        ({"i": 0, "j": 1, "k": 0, "l": 1, "value": [1.5]}, "not numeric: 'value' must be a number"),
     ],
 )
 def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, entry, message):
@@ -459,6 +463,29 @@ def test_cli_spectrum(phi_model_file, capsys):
     assert "timelike" in out and "-1" in out and "x6" in out.replace(" ", "")
     assert run(["spectrum", phi_model_file, "--vector", "0,0,0,0,0,0,0"]) == 2
     assert run(["spectrum", phi_model_file, "--vector", "1,2,oops"]) == 2
+
+
+def test_cli_spectrum_vector_must_be_finite_of_the_dimension(phi_model_file, capsys):
+    # a NaN or inf entry reached the SVD ("did not converge"), inf with numpy warnings on stderr
+    for vector in ("nan,0,0,0,0,0,1", "inf,0,0,0,0,0,1", "1,0,0,0,0,0", "1,0,0,0,0,0,0,0"):
+        assert run(["spectrum", phi_model_file, "--vector", vector]) == 2, vector
+        err = capsys.readouterr().err
+        assert err == f"validation error: --vector must hold 7 finite numbers, got {vector!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--grouping-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8", "tiny"])
+def test_cli_tolerances_must_be_positive_finite(phi_model_file, capsys, flag, value):
+    # a NaN tolerance passed every decision: NaN comparisons are False, so nothing failed
+    commands = [["check", phi_model_file, "--condition", "osserman"], ["verify-theorem", phi_model_file]]
+    if flag == "--grouping-tol":
+        commands.append(["spectrum", phi_model_file, "--vector", "1,0,0,0,0,0,0"])
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--samples", "4", f"{flag}={value}"])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive finite number, got {value!r}" in err
 
 
 def test_cli_generate_bad_param(tmp_path):

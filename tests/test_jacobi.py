@@ -27,6 +27,7 @@ from phinull.jacobi import (
     BOOST_WINDOW,
     JacobiOperator,
     OperatorStack,
+    SampleRecord,
     SpectralData,
     SpectrumError,
     _grouped,
@@ -35,6 +36,7 @@ from phinull.jacobi import (
     is_osserman_at,
     is_phi_null_osserman_wrt,
     jacobi,
+    jacobi_covectors,
     jacobi_stack,
     null_jacobi,
     null_jacobi_stack,
@@ -42,6 +44,7 @@ from phinull.jacobi import (
     null_quotient_from_representatives,
     sample_null_vectors,
     sample_unit_causal,
+    slot4_contraction,
     spectrum,
 )
 from phinull.linalg import (
@@ -250,6 +253,42 @@ def test_timelike_round_off_no_worse_than_per_vector_assembly():
         ratios.append(report.groups[0]["spread"] / per_vector.groups[0]["spread"])
     # paired by seed: both routes see the same samples
     assert np.median(ratios) <= 1.0, sorted(ratios)
+
+
+# -- contraction kernels ------------------------------------------------------
+
+def _assert_einsum_oracle(got, subscripts, *operands):
+    """got equals ``np.einsum(subscripts, *operands)`` entrywise to 1e-14 of the same sum of |terms|."""
+    oracle = np.einsum(subscripts, *operands)
+    scale = np.einsum(subscripts, *(np.abs(a) for a in operands))
+    assert got.shape == oracle.shape
+    assert (np.abs(got - oracle) <= 1e-14 * np.maximum(scale, np.finfo(float).tiny)).all()
+
+
+@pytest.mark.parametrize("count", [0, 1, 64])
+def test_contraction_kernels_match_einsum(count):
+    # the slot-4 and covector kernels are stacked BLAS products; einsum is the oracle
+    for m in range(2, 25):
+        g = ScalarProduct.diagonal([-1.0] + [1.0] * (m - 1))
+        R = random_algebraic_curvature(g, seed=m, scale=3.0)
+        rng = np.random.default_rng(m)
+        wide = rng.standard_normal((2 * count, m + 1))
+        cases = {
+            "contiguous": (rng.standard_normal((count, m)), rng.standard_normal((count, m - 1, m))),
+            # strided bases and rows: every other row and a column slice of a wider array
+            "strided": (wide[::2, 1:], rng.standard_normal((count, 2 * m, m))[:, ::2]),
+            # one row per base, as the hypothesis residuals and the remarks pass phi x
+            "one-row": (rng.standard_normal((count, m)), wide[1::2, None, :m]),
+        }
+        for name, (xs, D) in cases.items():
+            RX = slot4_contraction(R, xs)
+            _assert_einsum_oracle(RX, "abcd,nd->nabc", R.components, xs)
+            _assert_einsum_oracle(jacobi_covectors(RX, xs, D), "nabc,nkc,nb->nak", RX, D, xs)
+            # a selection of rows, as the deciders pass the error-free bases' RX[ok]
+            ok = list(range(0, count, 3))
+            _assert_einsum_oracle(
+                jacobi_covectors(RX[ok], xs[ok], D[ok]), "nabc,nkc,nb->nak", RX[ok], D[ok], xs[ok]
+            )
 
 
 # -- spectra ------------------------------------------------------------------
@@ -625,6 +664,18 @@ def test_gbar_positive_definite_for_lorentzian_null_vectors():
     for u in sample_null_vectors(S.g, 25, seed=4):
         q = null_quotient(S.g, u)
         assert q.gbar_positive_definite
+
+
+def test_decide_constancy_fails_a_nan_spread_or_tol():
+    # "spread >= tol" is False for NaN, so a NaN spread or tol used to pass
+    spectra = [(1.0, 2.0), (1.0, 2.0), (1.0, float("nan"))]
+    records = [SampleRecord(np.zeros(3), SpectralData(values, (1, 1))) for values in spectra]
+    report = decide_constancy("c", records, 0, 1e-8, 1e-6)
+    assert not report.passed and report.failure == "group 1 eigenvalue spread nan >= tol 1.0e-08"
+    agree = records[:2]
+    assert decide_constancy("c", agree, 0, 1e-8, 1e-6).passed
+    report = decide_constancy("c", agree, 0, float("nan"), 1e-6)
+    assert not report.passed and report.failure == "group 0 eigenvalue spread 0.000e+00 >= tol nan"
 
 
 def test_decision_report_serializes():
