@@ -161,11 +161,8 @@ def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys) -> np.nda
         raise DegenerateSubspaceError(
             f"plane is degenerate: |delta| = {abs(delta[n]):.3e} <= {threshold[n]:.3e}"
         )
-    # rows x (x) y: R(x, y, x, y) = XY R XY^T, one matrix-vector product per pair, as in
-    # jacobi.slot4_contraction: one product over all pairs runs threaded, and stalls
-    XY = (X[:, :, None] * Y[:, None, :]).reshape(len(X), -1)
-    RXY = R.components.reshape(XY.shape[1], -1) @ XY[:, :, None]
-    return np.einsum("ni,ni->n", RXY[:, :, 0], XY) / delta
+    XY = (X[:, :, None] * Y[:, None, :]).reshape(len(X), -1)  # rows x (x) y: R(x, y, x, y) = XY R XY^T
+    return np.einsum("ni,ni->n", XY @ R.components.reshape(XY.shape[1], -1), XY) / delta
 
 
 def sectional_curvature(R: CurvatureTensor, g: ScalarProduct, x, y) -> float:

@@ -300,18 +300,12 @@ def _write(data, indent: str, out: list) -> None:
         # pass. The compact encoding decides: with no quote and no inner
         # bracket, every item is a number, a bool, null or {}.
         if not isinstance(data[0], (dict, list, tuple, str)):
-            if len(data) <= _SLICE:
-                flat = _encode(data)
-                if '"' not in flat and "[" not in flat[1:]:
-                    out += ["[\n" + inner, flat[1:-1].replace(",", sep), "\n" + indent + "]"]
-                    return
-            else:
-                flats = [_encode(data[i:i + _SLICE]) for i in range(0, len(data), _SLICE)]
-                if not any('"' in flat or "[" in flat[1:] for flat in flats):
-                    for k, flat in enumerate(flats):
-                        out += [sep if k else "[\n" + inner, flat[1:-1].replace(",", sep)]
-                    out.append("\n" + indent + "]")
-                    return
+            flats = [_encode(data[i:i + _SLICE]) for i in range(0, len(data), _SLICE)]
+            if not any('"' in flat or "[" in flat[1:] for flat in flats):
+                for k, flat in enumerate(flats):
+                    out += [sep if k else "[\n" + inner, flat[1:-1].replace(",", sep)]
+                out.append("\n" + indent + "]")
+                return
         for k, item in enumerate(data):
             out.append(sep if k else "[\n" + inner)
             _write(item, inner, out)
@@ -328,9 +322,9 @@ def dump_json(data: dict) -> str:
     ``": "`` as separators, ASCII escapes, a trailing newline. ``json`` drops
     to its pure-Python encoder whenever ``indent`` is set, so the layout is
     written here. One C encoder, built at import, writes every scalar and
-    every flat list of scalars in one pass (a list of up to ``_SLICE``
-    values, then one ``replace`` lays it out), and ``str`` keys go through
-    the C quoting function. Pieces are joined once, at the end.
+    every flat list of scalars (one pass and one ``replace`` per ``_SLICE``
+    values), and ``str`` keys go through the C quoting function. Pieces are
+    joined once, at the end.
     """
     out: list[str] = []
     _write(data, "", out)

@@ -20,10 +20,10 @@ to cancellation on large-norm timelike x. The slot-4 contraction
 (``slot4_contraction``) is made once per stack of bases and every form on
 those bases is built from it (``jacobi_covectors``), so a decider that shares
 its bases with another, as the theorem report's do, contracts them once.
-Each contraction is a stack of BLAS products, one per sample: a sample's
-matrix is far below OpenBLAS's threading threshold, so it runs on one thread,
-where one product over the whole stack goes threaded and can stall for
-milliseconds on a busy core.
+Each contraction is a stack of BLAS products, one per sample. Under OpenBLAS
+(0.3.31, 2 cores) these per-sample products ran on one thread at every
+dimension measured, 11 to 24; one product over the whole stack goes threaded
+there and can stall for milliseconds on a busy core.
 
 Spectra are taken for the whole stack at once. The sorted eigenvalues are one
 array; one ``np.diff`` along it splits every row into groups, and the rows that
