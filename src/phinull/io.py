@@ -31,7 +31,9 @@ swapping rows of xi/eta/epsilon if the file stores it elsewhere.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -284,8 +286,12 @@ def _encode(data) -> str:
     return "".join(_c_encoder(data, 0))
 
 
-def _write(data, indent: str, out: list) -> None:
-    """Append ``json.dumps(data, indent=2, sort_keys=True)``, nested at ``indent``, to ``out``."""
+def _write(data, indent: str, out: list, floats: list) -> None:
+    """Append ``json.dumps(data, indent=2, sort_keys=True)``, nested at ``indent``, to ``out``.
+
+    A flat list of exact floats leaves a placeholder in ``out`` and its (position, list,
+    separator) in ``floats``, for ``_fill_floats`` to write.
+    """
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(data, dict) and data:
@@ -293,9 +299,13 @@ def _write(data, indent: str, out: list) -> None:
             # a key that is not a str is quoted the way json.dumps quotes it
             name = _quote(key if isinstance(key, str) else _encode(key))
             out.append((sep if k else "{\n" + inner) + name + ": ")
-            _write(data[key], inner, out)
+            _write(data[key], inner, out, floats)
         out.append("\n" + indent + "}")
     elif isinstance(data, (list, tuple)) and data:
+        if set(map(type, data)) == {float}:
+            out += ["[\n" + inner, None, "\n" + indent + "]"]
+            floats.append((len(out) - 2, data, sep))
+            return
         # The first item only spares lists of containers or strings a wasted
         # pass. The compact encoding decides: with no quote and no inner
         # bracket, every item is a number, a bool, null or {}.
@@ -308,10 +318,31 @@ def _write(data, indent: str, out: list) -> None:
                 return
         for k, item in enumerate(data):
             out.append(sep if k else "[\n" + inner)
-            _write(item, inner, out)
+            _write(item, inner, out, floats)
         out.append("\n" + indent + "]")
     else:
         out.append(_encode(data))  # a scalar, [] or {}
+
+
+def _fill_floats(out: list, floats: list) -> None:
+    """Write the float lists ``_write`` left as placeholders, each distinct value converted once.
+
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text.
+    """
+    if not floats:
+        return
+    values = np.fromiter(
+        itertools.chain.from_iterable(data for _, data, _ in floats), dtype=np.float64,
+        count=sum(len(data) for _, data, _ in floats),
+    )
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(_encode(bits.view(np.float64).tolist())[1:-1].split(","), dtype=object)
+    strings = texts[inverse].tolist()
+    start = 0
+    for pos, data, sep in floats:
+        stop = start + len(data)
+        out[pos] = sep.join(strings[start:stop])
+        start = stop
 
 
 def dump_json(data: dict) -> str:
@@ -321,13 +352,18 @@ def dump_json(data: dict) -> str:
     sort_keys=True) + "\\n"``: sorted keys, a two-space indent, ``","`` and
     ``": "`` as separators, ASCII escapes, a trailing newline. ``json`` drops
     to its pure-Python encoder whenever ``indent`` is set, so the layout is
-    written here. One C encoder, built at import, writes every scalar and
-    every flat list of scalars (one pass and one ``replace`` per ``_SLICE``
-    values), and ``str`` keys go through the C quoting function. Pieces are
-    joined once, at the end.
+    written here. Most numbers sit in flat lists of floats, and most of
+    those repeat within a document: such lists are written last, with one
+    float-to-text conversion per distinct float64 bit pattern in the whole
+    document, all in one pass of a C encoder built at import. Other scalars
+    and flat lists of scalars go through the same encoder (one pass and one
+    ``replace`` per ``_SLICE`` values), and ``str`` keys through the C
+    quoting function. Pieces are joined once, at the end.
     """
     out: list[str] = []
-    _write(data, "", out)
+    floats: list = []
+    _write(data, "", out, floats)
+    _fill_floats(out, floats)  # its temporaries are freed before the join
     out.append("\n")
     return "".join(out)
 
@@ -341,6 +377,9 @@ def instance_reports(inst: InstanceFile) -> tuple[ValidationReport, ValidationRe
     return validate_gff(inst.structure), validate_curvature(inst.curvature, inst.structure.g)
 
 
+_FAMILY_PARAMETERS = {"constant": ("c",), "phi_model": ("a", "b"), "random": ("scale",)}
+
+
 def generate_instance(
     family: str,
     n: int,
@@ -351,25 +390,34 @@ def generate_instance(
     """Build a canonical-structure instance of one of the stock families.
 
     ``constant`` takes parameter ``c``; ``phi_model`` takes ``a`` and ``b``;
-    ``random`` takes an optional ``scale``. Deterministic per seed.
+    ``random`` takes ``scale``; each defaults to 1. Any other key, a value
+    that is not a finite number, or one so large that a curvature component
+    overflows, is a ValueError: no command reads such a file back.
+    Deterministic per seed.
     """
-    params = dict(parameters or {})
-    S = canonical_structure(n, s)
-    if family == "constant":
-        c = float(params.get("c", 1.0))
-        R = constant_curvature(S.g, c)
-        params = {"c": c}
-    elif family == "phi_model":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
-        R = phi_model_family(S, a, b)
-        params = {"a": a, "b": b}
-    elif family == "random":
-        scale = float(params.get("scale", 1.0))
-        R = random_algebraic_curvature(S.g, seed=seed, scale=scale)
-        params = {"scale": scale}
-    else:
+    if family not in _FAMILY_PARAMETERS:
         raise ValueError(f"unknown family '{family}'; expected constant, phi_model or random")
+    keys = _FAMILY_PARAMETERS[family]
+    given = parameters or {}
+    unknown = [key for key in given if key not in keys]
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {unknown[0]!r} for family {family}; it takes {', '.join(keys)}"
+        )
+    params = {key: float(given.get(key, 1.0)) for key in keys}
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {key} must be a finite number, got {value}")
+    S = canonical_structure(n, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        if family == "constant":
+            R = constant_curvature(S.g, params["c"])
+        elif family == "phi_model":
+            R = phi_model_family(S, params["a"], params["b"])
+        else:
+            R = random_algebraic_curvature(S.g, seed=seed, scale=params["scale"])
+    if not np.isfinite(R.components).all():
+        raise ValueError(f"parameters {params} overflow the curvature components")
     metadata = InstanceMetadata(
         name=f"{family}-n{n}-s{s}-seed{seed}",
         seed=seed,

@@ -331,9 +331,10 @@ def _spectra(matrices, grams, grouping_tol: float) -> list:
         max_imag = np.abs(values.imag).max(axis=1)
         unreal = max_imag > REALNESS_RTOL * np.maximum(np.abs(values).max(axis=1), 1.0)
         for n, vals, imag in zip(rows[unreal], values[unreal], max_imag[unreal]):
+            listed = ", ".join(f"{v:.6g}" for v in np.sort_complex(vals).tolist())
             out[n] = SpectrumError(
                 f"non-real eigenvalues on an indefinite domain: max |imag| = {imag:.3e}; "
-                f"eigenvalues = {np.array2string(np.sort_complex(vals), precision=6)}"
+                f"eigenvalues = [{listed}]"
             )
         for n, data in zip(rows[~unreal].tolist(), _grouped(values[~unreal].real, grouping_tol)):
             out[n] = data

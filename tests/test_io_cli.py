@@ -2,6 +2,7 @@
 
 import io
 import json
+import struct
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from phinull.io import (
     structure_from_dict,
     structure_to_dict,
 )
+from phinull.submersion import theorem_equivalence_report
 
 
 # -- structure files ----------------------------------------------------------
@@ -140,6 +142,35 @@ def test_generate_families_and_round_trip(tmp_path):
 def test_generate_rejects_unknown_family():
     with pytest.raises(ValueError):
         generate_instance("froobly", 1, 1)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("constant", {"c": float("nan")}),
+    ("constant", {"c": float("inf")}),
+    ("constant", {"c": float("1e400")}),
+    ("phi_model", {"a": 1.0, "b": float("-inf")}),
+    ("random", {"scale": float("nan")}),
+])
+def test_generate_rejects_non_finite_parameters(family, params):
+    bad = next(key for key, value in params.items() if not np.isfinite(value))
+    with pytest.raises(ValueError, match=f"parameter {bad} must be a finite number"):
+        generate_instance(family, 1, 2, params)
+
+
+def test_generate_rejects_parameters_that_overflow_the_tensor():
+    with pytest.raises(ValueError, match="overflow the curvature components"):
+        generate_instance("random", 1, 2, {"scale": 1e308})
+
+
+@pytest.mark.parametrize("family, params, takes", [
+    ("constant", {"bogus": 1.0}, "c"),
+    ("constant", {"C": 5.0}, "c"),
+    ("phi_model", {"a": 1.0, "c": 1.0}, "a, b"),
+    ("random", {"c": 1.0}, "scale"),
+])
+def test_generate_rejects_unknown_parameters(family, params, takes):
+    with pytest.raises(ValueError, match=f"for family {family}; it takes {takes}$"):
+        generate_instance(family, 1, 2, params)
 
 
 def test_instance_rejects_unknown_family_field():
@@ -493,6 +524,15 @@ def test_cli_generate_bad_param(tmp_path):
                 "--param", "c", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("param", ["c=nan", "c=inf", "c=1e400", "bogus=1", "C=5"])
+def test_cli_generate_rejects_parameters_before_writing(tmp_path, capsys, param):
+    out = tmp_path / "x.json"
+    assert run(["generate", "--family", "constant", "--n", "2", "--s", "2",
+                "--param", param, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert param.split("=")[0] in capsys.readouterr().err
+
+
 def test_instance_dim_mismatch_between_blocks():
     inst = generate_instance("constant", 1, 1, {"c": 1.0})
     big = generate_instance("constant", 1, 2, {"c": 1.0})
@@ -565,8 +605,16 @@ _numbers = st.one_of(
     st.booleans(),
     st.none(),
 )
+# Floats that repeat within a document, bit patterns that compare equal (0.0, -0.0) or are
+# never equal (two NaN payloads) included: the writer converts each distinct one once.
+_pooled = st.sampled_from([
+    0.0, -0.0, float("nan"), struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
+    float("inf"), float("-inf"), 5e-324, 1e16, 0.1,
+])
 _trees = st.recursive(
-    _numbers | _text | st.lists(_numbers, max_size=8),
+    _numbers | _text | st.lists(_numbers, max_size=8)
+    | st.lists(_pooled, min_size=1, max_size=8)  # float lists, longer than a _SLICE of 3
+    | st.lists(st.sampled_from([1, 1.0, True]) | _pooled, min_size=1, max_size=6),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
@@ -584,6 +632,25 @@ def test_dump_json_is_json_dumps_byte_for_byte(tree):
     _assert_canonical(dump_json(tree), tree)
     with mock.patch("phinull.io._SLICE", 3):  # number lists across slice boundaries
         _assert_canonical(dump_json(tree), tree)
+
+
+def test_dump_json_repeated_and_nested_float_lists():
+    nan2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    tree = {
+        "one": [0.1],
+        "signed zeros": [0.0, -0.0, -0.0, 0.0],
+        "nested": [[0.1, 1e16], {"deeper": [[5e-324, float("nan"), nan2, 0.1]]}, (1e16,)],
+        "mixed": [[1, 1.0, True], [1.0, None], [0.1, "0.1"]],
+        "subclass": [np.float64(0.1), 0.1],
+    }
+    _assert_canonical(dump_json(tree), tree)
+
+
+@pytest.mark.parametrize("family", ["constant", "phi_model", "random"])
+def test_dump_json_on_dim12_theorem_reports(family):
+    inst = generate_instance(family, 5, 2, seed=4)
+    data = theorem_equivalence_report(inst.curvature, inst.structure, 64, 0).to_dict()
+    _assert_canonical(dump_json(data), data)
 
 
 @pytest.mark.parametrize("tree", [

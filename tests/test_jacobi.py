@@ -349,6 +349,29 @@ def test_spectrum_error_lists_eigenvalues_sorted():
     assert messages[0] == messages[1]
 
 
+def test_spectrum_error_message_is_one_line_with_every_eigenvalue(monkeypatch):
+    # eigenvalues +-i from the rotation block and 1..10: wide enough that numpy's array
+    # printer, which the message must not need, would wrap the list at 75 columns
+    matrix = np.zeros((12, 12))
+    matrix[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    matrix[2:, 2:] = np.diag(np.arange(1.0, 11.0))
+    gram = np.diag([-1.0] + [1.0] * 11)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.array2string called")
+
+    monkeypatch.setattr(np, "array2string", refuse)
+    with pytest.raises(SpectrumError) as info:
+        spectrum(_operator_from(matrix, gram))
+    message = str(info.value)
+    assert "\n" not in message
+    listed = message.split("eigenvalues = [", 1)[1]
+    assert listed.endswith("]")
+    values = [complex(text.replace(" ", "")) for text in listed[:-1].split(", ")]
+    assert len(values) == matrix.shape[0]
+    assert np.allclose(np.sort_complex(np.round(values, 9)), [-1j, 1j] + list(range(1, 11)))
+
+
 @pytest.mark.parametrize(
     "values",
     [
