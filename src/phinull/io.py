@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import (
+    MAX_COMPONENT,
     CurvatureTensor,
     constant_curvature,
     phi_model_family,
@@ -392,7 +393,7 @@ def generate_instance(
     ``constant`` takes parameter ``c``; ``phi_model`` takes ``a`` and ``b``;
     ``random`` takes ``scale``; each defaults to 1. Any other key, a value
     that is not a finite number, or one so large that a curvature component
-    overflows, is a ValueError: no command reads such a file back.
+    exceeds ``MAX_COMPONENT``, is a ValueError: no command reads such a file back.
     Deterministic per seed.
     """
     if family not in _FAMILY_PARAMETERS:
@@ -416,8 +417,8 @@ def generate_instance(
             R = phi_model_family(S, params["a"], params["b"])
         else:
             R = random_algebraic_curvature(S.g, seed=seed, scale=params["scale"])
-    if not np.isfinite(R.components).all():
-        raise ValueError(f"parameters {params} overflow the curvature components")
+    if not np.abs(R.components).max() <= MAX_COMPONENT:  # also an inf or NaN component
+        raise ValueError(f"parameters {params} overflow the curvature components (bound {MAX_COMPONENT:.3e})")
     metadata = InstanceMetadata(
         name=f"{family}-n{n}-s{s}-seed{seed}",
         seed=seed,

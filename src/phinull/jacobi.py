@@ -10,10 +10,12 @@ Three operator constructions live here:
 - the null Jacobi operator on that quotient, ``x -> proj(R(x, u) u)``.
 
 Every operator, these and the transfer operators of ``submersion``, takes
-one path over all samples at once: bases -> domain rows D -> a curvature form
--> ``operator_stack`` (symmetrize, solve against the domain Gram) ->
-``OperatorStack.records`` -> ``decide_constancy``, which passes iff the grouped
-eigenvalues of all samples agree within a tolerance. The Jacobi forms are
+one path over all samples at once: bases -> domain rows D, g-orthonormal by one
+reflection per sample (``reflected_domains``) -> a curvature form -> its
+symmetrization F (``operator_stack``) -> ``OperatorStack.records``, whose spectra
+are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one of
+signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
+the grouped eigenvalues of all samples agree within a tolerance. The Jacobi forms are
 ``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)``, contracted x in slot 4, then
 d in slot 3 and x in slot 2: forming ``K_x = R(., x, ., x)`` first loses more
 to cancellation on large-norm timelike x. The slot-4 contraction
@@ -64,6 +66,9 @@ DEFAULT_SAMPLES = 64
 DEFAULT_GROUPING_TOL = 1e-6
 DEFAULT_CONSTANCY_TOL = 1e-8
 REALNESS_RTOL = 1e-8
+PAIRING_RTOL = 1e-8  # explicit quotient representatives: max |g(rep, u)| against their size
+DEFINITE_RTOL = 1e-12  # an explicit domain Gram is positive definite: least eigenvalue against largest
+REFERENCE_ATOL = 1e-8  # the null Osserman reference z: |g(z, z) + 1|
 BOOST_WINDOW = 1.5  # T: sample_unit_causal draws rapidities uniform on [-T, T]
 
 
@@ -156,34 +161,49 @@ def _error_free(errors: list):
     return slice(None) if len(ok) == len(errors) else ok
 
 
-def perp_within(g: ScalarProduct, span: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Rows spanning {v in span(span) : g(v, x) = 0} for each x in xs (x must pair with the span)."""
-    _, _, vh = np.linalg.svd((xs @ g.components @ span.T)[:, None, :])
-    return vh[:, 1:, :] @ span
+def _null_in_frame(g: ScalarProduct, frame: tuple, us) -> np.ndarray:
+    """Per u: whether its part in the frame's span is nonzero and null against its size."""
+    a2 = (us @ g.components @ frame[0].T) ** 2
+    return (np.abs(a2 @ frame[1]) <= RANK_RTOL * a2.sum(axis=1)) & a2.any(axis=1)
 
 
-def quotient_representatives(g: ScalarProduct, span: np.ndarray, us):
-    """Representatives of u-perp/span(u) within span(span) per u in us, with the restricted
-    Grams' kernel dims: the nondegenerate eigendirections, meaningful only where that dim is 1."""
-    perp = perp_within(g, span, us)
-    evals, evecs = np.linalg.eigh(perp @ g.components @ perp.transpose(0, 2, 1))
-    kernel = np.abs(evals) <= RANK_RTOL * np.maximum(np.abs(evals).max(axis=-1), 1.0)[:, None]
-    keep = np.argsort(kernel, axis=-1, kind="stable")[:, None, :-1]
-    return np.take_along_axis(evecs, keep, axis=-1).transpose(0, 2, 1) @ perp, kernel.sum(axis=-1)
+def reflected_domains(g: ScalarProduct, frame: tuple, xs, null: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """g-orthonormal domains of the bases xs, and their signs, from a g-orthonormal frame (E, eta).
+
+    With a = (x g E^T) eta scaled to <a, a>_eta = eps = +-1 and k the axis of sign eps of largest
+    |a_k|, the eta-reflection ``I - 2 w (eta w)^T / <w, w>_eta`` of ``w = a + sign(a_k) e_k``
+    (``<w, w>_eta = 2 eps |w_k|`` never cancels) maps e_k to -sign(a_k) a; its other columns, through
+    E, span x-perp with signs eta_j (Golub & Van Loan, 5.1). A null u (``null``) has its unit timelike
+    and unit spacelike parts reflected, leaving p - 1 and q - 1 representatives of u-perp/span(u)."""
+    E, eta = frame
+    a = (xs @ g.components @ E.T) * eta
+    rows, keep, D = np.arange(len(a)), np.ones(a.shape, dtype=bool), E
+    for part in (a * (eta < 0), a * (eta > 0)) if null else (a,):
+        q = (part * part) @ eta
+        w = part / np.sqrt(np.abs(q))[:, None]
+        k = np.argmax(np.where(eta == np.sign(q)[:, None], np.abs(w), -1.0), axis=1)
+        w[rows, k] += np.where(w[rows, k] < 0, -1.0, 1.0)
+        half = np.sign(q) * np.abs(w[rows, k])  # <w, w>_eta / 2
+        D = D - (eta * w / half[:, None])[:, :, None] * (w @ E)[:, None, :]
+        keep[rows, k] = False
+    shape = (len(a), a.shape[1] - 1 - null)
+    return D[keep].reshape(shape + (E.shape[1],)), np.broadcast_to(eta, a.shape)[keep].reshape(shape)
 
 
-def operator_stack(bases, errors: list, g: ScalarProduct, domains, forms) -> OperatorStack:
-    """The operators solve(Gram, symmetrized form) on the domains of the error-free bases."""
+def operator_stack(bases, errors: list, g: ScalarProduct, domains, forms, signs=None) -> OperatorStack:
+    """The operators of the symmetrized forms F: ``signs F`` on g-orthonormal domains, else solve(Gram, F)."""
     grams = domains @ g.components @ domains.transpose(0, 2, 1)
-    matrices = np.linalg.solve(grams, 0.5 * (forms + forms.transpose(0, 2, 1)))
-    return OperatorStack(bases=bases, errors=errors, domains=domains, grams=grams, matrices=matrices)
+    forms = 0.5 * (forms + forms.transpose(0, 2, 1))
+    matrices = np.linalg.solve(grams, forms) if signs is None else signs[:, :, None] * forms
+    return OperatorStack(bases, errors, domains, grams, matrices, signs)
 
 
-def _jacobi_operators(RX: np.ndarray, g: ScalarProduct, bases, errors: list, domains) -> OperatorStack:
+def _jacobi_operators(RX, g: ScalarProduct, bases, errors: list, domains, signs=None) -> OperatorStack:
     """``operator_stack`` of the Jacobi forms ``D C`` on the domains D of the error-free bases;
     RX is the slot-4 contraction of all the bases."""
     ok = _error_free(errors)
-    return operator_stack(bases, errors, g, domains, domains @ jacobi_covectors(RX[ok], bases[ok], domains))
+    forms = domains @ jacobi_covectors(RX[ok], bases[ok], domains)
+    return operator_stack(bases, errors, g, domains, forms, signs)
 
 
 def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
@@ -206,8 +226,9 @@ def _jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray, domains=None
     non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
     errors = _causal_errors(g, zs, non_null, "classical Jacobi operator needs a non-null base, got {}")
     ok = _error_free(errors)
-    D = perp_within(g, np.eye(g.dim), zs[ok]) if domains is None else np.asarray(domains, dtype=float)[ok]
-    return _jacobi_operators(RX, g, zs, errors, D)
+    if domains is not None:
+        return _jacobi_operators(RX, g, zs, errors, np.asarray(domains, dtype=float)[ok])
+    return _jacobi_operators(RX, g, zs, errors, *reflected_domains(g, orthonormal_frame(g), zs[ok]))
 
 
 def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None = None) -> JacobiOperator:
@@ -221,26 +242,26 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None
     return jacobi_stack(R, g, zs, None if domain is None else domain.vectors[None]).operator()
 
 
-def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray]:
-    """Per u in us, None or the error that leaves it without a quotient; and the others' representatives."""
+def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray, np.ndarray]:
+    """Per u in us, None or why it has no quotient; and the others' representatives and their signs."""
     errors = _causal_errors(g, us, (CausalCharacter.NULL,), "null quotient requires a null vector")
-    ok = [n for n, error in enumerate(errors) if error is None]
-    reps, kernel_dims = quotient_representatives(g, np.eye(g.dim), us[ok])
-    for n, dim in zip(ok, kernel_dims):
-        if dim != 1:
-            errors[n] = GeometryError(f"restricted Gram on u-perp has kernel dimension {dim}, expected 1")
-    return errors, reps[kernel_dims == 1]
+    ok = np.array([n for n, error in enumerate(errors) if error is None], dtype=int)
+    frame = orthonormal_frame(g)
+    null = _null_in_frame(g, frame, us[ok])
+    for n in ok[~null]:  # null against NULL_ATOL, not against its size: u-perp is nondegenerate
+        errors[n] = GeometryError("restricted Gram on u-perp has kernel dimension 0, expected 1")
+    return (errors, *reflected_domains(g, frame, us[ok[null]], null=True))
 
 
 def null_quotient(g: ScalarProduct, u) -> NullQuotient:
     """Quotient of u-perp by span(u) for a null vector u.
 
-    Representatives are chosen as the nondegenerate eigendirections of the
-    restricted Gram, which is deterministic and works in any signature; the
-    kernel of the restriction is exactly span(u).
+    The representatives are the frame vectors one reflection per signature
+    block leaves (``reflected_domains``): g-orthonormal, deterministic, in any
+    signature; the kernel of g restricted to u-perp is exactly span(u).
     """
     uv = np.asarray(u, dtype=float).reshape(-1)
-    errors, reps = _null_quotients(g, uv[None])
+    errors, reps, _ = _null_quotients(g, uv[None])
     if errors[0] is not None:
         raise errors[0]
     return null_quotient_from_representatives(g, uv, reps[0])
@@ -253,7 +274,7 @@ def null_quotient_from_representatives(g: ScalarProduct, u, representatives) -> 
     if reps.shape[0] != g.dim - 2:
         raise ValueError(f"expected {g.dim - 2} representatives, got {reps.shape[0]}")
     pairing = reps @ g.components @ uv
-    if np.abs(pairing).max() > 1e-8 * max(float(np.abs(reps).max()), 1.0):
+    if np.abs(pairing).max() > PAIRING_RTOL * max(float(np.abs(reps).max()), 1.0):
         raise ValueError("representatives must be orthogonal to u")
     basis = SubspaceBasis.from_vectors(g, reps)
     evals = np.linalg.eigvalsh(basis.gram)
@@ -288,7 +309,7 @@ def null_jacobi(
     R(x, u) u lands in u-perp and g(., u) vanishes there.
     """
     if quotient is None:
-        quotient = null_quotient(g, u)
+        return null_jacobi_stack(R, g, np.asarray(u, dtype=float).reshape(1, -1)).operator()
     us, reps = quotient.u[None], quotient.rep_basis.vectors[None]
     return _jacobi_operators(slot4_contraction(R, us), g, us, [None], reps).operator()
 
@@ -303,26 +324,30 @@ def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> 
     beyond tolerance raise ``SpectrumError`` -- they are possible for spacelike
     bases in indefinite signature.
     """
-    result = _spectra(op.matrix[None], op.metric_on_domain[None], grouping_tol)[0]
+    result = _spectra(*_whitened(op.metric_on_domain[None], op.matrix[None]), grouping_tol)[0]
     if isinstance(result, SpectrumError):
         raise result
     return result
 
 
-def _spectra(matrices, grams, grouping_tol: float) -> list:
-    """``spectrum`` of each stacked operator: its SpectralData, or the SpectrumError it raises."""
-    out: list = [None] * len(matrices)
-    if not out:
-        return out
+def _whitened(grams, matrices) -> tuple[np.ndarray, np.ndarray]:
+    """``_spectra``'s input on arbitrary Grams: L^-1 (Gram matrix) L^-T where Gram = L L^T, else the matrix."""
     evals_G = np.linalg.eigvalsh(grams)
-    definite = evals_G.min(axis=1) > 1e-12 * np.maximum(np.abs(evals_G).max(axis=1), 1.0)
+    definite = evals_G.min(axis=1) > DEFINITE_RTOL * np.maximum(np.abs(evals_G).max(axis=1), 1.0)
     if definite.any():
-        G = grams[definite]
-        A = G @ matrices[definite]
-        L = np.linalg.cholesky(G)
+        A = grams[definite] @ matrices[definite]
+        L = np.linalg.cholesky(grams[definite])
         half = np.linalg.solve(L, 0.5 * (A + A.transpose(0, 2, 1)))
-        whitened = np.linalg.solve(L, half.transpose(0, 2, 1))
-        spectra = _grouped(np.linalg.eigvalsh(whitened), grouping_tol)
+        matrices = matrices.copy()
+        matrices[definite] = np.linalg.solve(L, half.transpose(0, 2, 1))
+    return matrices, definite
+
+
+def _spectra(matrices, definite, grouping_tol: float) -> list:
+    """``spectrum`` of each operator: ``eigvalsh`` of the symmetric ones marked definite, else ``eigvals``."""
+    out: list = [None] * len(matrices)
+    if definite.any():
+        spectra = _grouped(np.linalg.eigvalsh(matrices[definite]), grouping_tol)
         for n, data in zip(np.flatnonzero(definite).tolist(), spectra):
             out[n] = data
     if not definite.all():
@@ -395,13 +420,15 @@ class OperatorStack:
     """Operators of many bases, built together; ``errors[n]`` is why base n has none (or None).
 
     The arrays stack the error-free bases' operators in order: ``matrices[j]``
-    acts on the rows of ``domains[j]``, self-adjoint w.r.t. ``grams[j]``."""
+    acts on the rows of ``domains[j]``, self-adjoint w.r.t. ``grams[j]``. With ``signs``, the
+    domains are g-orthonormal with those signs, and ``matrices`` are ``signs F`` for symmetric F."""
 
     bases: np.ndarray
     errors: list
     domains: np.ndarray
     grams: np.ndarray
     matrices: np.ndarray
+    signs: np.ndarray | None = None
 
     def operator(self) -> JacobiOperator:
         """The operator of a one-base stack; raises the base's error if it has none."""
@@ -412,7 +439,9 @@ class OperatorStack:
 
     def records(self, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
         """One record per base: its spectrum, or the error that prevented it."""
-        spectra = iter(_spectra(self.matrices, self.grams, grouping_tol))
+        matrices, definite = (_whitened(self.grams, self.matrices) if self.signs is None
+                              else (self.matrices, (self.signs > 0).all(axis=1)))
+        spectra = iter(_spectra(matrices, definite, grouping_tol))
         results = [error or next(spectra) for error in self.errors]
         return [
             SampleRecord(base, None, str(r)) if isinstance(r, GeometryError) else SampleRecord(base, r)
@@ -508,7 +537,8 @@ def sample_unit_causal(g: ScalarProduct, kind: CausalCharacter, count: int, seed
     """
     if kind not in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE):
         raise ValueError("kind must be spacelike or timelike")
-    timelike, spacelike = orthonormal_frame(g)
+    frame, signs = orthonormal_frame(g)
+    timelike, spacelike = frame[signs < 0], frame[signs > 0]
     lead, other = (timelike, spacelike) if kind is CausalCharacter.TIMELIKE else (spacelike, timelike)
     if count < 1 or not len(lead):
         raise CausalCharacterError(
@@ -525,7 +555,8 @@ def sample_null_vectors(g: ScalarProduct, count: int, seed: int) -> np.ndarray:
     """Generic null vectors in a Lorentzian space, at random scales."""
     if not g.is_lorentzian:
         raise CausalCharacterError(f"null sampling implemented for Lorentzian g, got {g.signature}")
-    timelike, spacelike = orthonormal_frame(g)
+    frame, signs = orthonormal_frame(g)
+    timelike, spacelike = frame[signs < 0], frame[signs > 0]
     sphere = sample_unit_sphere(g, SubspaceBasis.from_vectors(g, spacelike), count, seed)
     scales = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=count)
     return scales[:, None] * (sphere + timelike[0])
@@ -564,7 +595,7 @@ def is_null_osserman_wrt(
     (the inverse of the congruence-to-sphere shift map); each record names its x.
     """
     zv = np.asarray(z, dtype=float).reshape(-1)
-    if abs(inner(g, zv, zv) + 1.0) > 1e-8:
+    if abs(inner(g, zv, zv) + 1.0) > REFERENCE_ATOL:
         raise CausalCharacterError("null Osserman reference vector must be unit timelike")
     sphere = sample_unit_sphere(g, orthonormalize(g, orthogonal_complement(g, [zv])), samples, seed)
     records = replace(null_jacobi_stack(R, g, zv + sphere), bases=sphere).records(grouping_tol)

@@ -122,11 +122,10 @@ def self_products(g: ScalarProduct, xs: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_frame(g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
-    """A g-orthonormal frame from ``eigh(G)``, rows ``evecs[:, i] / sqrt(|lambda_i|)``, split
-    into its timelike block (g = -1 on each row) and its spacelike block (g = +1)."""
+    """A g-orthonormal frame from ``eigh(G)``: its rows ``evecs[:, i] / sqrt(|lambda_i|)``, the
+    timelike ones first, and their signs g(e_i, e_i) = sign(lambda_i)."""
     evals, evecs = np.linalg.eigh(g.components)
-    frame = (evecs / np.sqrt(np.abs(evals))).T
-    return frame[: g.signature[1]], frame[g.signature[1]:]
+    return (evecs / np.sqrt(np.abs(evals))).T, np.sign(evals)
 
 
 def causal_characters(g: ScalarProduct, xs) -> list[CausalCharacter]:

@@ -49,9 +49,9 @@ On V = x-perp within Im(phi) the transfer equals g(R_x(y), z) +
 the internal-consistency sentinel, comparing two independent routes: the
 transfer form with the actual g(V, V), against R_x raised through g^-1 plus
 the rank-one term with the fibration's recorded sigma. A violation means a
-bug (or a tampered sigma), never a property of the instance. V, its Grams,
-the covectors on V and the right side's pieces are built once per report;
-only a, b, g(V, V) and sigma are the fibration's.
+bug (or a tampered sigma), never a property of the instance. V (orthonormal:
+no Gram is solved), the covectors on V and the right side's pieces are built
+once per report; only a, b, g(V, V) and sigma are the fibration's.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ from .jacobi import (
     OperatorStack,
     PhiNullReport,
     _error_free,
+    _null_in_frame,
     _phi_null_direct,
     _phi_null_quotient,
     decide_constancy,
     jacobi_covectors,
     operator_stack,
-    perp_within,
-    quotient_representatives,
+    reflected_domains,
     slot4_contraction,
 )
 from .linalg import (
@@ -171,8 +171,9 @@ def make_fibration(S: GffStructure, kind: FibrationKind) -> FibrationModel:
 
 
 def vertical_part(F: FibrationModel, X) -> np.ndarray:
-    """The vertical component of X, or of every row of a stack of vectors."""
-    return F.vertical.coordinates(F.structure.g, X).T @ F.vertical.vectors
+    """The vertical component sum_a epsilon_a g(X, xi_a) xi_a of X, or of every row of a stack."""
+    S, xi = F.structure, F.vertical.vectors
+    return ((np.asarray(X, dtype=float) @ S.g.components @ xi.T) * S.epsilon[list(F.vertical_indices)]) @ xi
 
 
 def _horizontal_errors(F: FibrationModel, xs: np.ndarray, what: str) -> list:
@@ -267,9 +268,10 @@ def _r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.nd
         if errors[n] is None and abs(q - 1.0) > 1e-8:
             errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
     ok = _error_free(errors)
-    domains = perp_within(g, F.horizontal.vectors, xs[ok])
+    frame = F.horizontal.vectors, np.sign(F.horizontal.gram.diagonal())  # Im(phi)'s frame and a unit xi
+    domains, signs = reflected_domains(g, frame, xs[ok])
     C = jacobi_covectors(RX[ok], xs[ok], domains)
-    return operator_stack(xs, errors, g, domains, transfer_forms(g, F, xs[ok], domains, C))
+    return operator_stack(xs, errors, g, domains, transfer_forms(g, F, xs[ok], domains, C), signs)
 
 
 def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> JacobiOperator:
@@ -279,24 +281,22 @@ def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> Jacobi
 
 def _sentinel_frame(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> tuple:
     """What the sentinel shares between fibrations on the bases xs, from their slot-4 contraction
-    RX: V = x-perp in Im(phi), its Grams, ``C = jacobi_covectors`` on V, and the right side's R_x
-    raised through g^-1 and rank-one term ``g(., phi x) phi x``, both in V-coordinates."""
-    G = S.g.components
-    V = perp_within(S.g, S.image_frame.vectors, xs)
-    grams = V @ G @ V.transpose(0, 2, 1)
+    RX: V = x-perp in Im(phi), g-orthonormal, ``C = jacobi_covectors`` on V, and the right side's
+    R_x raised through g^-1 and rank-one term ``g(., phi x) phi x``, both in V-coordinates g(v_k, .)."""
+    V, _ = reflected_domains(S.g, (S.image_frame.vectors, np.ones(S.image_frame.dim)), xs)
     C = jacobi_covectors(RX, xs, V)
-    raised = np.linalg.solve(grams, V @ G @ np.linalg.solve(G, C))
-    weights = np.einsum("nkm,nm->nk", V @ G, xs @ S.phi.T)  # g(v_k, phi x)
-    rank_one = np.linalg.solve(grams, weights[:, :, None]) * weights[:, None, :]
-    return V, grams, C, raised, rank_one
+    VG = V @ S.g.components
+    raised = VG @ np.linalg.solve(S.g.components, C)
+    weights = np.einsum("nkm,nm->nk", VG, xs @ S.phi.T)  # g(v_k, phi x)
+    return V, C, raised, weights[:, :, None] * weights[:, None, :]
 
 
 def _shift_identity_defects(g: ScalarProduct, F: FibrationModel, xs: np.ndarray, frame: tuple) -> tuple:
     """The defects proj_V Rstar|_V - proj_V R_x|_V - 3 sigma g(., phi x) phi x in V-coordinates,
     and the scales of the right sides. Only a, b, g(V, V) and sigma are the fibration's."""
     _require_horizontal(F, xs, "first argument of A")
-    V, grams, C, raised, rank_one = frame
-    lhs = np.linalg.solve(grams, transfer_forms(g, F, xs, V, C))
+    V, C, raised, rank_one = frame
+    lhs = transfer_forms(g, F, xs, V, C)
     scales = np.maximum(np.abs(raised).max(axis=(1, 2)), max(1.0, abs(3.0 * F.sigma)))
     return lhs - raised - 3.0 * F.sigma * rank_one, scales
 
@@ -323,16 +323,14 @@ def shift_identity_residual(R: CurvatureTensor, S: GffStructure, F: FibrationMod
     yv = np.asarray(y, dtype=float).reshape(-1)
     frame = _sentinel_frame(slot4_contraction(R, xs), S, xs)
     defects, _ = _shift_identity_defects(g, F, xs, frame)
-    xv, V, gram = xs[0], frame[0][0], frame[1][0]
-    y_coords = np.linalg.solve(gram, V @ g.components @ yv)
+    xv, V = xs[0], frame[0][0]
+    VG = V @ g.components  # V is g-orthonormal: coordinates are g(v_k, .)
+    y_coords = VG @ yv
     if np.linalg.norm(yv - y_coords @ V) > 1e-8 * max(np.linalg.norm(yv), 1.0):
         raise ValueError("y must lie in x-perp within Im(phi)")
     jac = operator_apply(R, g, xv, yv, xv)
-    jac_coords = np.linalg.solve(gram, V @ g.components @ jac)
-    v_leak = float(np.linalg.norm(jac - jac_coords @ V))
-    diff = defects[0] @ y_coords
-    residual = float(np.sqrt(abs(diff @ gram @ diff)))
-    return ShiftCheck(residual=residual, v_leak=v_leak, sigma=F.sigma)
+    v_leak = float(np.linalg.norm(jac - (VG @ jac) @ V))
+    return ShiftCheck(residual=float(np.linalg.norm(defects[0] @ y_coords)), v_leak=v_leak, sigma=F.sigma)
 
 
 def base_osserman_check(
@@ -369,13 +367,14 @@ def base_null_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs)
 
 def _base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.ndarray) -> OperatorStack:
     """``base_null_stack`` of the null bases us from their slot-4 contraction RU."""
-    reps, kernel_dims = quotient_representatives(g, F.horizontal.vectors, us)
+    frame = F.horizontal.vectors, np.sign(F.horizontal.gram.diagonal())  # Im(phi)'s frame and a unit xi
     errors = _horizontal_errors(F, us, "first argument of A")
-    for n in np.flatnonzero(kernel_dims != 1):
+    for n in np.flatnonzero(~_null_in_frame(g, frame, us)):
         errors[n] = GeometryError("base null quotient: restricted Gram kernel is not one-dimensional")
     ok = _error_free(errors)
-    C = jacobi_covectors(RU[ok], us[ok], reps[ok])
-    return operator_stack(us, errors, g, reps[ok], transfer_forms(g, F, us[ok], reps[ok], C))
+    reps, signs = reflected_domains(g, frame, us[ok], null=True)
+    C = jacobi_covectors(RU[ok], us[ok], reps)
+    return operator_stack(us, errors, g, reps, transfer_forms(g, F, us[ok], reps, C), signs)
 
 
 def base_null_osserman_check(

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from phinull import cli, gff
 from phinull.cli import run
-from phinull.curvature import validate_curvature
+from phinull.curvature import MAX_COMPONENT, validate_curvature
 from phinull.gff import canonical_structure, validate_gff
 from phinull.io import (
     InstanceValidationError,
@@ -524,13 +525,43 @@ def test_cli_generate_bad_param(tmp_path):
                 "--param", "c", "--out", str(tmp_path / "x.json")]) == 2
 
 
-@pytest.mark.parametrize("param", ["c=nan", "c=inf", "c=1e400", "bogus=1", "C=5"])
+@pytest.mark.parametrize("param", ["c=nan", "c=inf", "c=1e400", "c=1e200", "bogus=1", "C=5"])
 def test_cli_generate_rejects_parameters_before_writing(tmp_path, capsys, param):
     out = tmp_path / "x.json"
     assert run(["generate", "--family", "constant", "--n", "2", "--s", "2",
                 "--param", param, "--out", str(out)]) == 2
     assert not out.exists()
     assert param.split("=")[0] in capsys.readouterr().err
+
+
+def test_cli_components_above_the_bound_fail_validation(tmp_path, capsys):
+    data = instance_to_dict(generate_instance("constant", 2, 2))
+    data["curvature"]["components"] = [1e200 * v for v in data["curvature"]["components"]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    assert "[FAIL] component_magnitude: residual 1.000e+200" in capsys.readouterr().out
+    assert run(["verify-theorem", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: curvature validation failed: component_magnitude")
+
+
+@pytest.mark.parametrize("n, s", [(5, 2), (9, 2)], ids=["dim12", "dim20"])
+def test_cli_components_just_under_the_bound_run_without_overflow(tmp_path, n, s):
+    # every command on a constant-curvature instance at 0.99 MAX_COMPONENT: no numpy warning (an
+    # overflow or an invalid value) and no NaN or infinity in any report
+    path, report = str(tmp_path / "big.json"), str(tmp_path / "report.json")
+    save_instance(path, generate_instance("constant", n, s, {"c": 0.99 * MAX_COMPONENT}))
+    commands = [["verify-theorem"], ["validate"]]
+    commands += [["remarks", "--kind", k] for k in ("sasaki_base", "lorentz_sasaki_base")]
+    commands += [["check", "--condition", c] for c in ("osserman", "null-osserman", "phi-null-osserman")]
+    commands.append(["check", "--condition", "osserman", "--causal-kind", "timelike"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in commands:
+            assert run([argv[0], path, *argv[1:], "--json", report]) in (0, 1, 4), argv
+            text = Path(report).read_text()
+            assert "NaN" not in text and "Infinity" not in text, argv
 
 
 def test_instance_dim_mismatch_between_blocks():

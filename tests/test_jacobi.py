@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bf_form_matrix,
     bf_jacobi_spectrum,
     bf_null_jacobi_spectrum,
     conjugated_structure,
@@ -42,6 +43,7 @@ from phinull.jacobi import (
     null_jacobi_stack,
     null_quotient,
     null_quotient_from_representatives,
+    reflected_domains,
     sample_null_vectors,
     sample_unit_causal,
     slot4_contraction,
@@ -55,6 +57,7 @@ from phinull.linalg import (
     SubspaceBasis,
     causal_characters,
     orthogonal_complement,
+    orthonormal_frame,
 )
 
 # -- classical operator -------------------------------------------------------
@@ -253,6 +256,70 @@ def test_timelike_round_off_no_worse_than_per_vector_assembly():
         ratios.append(report.groups[0]["spread"] / per_vector.groups[0]["spread"])
     # paired by seed: both routes see the same samples
     assert np.median(ratios) <= 1.0, sorted(ratios)
+
+
+# -- reflection domains -------------------------------------------------------
+
+def _reflection_case(conjugation: int, kind: str, t: float, seed: int, axis: bool):
+    """(structure, base) on a canonical (conjugation 0) or conjugated frame: a unit x of the kind
+    on rapidity t, or a null u = xi_1 + s; ``axis`` puts x on, or s along, a frame axis."""
+    S = canonical_structure(2, 3) if conjugation == 0 else conjugated_structure(2, 3, seed=conjugation)
+    frame, signs = orthonormal_frame(S.g)
+    timelike, spacelike = frame[signs < 0], frame[signs > 0]
+    rng = np.random.default_rng(seed)
+    u, v = (w / np.linalg.norm(w) for w in (rng.standard_normal(len(E)) for E in (timelike, spacelike)))
+    if axis:
+        (u, v), t = (np.eye(len(E))[seed % len(E)] for E in (timelike, spacelike)), 0.0
+    if kind == "null":
+        return S, u @ timelike + v @ spacelike
+    lead, other = (u @ timelike, v @ spacelike) if kind == "timelike" else (v @ spacelike, u @ timelike)
+    return S, np.cosh(t) * lead + np.sinh(t) * other
+
+
+def _oracle_spectrum(R, G, base, kind):
+    """Sorted eigenvalues on an SVD complement (x-perp, or a null quotient), independent of the engine."""
+    if kind == "null":
+        return bf_null_jacobi_spectrum(R.components, G, base)
+    D = orthogonal_complement(ScalarProduct.from_matrix(G), [base]).vectors
+    F, gram = bf_form_matrix(R.components, D, base), D @ G @ D.T
+    if kind == "timelike":  # a positive definite domain
+        return scipy.linalg.eigh(F, gram, eigvals_only=True)
+    values = np.linalg.eigvals(np.linalg.solve(gram, F))
+    assert np.abs(values.imag).max() < 1e-10
+    return np.sort(values.real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.sampled_from(["timelike", "spacelike", "null"]),
+       st.floats(-BOOST_WINDOW, BOOST_WINDOW), st.integers(0, 2**16), st.booleans())
+def test_reflected_domains_are_orthonormal_complements_with_oracle_spectra(conjugation, kind, t, seed, axis):
+    S, base = _reflection_case(conjugation, kind, t, seed, axis)
+    G = S.g.components
+    D, signs = reflected_domains(S.g, orthonormal_frame(S.g), base[None], null=kind == "null")
+    D, signs = D[0], signs[0]
+    corank = 2 if kind == "null" else 1
+    assert D.shape == (S.dim - corank, S.dim)
+    # g-orthonormal with the expected signs, and g-orthogonal to the base, at round-off of their scale
+    scale = np.abs(D) @ np.abs(G) @ np.abs(D).T
+    assert (np.abs(D @ G @ D.T - np.diag(signs)) <= 1e-14 * S.dim * scale).all()
+    assert (np.abs(D @ G @ base) <= 1e-14 * S.dim * (np.abs(D) @ np.abs(G) @ np.abs(base))).all()
+    expected = {"timelike": [1.0] * (S.dim - 1), "spacelike": [-1.0] + [1.0] * (S.dim - 2),
+                "null": [1.0] * (S.dim - 2)}[kind]
+    assert sorted(signs) == expected
+    # each stack's spectra against the oracle; a random tensor only on definite domains, where
+    # its spectra are real
+    families = [phi_model_family(S, 0.5, 1.5)]
+    if kind != "spacelike":
+        families.append(random_algebraic_curvature(S.g, seed=seed))
+    for R in families:
+        stack = (null_jacobi_stack if kind == "null" else jacobi_stack)(R, S.g, base[None])
+        engine, oracle = stack.records()[0].spectrum, _oracle_spectrum(R, G, base, kind)
+        grouped = SpectralData.from_values(oracle)
+        assert engine.multiplicities == grouped.multiplicities
+        # group means, as the deciders compare them, at the round-off of forms summed over dim
+        # terms on a base of Euclidean norm |x|
+        scale = max(1.0, np.abs(oracle).max()) * max(1.0, base @ base) * S.dim
+        assert np.abs(np.subtract(engine.eigenvalues, grouped.eigenvalues)).max() <= 1e-12 * scale
 
 
 # -- contraction kernels ------------------------------------------------------

@@ -5,6 +5,9 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bf_form_matrix, conjugated_structure, horizontal_draw
 from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
@@ -13,6 +16,7 @@ from phinull.cli import run
 from phinull.io import dump_json, generate_instance, save_instance
 from phinull.jacobi import (
     DEFAULT_SAMPLES,
+    SpectralData,
     decide_constancy,
     is_phi_null_osserman_wrt,
     jacobi_covectors,
@@ -421,9 +425,9 @@ def test_theorem_shares_pieces_without_changing_a_bit(family, n, s, seed):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["verify-theorem"], {"sphere": 1, "frame": 1, "slot4": 2}),
-    (["check", "--condition", "phi-null-osserman"], {"sphere": 1, "frame": 1, "slot4": 2}),
-    (["remarks", "--kind", "lorentz_sasaki_base"], {"sphere": 1, "frame": 1, "slot4": 1}),
+    (["verify-theorem"], {"sphere": 1, "frame": 1, "slot4": 2, "ambient": 2}),
+    (["check", "--condition", "phi-null-osserman"], {"sphere": 1, "frame": 1, "slot4": 2, "ambient": 2}),
+    (["remarks", "--kind", "lorentz_sasaki_base"], {"sphere": 1, "frame": 1, "slot4": 1, "ambient": 0}),
 ], ids=["verify-theorem", "check-phi-null", "remarks"])
 def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, argv, expected):
     import phinull.gff as gff
@@ -433,7 +437,7 @@ def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, a
 
     path = str(tmp_path / "instance.json")
     save_instance(path, generate_instance("phi_model", 2, 2))
-    counts = {"sphere": 0, "frame": 0, "slot4": 0}
+    counts = {"sphere": 0, "frame": 0, "slot4": 0, "ambient": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -446,8 +450,40 @@ def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, a
     slot4 = counted("slot4", jacobi_module.slot4_contraction)
     for module in (jacobi_module, submersion_module):  # every module that looks it up
         monkeypatch.setattr(module, "slot4_contraction", slot4)
+    # one ambient frame per stack on the whole space: the direct and the quotient stack
+    ambient = counted("ambient", jacobi_module.orthonormal_frame)
+    monkeypatch.setattr(jacobi_module, "orthonormal_frame", ambient)
     assert run([argv[0], path, *argv[1:]]) == 0
     assert counts == expected
+
+
+@pytest.mark.parametrize("argv, code, solves", [
+    (["verify-theorem"], 0, 2),
+    (["check", "--condition", "osserman"], 1, 0),
+    (["check", "--condition", "osserman", "--causal-kind", "timelike"], 1, 0),
+    (["check", "--condition", "null-osserman"], 1, 0),
+    (["check", "--condition", "phi-null-osserman"], 0, 0),
+], ids=["verify-theorem", "osserman", "osserman-timelike", "null-osserman", "phi-null-osserman"])
+def test_stacked_paths_neither_factor_nor_solve_a_gram(tmp_path, monkeypatch, argv, code, solves):
+    # every stacked domain is built g-orthonormal: no Cholesky factor anywhere, and the only solves
+    # are against the metric, by the sentinel (R_x raised through g^-1) and the hypothesis residual
+    path = str(tmp_path / "instance.json")
+    inst = generate_instance("phi_model", 2, 2)
+    save_instance(path, inst)
+    solve, matrices = np.linalg.solve, []
+
+    def counted_solve(a, b):
+        matrices.append(a)
+        return solve(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram was factored")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    assert run([argv[0], path, *argv[1:]]) == code
+    assert len(matrices) == solves
+    assert all(np.array_equal(a, inst.structure.g.components) for a in matrices)
 
 
 def test_theorem_refuses_fibrations_of_another_structure():
@@ -637,6 +673,45 @@ def test_stacked_base_operators_match_per_vector_assembly(conjugated):
                 assert np.linalg.matrix_rank(D) == D.shape[0]
                 assert np.array_equal(gram, D @ S.g.components @ D.T)
                 assert np.abs(matrix - np.linalg.solve(gram, B)).max() < 1e-10, (name, F.kind)
+
+
+def _oracle_base_domain(G, H, base, null):
+    """Rows of base-perp within the span of H from an SVD, and for a null base the restricted
+    Gram's nondegenerate eigendirections: the bases the engine used before its reflections."""
+    _, _, vh = np.linalg.svd((base @ G @ H.T)[None])
+    perp = vh[1:] @ H
+    if not null:
+        return perp
+    evals, evecs = np.linalg.eigh(perp @ G @ perp.T)
+    return evecs[:, np.abs(evals) > 1e-9 * np.abs(evals).max()].T @ perp
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**16), st.booleans())
+def test_reflected_base_domains_match_the_oracle_spectra(conjugation, seed, axis):
+    # x on the phi-celestial sphere, or along a frame axis of Im(phi); u = xi_1 + x
+    S = canonical_structure(2, 3) if conjugation == 0 else conjugated_structure(2, 3, seed=conjugation)
+    x = S.image_frame.vectors[seed % (2 * S.n)] if axis else sample_phi_celestial(S, 1, seed)[0]
+    G = S.g.components
+    for kind, build, base, null in ((FibrationKind.PI_FULL, r_star_stack, x, False),
+                                    (FibrationKind.TAU, base_null_stack, S.xi[0] + x, True)):
+        F = make_fibration(S, kind)
+        for name, R in _families(S).items():
+            stack = build(R, S.g, F, x[None])
+            D, signs = stack.domains[0], stack.signs[0]
+            # g-orthonormal, horizontal and g-orthogonal to the base, at round-off of their scale
+            scale = np.abs(D) @ np.abs(G) @ np.abs(D).T
+            assert (np.abs(D @ G @ D.T - np.diag(signs)) <= 1e-13 * scale).all()
+            assert (np.abs(D @ G @ base) <= 1e-13 * (np.abs(D) @ np.abs(G) @ np.abs(base))).all()
+            assert np.abs(vertical_part(F, D)).max() <= 1e-13 * S.dim * np.abs(D).max() * np.abs(G).max()
+            rows = _oracle_base_domain(G, F.horizontal.vectors, base, null)
+            B = _oracle_forms(R, F, base[None], rows[None])[0]
+            oracle = scipy.linalg.eigh(0.5 * (B + B.T), rows @ G @ rows.T, eigvals_only=True)
+            engine, grouped = stack.records()[0].spectrum, SpectralData.from_values(oracle)
+            assert engine.multiplicities == grouped.multiplicities, (kind, name)
+            scale = max(1.0, np.abs(oracle).max()) * max(1.0, base @ base) * S.dim  # as for x-perp
+            moved = np.abs(np.subtract(engine.eigenvalues, grouped.eigenvalues)).max()
+            assert moved <= 1e-12 * scale, (kind, name)
 
 
 @pytest.mark.parametrize("kind", [FibrationKind.PI_FULL, FibrationKind.TAU])
