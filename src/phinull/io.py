@@ -279,7 +279,6 @@ _c_encoder = json.encoder.c_make_encoder(
     ":", ",", True, False, True,
 )
 _quote = json.encoder.encode_basestring_ascii
-_SLICE = 4096  # values per C-encoder pass: a long number list leaves no large temporary string
 
 
 def _encode(data) -> str:
@@ -303,20 +302,14 @@ def _write(data, indent: str, out: list, floats: list) -> None:
             _write(data[key], inner, out, floats)
         out.append("\n" + indent + "}")
     elif isinstance(data, (list, tuple)) and data:
-        if set(map(type, data)) == {float}:
+        types = set(map(type, data))
+        if types == {float}:
             out += ["[\n" + inner, None, "\n" + indent + "]"]
             floats.append((len(out) - 2, data, sep))
             return
-        # The first item only spares lists of containers or strings a wasted
-        # pass. The compact encoding decides: with no quote and no inner
-        # bracket, every item is a number, a bool, null or {}.
-        if not isinstance(data[0], (dict, list, tuple, str)):
-            flats = [_encode(data[i:i + _SLICE]) for i in range(0, len(data), _SLICE)]
-            if not any('"' in flat or "[" in flat[1:] for flat in flats):
-                for k, flat in enumerate(flats):
-                    out += [sep if k else "[\n" + inner, flat[1:-1].replace(",", sep)]
-                out.append("\n" + indent + "]")
-                return
+        if types == {int}:  # ``json`` writes an int as ``int.__repr__``, which is ``str``
+            out += ["[\n" + inner, sep.join(map(str, data)), "\n" + indent + "]"]
+            return
         for k, item in enumerate(data):
             out.append(sep if k else "[\n" + inner)
             _write(item, inner, out, floats)
@@ -356,10 +349,10 @@ def dump_json(data: dict) -> str:
     written here. Most numbers sit in flat lists of floats, and most of
     those repeat within a document: such lists are written last, with one
     float-to-text conversion per distinct float64 bit pattern in the whole
-    document, all in one pass of a C encoder built at import. Other scalars
-    and flat lists of scalars go through the same encoder (one pass and one
-    ``replace`` per ``_SLICE`` values), and ``str`` keys through the C
-    quoting function. Pieces are joined once, at the end.
+    document, all in one pass of a C encoder built at import. Flat lists of
+    ints are joined from ``str``, other scalars go through the same encoder
+    one by one, and ``str`` keys through the C quoting function. Pieces are
+    joined once, at the end.
     """
     out: list[str] = []
     floats: list = []
@@ -394,7 +387,8 @@ def generate_instance(
     ``random`` takes ``scale``; each defaults to 1. Any other key, a value
     that is not a finite number, or one so large that a curvature component
     exceeds ``MAX_COMPONENT``, is a ValueError: no command reads such a file back.
-    Deterministic per seed.
+    So is a tensor that fails ``validate_curvature``, as the random family's
+    round-off does at large ``scale``. Deterministic per seed.
     """
     if family not in _FAMILY_PARAMETERS:
         raise ValueError(f"unknown family '{family}'; expected constant, phi_model or random")
@@ -419,6 +413,11 @@ def generate_instance(
             R = random_algebraic_curvature(S.g, seed=seed, scale=params["scale"])
     if not np.abs(R.components).max() <= MAX_COMPONENT:  # also an inf or NaN component
         raise ValueError(f"parameters {params} overflow the curvature components (bound {MAX_COMPONENT:.3e})")
+    report = validate_curvature(R, S.g)
+    if not report.passed:
+        worst = report.worst()
+        raise ValueError(f"parameters {params} give a curvature that fails validation: "
+                         f"{worst.name} residual {worst.residual:.3e} >= {worst.threshold:.1e}")
     metadata = InstanceMetadata(
         name=f"{family}-n{n}-s{s}-seed{seed}",
         seed=seed,

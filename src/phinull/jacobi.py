@@ -20,8 +20,9 @@ the grouped eigenvalues of all samples agree within a tolerance. The Jacobi form
 d in slot 3 and x in slot 2: forming ``K_x = R(., x, ., x)`` first loses more
 to cancellation on large-norm timelike x. The slot-4 contraction
 (``slot4_contraction``) is made once per stack of bases and every form on
-those bases is built from it (``jacobi_covectors``), so a decider that shares
-its bases with another, as the theorem report's do, contracts them once.
+those bases is built from it (``jacobi_covectors``). Every operator-stack builder
+takes it as its first argument, so a decider that shares its bases with
+another, as the theorem report's do, contracts them once.
 Each contraction is a stack of BLAS products, one per sample. Under OpenBLAS
 (0.3.31, 2 cores) these per-sample products ran on one thread at every
 dimension measured, 11 to 24; one product over the whole stack goes threaded
@@ -212,22 +213,15 @@ def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
     return [None if kind in kinds else CausalCharacterError(message.format(kind.value)) for kind in found]
 
 
-def jacobi_stack(R: CurvatureTensor, g: ScalarProduct, zs, domains=None) -> OperatorStack:
-    """Classical Jacobi operators y -> R(y, z) z of the bases z, each on z-perp (or on domains[n]).
-
-    A null or zero base gets an error instead of an operator.
-    """
-    zs = np.asarray(zs, dtype=float)
-    return _jacobi_stack(slot4_contraction(R, zs), g, zs, domains)
+_NON_NULL = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)  # the bases of a classical Jacobi operator
+_NULL_BASE = "classical Jacobi operator needs a non-null base, got {}"
 
 
-def _jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray, domains=None) -> OperatorStack:
-    """``jacobi_stack`` of the bases zs from their slot-4 contraction RX."""
-    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
-    errors = _causal_errors(g, zs, non_null, "classical Jacobi operator needs a non-null base, got {}")
+def jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray) -> OperatorStack:
+    """Classical Jacobi operators y -> R(y, z) z of the bases z, each on z-perp, from
+    RX = ``slot4_contraction(R, zs)``; a null or zero base gets an error instead of an operator."""
+    errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
     ok = _error_free(errors)
-    if domains is not None:
-        return _jacobi_operators(RX, g, zs, errors, np.asarray(domains, dtype=float)[ok])
     return _jacobi_operators(RX, g, zs, errors, *reflected_domains(g, orthonormal_frame(g), zs[ok]))
 
 
@@ -239,7 +233,11 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None
     supplied to compare operators of parallel bases on identical coordinates.
     """
     zs = np.asarray(z, dtype=float).reshape(1, -1)
-    return jacobi_stack(R, g, zs, None if domain is None else domain.vectors[None]).operator()
+    RX = slot4_contraction(R, zs)
+    if domain is None:
+        return jacobi_stack(RX, g, zs).operator()
+    errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
+    return _jacobi_operators(RX, g, zs, errors, domain.vectors[None][_error_free(errors)]).operator()
 
 
 def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray, np.ndarray]:
@@ -285,18 +283,10 @@ def null_quotient_from_representatives(g: ScalarProduct, u, representatives) -> 
     return NullQuotient(u=uv, rep_basis=basis, gbar_signature=signature)
 
 
-def null_jacobi_stack(R: CurvatureTensor, g: ScalarProduct, us) -> OperatorStack:
-    """Null Jacobi operators x -> proj(R(x, u) u) of the bases u, each on the quotient of u-perp.
-
-    A base that is not null, or whose restricted Gram has a kernel other than
-    span(u), gets an error instead of an operator.
-    """
-    us = np.asarray(us, dtype=float)
-    return _null_jacobi_stack(slot4_contraction(R, us), g, us)
-
-
-def _null_jacobi_stack(RU: np.ndarray, g: ScalarProduct, us: np.ndarray) -> OperatorStack:
-    """``null_jacobi_stack`` of the bases us from their slot-4 contraction RU."""
+def null_jacobi_stack(RU: np.ndarray, g: ScalarProduct, us: np.ndarray) -> OperatorStack:
+    """Null Jacobi operators x -> proj(R(x, u) u) of the bases u, each on the quotient of u-perp,
+    from RU = ``slot4_contraction(R, us)``; a base that is not null, or whose restricted Gram has
+    a kernel other than span(u), gets an error instead of an operator."""
     return _jacobi_operators(RU, g, us, *_null_quotients(g, us))
 
 
@@ -308,10 +298,11 @@ def null_jacobi(
     The matrix is independent of the choice of representatives because
     R(x, u) u lands in u-perp and g(., u) vanishes there.
     """
+    us = np.asarray(u, dtype=float).reshape(1, -1) if quotient is None else quotient.u[None]
+    RU = slot4_contraction(R, us)
     if quotient is None:
-        return null_jacobi_stack(R, g, np.asarray(u, dtype=float).reshape(1, -1)).operator()
-    us, reps = quotient.u[None], quotient.rep_basis.vectors[None]
-    return _jacobi_operators(slot4_contraction(R, us), g, us, [None], reps).operator()
+        return null_jacobi_stack(RU, g, us).operator()
+    return _jacobi_operators(RU, g, us, [None], quotient.rep_basis.vectors[None]).operator()
 
 
 def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:
@@ -573,7 +564,7 @@ def is_osserman_at(
 ) -> DecisionReport:
     """Pointwise Osserman decision for one causal kind of unit vectors."""
     bases = sample_unit_causal(g, kind, samples, seed)
-    records = jacobi_stack(R, g, bases).records(grouping_tol)
+    records = jacobi_stack(slot4_contraction(R, bases), g, bases).records(grouping_tol)
     return decide_constancy(
         f"osserman[{kind.value}]", records, seed, tol, grouping_tol,
         notes={"causal_kind": kind.value},
@@ -598,7 +589,8 @@ def is_null_osserman_wrt(
     if abs(inner(g, zv, zv) + 1.0) > REFERENCE_ATOL:
         raise CausalCharacterError("null Osserman reference vector must be unit timelike")
     sphere = sample_unit_sphere(g, orthonormalize(g, orthogonal_complement(g, [zv])), samples, seed)
-    records = replace(null_jacobi_stack(R, g, zv + sphere), bases=sphere).records(grouping_tol)
+    us = zv + sphere
+    records = replace(null_jacobi_stack(slot4_contraction(R, us), g, us), bases=sphere).records(grouping_tol)
     return decide_constancy(
         "null-osserman", records, seed, tol, grouping_tol,
         notes={"reference": [float(v) for v in zv]},
@@ -656,7 +648,7 @@ def _phi_null_quotient(
 ) -> DecisionReport:
     """The quotient path on the phi-null congruence us = xi_1 + sphere, from its slot-4
     contraction RU; each record names its sphere point."""
-    records = replace(_null_jacobi_stack(RU, g, us), bases=sphere).records(grouping_tol)
+    records = replace(null_jacobi_stack(RU, g, us), bases=sphere).records(grouping_tol)
     return decide_constancy("phi-null-osserman[quotient]", records, seed, tol, grouping_tol)
 
 
@@ -664,5 +656,5 @@ def _phi_null_direct(
     RX: np.ndarray, g: ScalarProduct, sphere, seed: int, tol: float, grouping_tol: float
 ) -> DecisionReport:
     """The direct path on the phi-celestial sphere, from its slot-4 contraction RX."""
-    records = _jacobi_stack(RX, g, sphere).records(grouping_tol)
+    records = jacobi_stack(RX, g, sphere).records(grouping_tol)
     return decide_constancy("phi-null-osserman[direct]", records, seed, tol, grouping_tol)

@@ -31,12 +31,17 @@ is, on a domain with basis rows D, one matrix B[i, j] = g(Rstar_x(d_j), d_i):
     B = D Q_x D^T + 2 g(V, V) a a^T - g(V, V) a b^T,
     Q_x = R(x, ., x, .),   a_i = c(x, d_i),   b_j = c(d_j, x).
 
-``transfer_forms`` builds it for a whole stack of samples at once, its first
-term as ``D C`` from ``jacobi.jacobi_covectors``; the base operators
-(``r_star_stack``, ``base_null_stack``) become operators through
-``jacobi.operator_stack`` like every other operator, and the shift-identity
-sentinel and the remark identity are read off the same form. ``oneill_A`` and
-``r_star_form`` stay as the per-vector definitions it is tested against.
+This is the Jacobi form of the base curvature Rstar of O'Neill ("The
+fundamental equations of a submersion", Michigan Math. J. 13, 1966), read off
+the ambient contraction, so Rstar is never built as a tensor (each Rstar would
+need its own slot-4 contraction). ``transfer_forms`` builds it for a whole
+stack of samples at once, its first term as ``D C`` from
+``jacobi.jacobi_covectors``; the base operators (``r_star_stack``,
+``base_null_stack``, which take the slot-4 contraction of their bases like the
+builders of ``jacobi``) become operators through ``jacobi.operator_stack`` like
+every other operator, and the shift-identity sentinel and the remark identity
+are read off the same form. ``oneill_A`` and ``r_star_form`` stay as the
+per-vector definitions it is tested against.
 
 A theorem report samples one phi-celestial sphere and contracts curvature
 with two stacks of bases only: the sphere and the null bases xi_1 + x. Each
@@ -92,6 +97,10 @@ from .linalg import (
 IDENTITY_ATOL = 1e-9
 SPLIT_ATOL = 1e-10
 HORIZONTAL_RTOL = 1e-8
+SIGMA_ATOL = 1e-12  # a fibration's sigma against its vertical sign sum
+UNIT_ATOL = 1e-8  # an Rstar base: |g(x, x) - 1|
+IN_V_RTOL = 1e-8  # a shift-identity argument y in V: its part off V against max(|y|, 1)
+SQUARE_ATOL = 1e-10  # the complex-type base: |J J + I| of the restricted phi
 
 
 class FibrationKind(Enum):
@@ -116,6 +125,7 @@ class FibrationModel:
     vertical: SubspaceBasis
     vertical_indices: tuple[int, ...]
     sigma: float
+    frame: tuple  # the g-orthonormal horizontal rows (Im(phi)'s frame and unit xi) and their signs
 
     @property
     def vertical_sum(self) -> np.ndarray:
@@ -156,7 +166,7 @@ def make_fibration(S: GffStructure, kind: FibrationKind) -> FibrationModel:
     if horizontal.dim + vertical.dim != S.dim:
         raise GeometryError("splitting does not fill the ambient space")
     sign_sum = float(np.sum(S.epsilon[list(vertical_indices)]))
-    if abs(sign_sum - sigma) > 1e-12:
+    if abs(sign_sum - sigma) > SIGMA_ATOL:
         raise GeometryError(
             f"shift coefficient {sigma} disagrees with the vertical sign sum {sign_sum}"
         )
@@ -167,6 +177,7 @@ def make_fibration(S: GffStructure, kind: FibrationKind) -> FibrationModel:
         vertical=vertical,
         vertical_indices=vertical_indices,
         sigma=sigma,
+        frame=(horizontal.vectors, np.sign(horizontal.gram.diagonal())),
     )
 
 
@@ -255,28 +266,23 @@ def transfer_forms(g: ScalarProduct, F: FibrationModel, xs, domains, C) -> np.nd
     return domains @ C + (v @ g.components @ v) * a[:, :, None] * (2.0 * a - b)[:, None, :]
 
 
-def r_star_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) -> OperatorStack:
-    """Base-space Jacobi operators of unit spacelike horizontal bases, each on x-perp in H."""
-    xs = np.asarray(xs, dtype=float)
-    return _r_star_stack(slot4_contraction(R, xs), g, F, xs)
-
-
-def _r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.ndarray) -> OperatorStack:
-    """``r_star_stack`` of the bases xs from their slot-4 contraction RX."""
+def r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.ndarray) -> OperatorStack:
+    """Base-space Jacobi operators of unit spacelike horizontal bases, each on x-perp in H, from
+    RX = ``slot4_contraction(R, xs)``."""
     errors = _horizontal_errors(F, xs, "base of Rstar")
     for n, q in enumerate(np.einsum("nm,mk,nk->n", xs, g.components, xs)):
-        if errors[n] is None and abs(q - 1.0) > 1e-8:
+        if errors[n] is None and abs(q - 1.0) > UNIT_ATOL:
             errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
     ok = _error_free(errors)
-    frame = F.horizontal.vectors, np.sign(F.horizontal.gram.diagonal())  # Im(phi)'s frame and a unit xi
-    domains, signs = reflected_domains(g, frame, xs[ok])
+    domains, signs = reflected_domains(g, F.frame, xs[ok])
     C = jacobi_covectors(RX[ok], xs[ok], domains)
     return operator_stack(xs, errors, g, domains, transfer_forms(g, F, xs[ok], domains, C), signs)
 
 
 def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> JacobiOperator:
     """Base-space Jacobi operator of a unit spacelike horizontal x, on x-perp in H."""
-    return r_star_stack(R, g, F, np.asarray(x, dtype=float).reshape(1, -1)).operator()
+    xs = np.asarray(x, dtype=float).reshape(1, -1)
+    return r_star_stack(slot4_contraction(R, xs), g, F, xs).operator()
 
 
 def _sentinel_frame(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> tuple:
@@ -326,7 +332,7 @@ def shift_identity_residual(R: CurvatureTensor, S: GffStructure, F: FibrationMod
     xv, V = xs[0], frame[0][0]
     VG = V @ g.components  # V is g-orthonormal: coordinates are g(v_k, .)
     y_coords = VG @ yv
-    if np.linalg.norm(yv - y_coords @ V) > 1e-8 * max(np.linalg.norm(yv), 1.0):
+    if np.linalg.norm(yv - y_coords @ V) > IN_V_RTOL * max(np.linalg.norm(yv), 1.0):
         raise ValueError("y must lie in x-perp within Im(phi)")
     jac = operator_apply(R, g, xv, yv, xv)
     v_leak = float(np.linalg.norm(jac - (VG @ jac) @ V))
@@ -354,25 +360,19 @@ def _base_osserman(
     if F.kind not in (FibrationKind.PI_FULL, FibrationKind.PI_PRIME):
         raise ValueError(f"base Osserman check applies to pi_full/pi_prime, got {F.kind.value}")
     return decide_constancy(
-        f"base-osserman[{F.kind.value}]", _r_star_stack(RX, g, F, sphere).records(grouping_tol),
+        f"base-osserman[{F.kind.value}]", r_star_stack(RX, g, F, sphere).records(grouping_tol),
         seed, tol, grouping_tol, notes={"sigma": F.sigma},
     )
 
 
-def base_null_stack(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, xs) -> OperatorStack:
-    """Null Jacobi operators of u = xi_1 + x on the quotient of u-perp in H, via the transfer form."""
-    us = F.structure.xi[0] + np.asarray(xs, dtype=float)
-    return _base_null_stack(slot4_contraction(R, us), g, F, us)
-
-
-def _base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.ndarray) -> OperatorStack:
-    """``base_null_stack`` of the null bases us from their slot-4 contraction RU."""
-    frame = F.horizontal.vectors, np.sign(F.horizontal.gram.diagonal())  # Im(phi)'s frame and a unit xi
+def base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.ndarray) -> OperatorStack:
+    """Null Jacobi operators of the null bases u = xi_1 + x on the quotient of u-perp in H, via the
+    transfer form, from RU = ``slot4_contraction(R, us)``."""
     errors = _horizontal_errors(F, us, "first argument of A")
-    for n in np.flatnonzero(~_null_in_frame(g, frame, us)):
+    for n in np.flatnonzero(~_null_in_frame(g, F.frame, us)):
         errors[n] = GeometryError("base null quotient: restricted Gram kernel is not one-dimensional")
     ok = _error_free(errors)
-    reps, signs = reflected_domains(g, frame, us[ok], null=True)
+    reps, signs = reflected_domains(g, F.frame, us[ok], null=True)
     C = jacobi_covectors(RU[ok], us[ok], reps)
     return operator_stack(us, errors, g, reps, transfer_forms(g, F, us[ok], reps, C), signs)
 
@@ -404,7 +404,7 @@ def _base_null_osserman(
     if F.kind is not FibrationKind.TAU:
         raise ValueError(f"base null Osserman check applies to the tau kind, got {F.kind.value}")
     return decide_constancy(
-        "base-null-osserman[tau]", _base_null_stack(RU, g, F, us).records(grouping_tol),
+        "base-null-osserman[tau]", base_null_stack(RU, g, F, us).records(grouping_tol),
         seed, tol, grouping_tol, notes={"sigma": F.sigma},
     )
 
@@ -488,7 +488,6 @@ def theorem_equivalence_report(
     tol: float = DEFAULT_CONSTANCY_TOL,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
     pi_fibration: FibrationModel | None = None,
-    tau_fibration: FibrationModel | None = None,
 ) -> TheoremReport:
     """Evaluate the three transfer verdicts and their agreement contract.
 
@@ -514,9 +513,9 @@ def theorem_equivalence_report(
     if S.s < 2:
         raise ValueError(f"theorem report requires s >= 2, got s = {S.s}")
     F_pi = pi_fibration if pi_fibration is not None else make_fibration(S, FibrationKind.PI_FULL)
-    F_tau = tau_fibration if tau_fibration is not None else make_fibration(S, FibrationKind.TAU)
-    if F_pi.structure is not S or F_tau.structure is not S:
+    if F_pi.structure is not S:
         raise ValueError("the theorem report needs fibrations of its own structure")
+    F_tau = make_fibration(S, FibrationKind.TAU)
     g = S.g
 
     # One sphere and one slot-4 contraction per stack of bases: RX for the sphere, freed once
@@ -697,7 +696,7 @@ def base_structure(F: FibrationModel) -> BaseStructure:
         # columns of J are the carrier coordinates of phi(h_i)
         J = carrier.coordinates(g, (S.phi @ carrier.vectors.T).T)
         defect = float(np.abs(J @ J + np.eye(carrier.dim)).max())
-        if defect > 1e-10:
+        if defect > SQUARE_ATOL:
             raise GeometryError(
                 f"restricted tensor does not square to -identity (defect {defect:.3e}); "
                 "input structure is corrupted"

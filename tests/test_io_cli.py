@@ -525,13 +525,22 @@ def test_cli_generate_bad_param(tmp_path):
                 "--param", "c", "--out", str(tmp_path / "x.json")]) == 2
 
 
-@pytest.mark.parametrize("param", ["c=nan", "c=inf", "c=1e400", "c=1e200", "bogus=1", "C=5"])
+@pytest.mark.parametrize("param", ["c=nan", "c=inf", "c=1e400", "c=1e200", "bogus=1", "C=5", "scale=1e6"])
 def test_cli_generate_rejects_parameters_before_writing(tmp_path, capsys, param):
+    # scale=1e6: the random family's round-off fails validate_curvature's absolute 1e-10 at dim 12
+    family, n = ("random", "5") if param.startswith("scale") else ("constant", "2")
     out = tmp_path / "x.json"
-    assert run(["generate", "--family", "constant", "--n", "2", "--s", "2",
+    assert run(["generate", "--family", family, "--n", n, "--s", "2",
                 "--param", param, "--out", str(out)]) == 2
     assert not out.exists()
     assert param.split("=")[0] in capsys.readouterr().err
+
+
+def test_cli_generate_writes_what_validate_passes(tmp_path):
+    out = str(tmp_path / "x.json")
+    assert run(["generate", "--family", "random", "--n", "5", "--s", "2",
+                "--param", "scale=1e5", "--out", out]) == 0
+    assert run(["validate", out]) == 0
 
 
 def test_cli_components_above_the_bound_fail_validation(tmp_path, capsys):
@@ -644,7 +653,8 @@ _pooled = st.sampled_from([
 ])
 _trees = st.recursive(
     _numbers | _text | st.lists(_numbers, max_size=8)
-    | st.lists(_pooled, min_size=1, max_size=8)  # float lists, longer than a _SLICE of 3
+    | st.lists(_pooled, min_size=1, max_size=8)
+    | st.lists(st.integers(), min_size=1, max_size=8)  # all-int lists are joined from str
     | st.lists(st.sampled_from([1, 1.0, True]) | _pooled, min_size=1, max_size=6),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
@@ -661,8 +671,6 @@ _trees = st.recursive(
 @given(_trees)
 def test_dump_json_is_json_dumps_byte_for_byte(tree):
     _assert_canonical(dump_json(tree), tree)
-    with mock.patch("phinull.io._SLICE", 3):  # number lists across slice boundaries
-        _assert_canonical(dump_json(tree), tree)
 
 
 def test_dump_json_repeated_and_nested_float_lists():

@@ -204,7 +204,8 @@ def test_stacks_match_per_vector_assembly(name):
     xs = sample_phi_celestial(S, 8, seed=2)
     zs = np.vstack([xs, sample_unit_causal(S.g, CausalCharacter.TIMELIKE, 4, seed=2)])
     us = S.xi[0] + xs
-    for stack, bases, corank in ((jacobi_stack(R, S.g, zs), zs, 1), (null_jacobi_stack(R, S.g, us), us, 2)):
+    for build, bases, corank in ((jacobi_stack, zs, 1), (null_jacobi_stack, us, 2)):
+        stack = build(slot4_contraction(R, bases), S.g, bases)
         assert stack.errors == [None] * len(bases)
         for base, rows, matrix in zip(bases, stack.domains, stack.matrices):
             # the domain: S.dim - corank independent rows, all g-orthogonal to the base
@@ -224,8 +225,9 @@ def test_stacks_report_a_bad_base_for_that_sample_only():
         (null_jacobi_stack, us, xs, "null quotient requires a null vector"),
     )
     for build, good, bad, message in cases:
-        clean = build(R, S.g, good).records()
-        mixed = build(R, S.g, np.vstack([good[:2], bad[2:3], good[3:]])).records()
+        clean = build(slot4_contraction(R, good), S.g, good).records()
+        bases = np.vstack([good[:2], bad[2:3], good[3:]])
+        mixed = build(slot4_contraction(R, bases), S.g, bases).records()
         assert [rec.error for rec in mixed] == [None, None, message, None, None]
         assert mixed[2].spectrum is None
         for n in (0, 1, 3, 4):
@@ -244,7 +246,8 @@ def test_timelike_round_off_no_worse_than_per_vector_assembly():
     ratios = []
     for seed in range(20):
         bases = sample_unit_causal_loop(g, CausalCharacter.TIMELIKE, 64, seed)
-        report = decide_constancy("stacked", jacobi_stack(R, g, bases).records(), seed, 1e-8, 1e-6)
+        stack = jacobi_stack(slot4_contraction(R, bases), g, bases)
+        report = decide_constancy("stacked", stack.records(), seed, 1e-8, 1e-6)
         assert report.passed, (seed, report.failure)
         # the per-vector assembly on the same bases, diagonalized as the deciders do
         domains = np.array([orthogonal_complement(g, [z]).vectors for z in bases])
@@ -312,7 +315,8 @@ def test_reflected_domains_are_orthonormal_complements_with_oracle_spectra(conju
     if kind != "spacelike":
         families.append(random_algebraic_curvature(S.g, seed=seed))
     for R in families:
-        stack = (null_jacobi_stack if kind == "null" else jacobi_stack)(R, S.g, base[None])
+        build = null_jacobi_stack if kind == "null" else jacobi_stack
+        stack = build(slot4_contraction(R, base[None]), S.g, base[None])
         engine, oracle = stack.records()[0].spectrum, _oracle_spectrum(R, G, base, kind)
         grouped = SpectralData.from_values(oracle)
         assert engine.multiplicities == grouped.multiplicities

@@ -490,9 +490,8 @@ def test_theorem_refuses_fibrations_of_another_structure():
     # the report shares one sphere and its contractions with both fibrations
     S, other = canonical_structure(2, 2), canonical_structure(2, 2)
     R = phi_model_family(S, 1.0, 1.0)
-    for slot, kind in (("pi_fibration", FibrationKind.PI_FULL), ("tau_fibration", FibrationKind.TAU)):
-        with pytest.raises(ValueError, match="fibrations of its own structure"):
-            theorem_equivalence_report(R, S, samples=4, **{slot: make_fibration(other, kind)})
+    with pytest.raises(ValueError, match="fibrations of its own structure"):
+        theorem_equivalence_report(R, S, samples=4, pi_fibration=make_fibration(other, FibrationKind.PI_FULL))
 
 
 def test_theorem_requires_s_at_least_two():
@@ -662,7 +661,9 @@ def test_stacked_base_operators_match_per_vector_assembly(conjugated):
     F_pi = make_fibration(S, FibrationKind.PI_FULL)
     F_tau = make_fibration(S, FibrationKind.TAU)
     for name, R in _families(S).items():
-        for stack, F in ((r_star_stack(R, S.g, F_pi, xs), F_pi), (base_null_stack(R, S.g, F_tau, xs), F_tau)):
+        us = S.xi[0] + xs
+        for build, F, bases in ((r_star_stack, F_pi, xs), (base_null_stack, F_tau, us)):
+            stack = build(slot4_contraction(R, bases), S.g, F, bases)
             assert stack.errors == [None] * len(xs)
             oracle = _oracle_forms(R, F, stack.bases, stack.domains)
             oracle = 0.5 * (oracle + oracle.transpose(0, 2, 1))
@@ -697,7 +698,7 @@ def test_reflected_base_domains_match_the_oracle_spectra(conjugation, seed, axis
                                     (FibrationKind.TAU, base_null_stack, S.xi[0] + x, True)):
         F = make_fibration(S, kind)
         for name, R in _families(S).items():
-            stack = build(R, S.g, F, x[None])
+            stack = build(slot4_contraction(R, base[None]), S.g, F, base[None])
             D, signs = stack.domains[0], stack.signs[0]
             # g-orthonormal, horizontal and g-orthogonal to the base, at round-off of their scale
             scale = np.abs(D) @ np.abs(G) @ np.abs(D).T
@@ -715,14 +716,18 @@ def test_reflected_base_domains_match_the_oracle_spectra(conjugation, seed, axis
 
 
 @pytest.mark.parametrize("kind", [FibrationKind.PI_FULL, FibrationKind.TAU])
-def test_sentinel_sees_a_tiny_sigma_tamper(kind):
+def test_sentinel_sees_a_tiny_sigma_tamper(kind, monkeypatch):
     S = conjugated_structure(2, 3, seed=23)
     R = random_algebraic_curvature(S.g, seed=5)
     F = make_fibration(S, kind)
     tampered = dataclasses.replace(F, sigma=F.sigma + 1e-6)
-    slot = "pi_fibration" if kind is FibrationKind.PI_FULL else "tau_fibration"
     clean = theorem_equivalence_report(R, S, samples=6, seed=0)
-    report = theorem_equivalence_report(R, S, samples=6, seed=0, **{slot: tampered})
+    if kind is FibrationKind.PI_FULL:  # as the CLI's --tamper-sigma passes it
+        report = theorem_equivalence_report(R, S, samples=6, seed=0, pi_fibration=tampered)
+    else:  # the report builds its own tau fibration
+        monkeypatch.setattr(importlib.import_module("phinull.submersion"), "make_fibration",
+                            lambda S, built: tampered if built is kind else make_fibration(S, built))
+        report = theorem_equivalence_report(R, S, samples=6, seed=0)
     assert clean.internal_consistency_ok and clean.sigma_identity_residual < 1e-12
     assert not report.internal_consistency_ok
     assert 1e-7 < report.sigma_identity_residual < 1e-5
@@ -736,7 +741,7 @@ def test_bad_sample_errors_only_that_sample():
     bad = xs.copy()
     bad[1] *= 2.0  # not unit
     bad[3] += 0.5 * S.xi[1]  # leaks into the vertical space
-    records = r_star_stack(R, S.g, F_pi, bad).records()
+    records = r_star_stack(slot4_contraction(R, bad), S.g, F_pi, bad).records()
     assert records[1].error == "Rstar base must be unit spacelike: g(x,x) = 4.000000e+00"
     assert records[3].error == "base of Rstar must be horizontal: vertical component 5.000e-01"
     for n in (0, 2, 4):
@@ -751,10 +756,12 @@ def test_bad_sample_errors_only_that_sample():
     bad = xs.copy()
     bad[2] *= 2.0  # xi_1 + 2x is not null: the quotient kernel vanishes
     bad[4] += S.xi[1]
-    records = base_null_stack(R, S.g, F_tau, bad).records()
+    us = S.xi[0] + bad
+    records = base_null_stack(slot4_contraction(R, us), S.g, F_tau, us).records()
     assert records[2].error == "base null quotient: restricted Gram kernel is not one-dimensional"
     assert records[4].error == "first argument of A must be horizontal: vertical component 1.000e+00"
-    good = base_null_stack(R, S.g, F_tau, xs).records()
+    us = S.xi[0] + xs
+    good = base_null_stack(slot4_contraction(R, us), S.g, F_tau, us).records()
     for n in (0, 1, 3):
         assert records[n].error is None
         assert records[n].spectrum.multiplicities == good[n].spectrum.multiplicities

@@ -1,9 +1,12 @@
-"""The public surface keeps one value per tolerance.
+"""The public surface keeps one value per tolerance and one call convention per operator stack.
 
 Every tolerance is a module constant read where it is used. The only tolerance parameters are
 the ones the CLI's ``--tol`` and ``--grouping-tol`` set: those of the deciders, of ``spectrum``
 and ``SpectralData.from_values``, and of ``OperatorStack.records``, which carries the deciders'
 grouping tolerance to the spectra.
+
+The four operator-stack builders take the slot-4 contraction of their bases first, and none has
+a twin that takes the curvature tensor.
 """
 
 import importlib
@@ -63,3 +66,31 @@ def test_the_walk_sees_methods_and_classmethods():
     names = {name for name, _ in _public_callables()}
     assert {"linalg.ScalarProduct.from_matrix", "linalg.orthonormalize", "jacobi.OperatorStack.records",
             "curvature.sectional_curvatures", "io.generate_instance"} <= names
+
+
+BUILDERS = ("jacobi.jacobi_stack", "jacobi.null_jacobi_stack",
+            "submersion.r_star_stack", "submersion.base_null_stack")
+
+
+def test_operator_stacks_are_built_from_the_contraction_only():
+    # one call convention: every decider passes slot4_contraction(R, bases) itself, so no function
+    # that returns an OperatorStack takes the curvature tensor
+    modules = {module.__name__.rsplit(".", 1)[1]: module for module in MODULES}
+    for name in BUILDERS:
+        prefix, attr = name.split(".")
+        assert list(inspect.signature(getattr(modules[prefix], attr)).parameters)[0] in ("RX", "RU"), name
+        assert not hasattr(modules[prefix], "_" + attr), f"{name} has a private twin"
+    stack_builders = set()
+    for prefix, module in modules.items():
+        for attr, obj in vars(module).items():
+            if not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+                continue
+            signature = inspect.signature(obj)
+            if signature.return_annotation == "OperatorStack":
+                assert "CurvatureTensor" not in {p.annotation for p in signature.parameters.values()}, attr
+                if attr.endswith("_stack") and attr != "operator_stack":
+                    stack_builders.add(f"{prefix}.{attr}")
+    assert stack_builders == set(BUILDERS)
+    assert "domains" not in inspect.signature(modules["jacobi"].jacobi_stack).parameters
+    report = modules["submersion"].theorem_equivalence_report
+    assert "tau_fibration" not in inspect.signature(report).parameters
