@@ -100,21 +100,19 @@ def _integer(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
-def _floats(arr) -> list:
-    """Nested lists of Python floats, as ``float(v)`` per element would give."""
-    return np.asarray(arr, dtype=float).tolist()
-
-
 def structure_to_dict(S: GffStructure) -> dict:
+    """The structure block of ``S``: its numbers as float64 copies, never views (1-D ``metric``,
+    ``phi`` and ``epsilon``, 2-D ``xi`` and ``eta``). ``dump_json`` writes it as it stands;
+    ``json.dumps`` needs ``default=np.ndarray.tolist``."""
     return {
         "dim": S.dim,
         "n": S.n,
         "s": S.s,
-        "metric": _floats(S.g.components.reshape(-1)),
-        "phi": _floats(S.phi.reshape(-1)),
-        "xi": _floats(S.xi),
-        "eta": _floats(S.eta),
-        "epsilon": _floats(S.epsilon),
+        "metric": np.asarray(S.g.components, dtype=np.float64).flatten(),
+        "phi": np.asarray(S.phi, dtype=np.float64).flatten(),
+        "xi": np.array(S.xi, dtype=np.float64),
+        "eta": np.array(S.eta, dtype=np.float64),
+        "epsilon": np.array(S.epsilon, dtype=np.float64),
     }
 
 
@@ -155,9 +153,11 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
 
 
 def curvature_to_dict(R: CurvatureTensor) -> dict:
+    """The dense curvature block of ``R``: ``components`` is a 1-D float64 copy, never a view.
+    ``dump_json`` writes it as it stands; ``json.dumps`` needs ``default=np.ndarray.tolist``."""
     return {
         "dim": R.dim,
-        "components": _floats(R.components.reshape(-1)),
+        "components": np.asarray(R.components, dtype=np.float64).flatten(),
     }
 
 
@@ -231,6 +231,8 @@ class InstanceFile:
 
 
 def instance_to_dict(inst: InstanceFile) -> dict:
+    """The instance file of ``inst``, its numbers as in ``structure_to_dict`` and
+    ``curvature_to_dict``: ``json.dumps`` needs ``default=np.ndarray.tolist``."""
     return {
         "structure": structure_to_dict(inst.structure),
         "curvature": curvature_to_dict(inst.curvature),
@@ -279,6 +281,7 @@ _c_encoder = json.encoder.c_make_encoder(
     ":", ",", True, False, True,
 )
 _quote = json.encoder.encode_basestring_ascii
+_LAYOUT_CACHE_SIZE = 256  # dict layouts kept; reports use a few dozen key sets
 
 
 def _encode(data) -> str:
@@ -286,26 +289,55 @@ def _encode(data) -> str:
     return "".join(_c_encoder(data, 0))
 
 
-def _write(data, indent: str, out: list, floats: list) -> None:
-    """Append ``json.dumps(data, indent=2, sort_keys=True)``, nested at ``indent``, to ``out``.
+# (keys in insertion order, indent) -> _layout's result, for dicts whose keys are all ``str``
+_layouts: dict = {}
 
-    A flat list of exact floats leaves a placeholder in ``out`` and its (position, list,
-    separator) in ``floats``, for ``_fill_floats`` to write.
+
+def _layout(cache_key: tuple) -> tuple:
+    """The layout of a non-empty dict written at ``indent``, for ``cache_key`` = (its keys,
+    indent): ((key, the text before its value), ...) in sorted-key order, the indent of the
+    values, and the closing text.
+
+    Only dicts of ``str`` keys are cached. Keys of other types compare equal across types
+    (``1 == 1.0 == True``), and ``json.dumps`` writes them apart.
     """
+    keys, indent = cache_key
     inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(data, dict) and data:
-        for k, key in enumerate(sorted(data)):
-            # a key that is not a str is quoted the way json.dumps quotes it
-            name = _quote(key if isinstance(key, str) else _encode(key))
-            out.append((sep if k else "{\n" + inner) + name + ": ")
+    keys = sorted(keys)
+    # a key that is not a str is quoted the way json.dumps quotes it
+    heads = [_quote(key if isinstance(key, str) else _encode(key)) + ": " for key in keys]
+    heads = ["{\n" + inner + heads[0]] + [",\n" + inner + head for head in heads[1:]]
+    layout = tuple(zip(keys, heads)), inner, "\n" + indent + "}"
+    if len(_layouts) < _LAYOUT_CACHE_SIZE and all(type(key) is str for key in keys):
+        _layouts[cache_key] = layout
+    return layout
+
+
+def _write(data, indent: str, out: list, floats: tuple) -> None:
+    """Append ``json.dumps(data, indent=2, sort_keys=True, default=np.ndarray.tolist)``, nested
+    at ``indent``, to ``out``.
+
+    A float or a flat list of exact floats leaves a placeholder in ``out`` and its (position,
+    values, separator) in ``floats[0]``, a non-empty 1-D float64 array in ``floats[1]``, for
+    ``_fill_floats`` to write.
+    """
+    if type(data) is float:
+        out.append(None)
+        floats[0].append((len(out) - 1, (data,), ""))
+    elif isinstance(data, dict) and data:
+        cache_key = (tuple(data), indent)
+        pairs, inner, close = _layouts.get(cache_key) or _layout(cache_key)
+        for key, head in pairs:
+            out.append(head)
             _write(data[key], inner, out, floats)
-        out.append("\n" + indent + "}")
+        out.append(close)
     elif isinstance(data, (list, tuple)) and data:
+        inner = indent + "  "
+        sep = ",\n" + inner
         types = set(map(type, data))
         if types == {float}:
             out += ["[\n" + inner, None, "\n" + indent + "]"]
-            floats.append((len(out) - 2, data, sep))
+            floats[0].append((len(out) - 2, data, sep))
             return
         if types == {int}:  # ``json`` writes an int as ``int.__repr__``, which is ``str``
             out += ["[\n" + inner, sep.join(map(str, data)), "\n" + indent + "]"]
@@ -314,26 +346,44 @@ def _write(data, indent: str, out: list, floats: list) -> None:
             out.append(sep if k else "[\n" + inner)
             _write(item, inner, out, floats)
         out.append("\n" + indent + "]")
+    elif isinstance(data, np.ndarray):
+        if type(data) is np.ndarray and data.ndim == 1 and data.dtype == np.float64 and data.size:
+            inner = indent + "  "
+            out += ["[\n" + inner, None, "\n" + indent + "]"]
+            floats[1].append((len(out) - 2, data, ",\n" + inner))
+        else:
+            _write(np.ndarray.tolist(data), indent, out, floats)
     else:
-        out.append(_encode(data))  # a scalar, [] or {}
+        out.append(_encode(data))  # any other scalar, [] or {}
 
 
-def _fill_floats(out: list, floats: list) -> None:
-    """Write the float lists ``_write`` left as placeholders, each distinct value converted once.
+def _fill_floats(out: list, floats: tuple) -> None:
+    """Write the floats ``_write`` left as placeholders, each distinct magnitude converted once.
 
-    Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text.
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text. A
+    negative value is ``"-"`` and the text of its magnitude, as ``float.__repr__`` writes it
+    (``-0.0``, ``-Infinity``); a NaN is ``NaN`` whatever its sign bit.
     """
-    if not floats:
+    entries = floats[0] + floats[1]
+    if not entries:
         return
-    values = np.fromiter(
-        itertools.chain.from_iterable(data for _, data, _ in floats), dtype=np.float64,
-        count=sum(len(data) for _, data, _ in floats),
-    )
+    # the Python floats in one pass over their lists, then the arrays after them
+    lists = [data for _, data, _ in floats[0]]
+    values = np.concatenate([np.fromiter(
+        itertools.chain.from_iterable(lists), dtype=np.float64, count=sum(map(len, lists)),
+    ), *(data for _, data, _ in floats[1])])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(_encode(bits.view(np.float64).tolist())[1:-1].split(","), dtype=object)
+    # abs clears the sign bit; a magnitude is converted as its negative pattern where it has one
+    magnitudes, of_bits = np.unique(np.abs(bits.view(np.float64)).view(np.int64), return_inverse=True)
+    negative = bits < 0
+    magnitudes[of_bits[negative]] = bits[negative]
+    texts = np.array(_encode(magnitudes.view(np.float64).tolist())[1:-1].split(","), dtype=object)[of_bits]
+    # the positive pattern of such a magnitude: that text without the "-" (a NaN has no sign)
+    positive = ~negative & (magnitudes[of_bits] < 0) & ~np.isnan(bits.view(np.float64))
+    texts[positive] = [text[1:] for text in texts[positive]]
     strings = texts[inverse].tolist()
     start = 0
-    for pos, data, sep in floats:
+    for pos, data, sep in entries:
         stop = start + len(data)
         out[pos] = sep.join(strings[start:stop])
         start = stop
@@ -342,20 +392,22 @@ def _fill_floats(out: list, floats: list) -> None:
 def dump_json(data: dict) -> str:
     """Canonical serialization of a report or an instance file.
 
-    The contract is byte for byte ``json.dumps(data, indent=2,
-    sort_keys=True) + "\\n"``: sorted keys, a two-space indent, ``","`` and
-    ``": "`` as separators, ASCII escapes, a trailing newline. ``json`` drops
-    to its pure-Python encoder whenever ``indent`` is set, so the layout is
-    written here. Most numbers sit in flat lists of floats, and most of
-    those repeat within a document: such lists are written last, with one
-    float-to-text conversion per distinct float64 bit pattern in the whole
-    document, all in one pass of a C encoder built at import. Flat lists of
-    ints are joined from ``str``, other scalars go through the same encoder
-    one by one, and ``str`` keys through the C quoting function. Pieces are
-    joined once, at the end.
+    The contract is byte for byte ``json.dumps(data, indent=2, sort_keys=True,
+    default=np.ndarray.tolist) + "\\n"``: sorted keys, a two-space indent,
+    ``","`` and ``": "`` as separators, ASCII escapes, a trailing newline, and
+    a numpy array written as its ``tolist()``. ``json`` drops to its
+    pure-Python encoder whenever ``indent`` is set, so the layout is written
+    here. Most numbers are floats, in flat lists, in 1-D float64 arrays (taken
+    as they are, with no Python list in between) or alone, and most of them
+    repeat within a document: they are written last, with one float-to-text
+    conversion per distinct float magnitude in the whole document, all in one
+    pass of a C encoder built at import. Flat lists of ints are joined from
+    ``str``, other scalars go through the same encoder one by one, and keys
+    through the C quoting function, once per layout of a dict of ``str`` keys
+    (a bounded cache). Pieces are joined once, at the end.
     """
     out: list[str] = []
-    floats: list = []
+    floats: tuple = ([], [])
     _write(data, "", out, floats)
     _fill_floats(out, floats)  # its temporaries are freed before the join
     out.append("\n")

@@ -230,12 +230,14 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None
 
     ``z`` must be spacelike or timelike; for a null base use
     :func:`null_jacobi`. An explicit ``domain`` (a basis of z-perp) may be
-    supplied to compare operators of parallel bases on identical coordinates.
+    supplied to compare operators of parallel bases on identical coordinates;
+    one whose rows are not g-orthogonal to z is a ValueError.
     """
     zs = np.asarray(z, dtype=float).reshape(1, -1)
     RX = slot4_contraction(R, zs)
     if domain is None:
         return jacobi_stack(RX, g, zs).operator()
+    _check_pairing(g, domain.vectors, zs[0], "the domain must lie in z-perp")
     errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
     return _jacobi_operators(RX, g, zs, errors, domain.vectors[None][_error_free(errors)]).operator()
 
@@ -265,15 +267,21 @@ def null_quotient(g: ScalarProduct, u) -> NullQuotient:
     return null_quotient_from_representatives(g, uv, reps[0])
 
 
+def _check_pairing(g: ScalarProduct, vectors: np.ndarray, u: np.ndarray, message: str) -> None:
+    """A ValueError of ``message`` unless every row of ``vectors`` is g-orthogonal to u,
+    max |g(v, u)| against the rows' size."""
+    pairing = vectors @ g.components @ u
+    if np.abs(pairing).max() > PAIRING_RTOL * max(float(np.abs(vectors).max()), 1.0):
+        raise ValueError(message)
+
+
 def null_quotient_from_representatives(g: ScalarProduct, u, representatives) -> NullQuotient:
     """Build a quotient from explicit representatives (each must lie in u-perp)."""
     uv = np.asarray(u, dtype=float).reshape(-1)
     reps = np.atleast_2d(np.asarray(representatives, dtype=float))
     if reps.shape[0] != g.dim - 2:
         raise ValueError(f"expected {g.dim - 2} representatives, got {reps.shape[0]}")
-    pairing = reps @ g.components @ uv
-    if np.abs(pairing).max() > PAIRING_RTOL * max(float(np.abs(reps).max()), 1.0):
-        raise ValueError("representatives must be orthogonal to u")
+    _check_pairing(g, reps, uv, "representatives must be orthogonal to u")
     basis = SubspaceBasis.from_vectors(g, reps)
     evals = np.linalg.eigvalsh(basis.gram)
     tol = RANK_RTOL * max(float(np.abs(evals).max()), 1.0)
@@ -296,12 +304,19 @@ def null_jacobi(
     """Null Jacobi operator x -> proj(R(x, u) u) on the quotient of u-perp.
 
     The matrix is independent of the choice of representatives because
-    R(x, u) u lands in u-perp and g(., u) vanishes there.
+    R(x, u) u lands in u-perp and g(., u) vanishes there. A ``quotient`` must be
+    one of u itself (``quotient.u`` within ``PAIRING_RTOL`` of u, relative to
+    its norm), else ValueError.
     """
-    us = np.asarray(u, dtype=float).reshape(1, -1) if quotient is None else quotient.u[None]
-    RU = slot4_contraction(R, us)
+    us = np.asarray(u, dtype=float).reshape(1, -1)
     if quotient is None:
-        return null_jacobi_stack(RU, g, us).operator()
+        return null_jacobi_stack(slot4_contraction(R, us), g, us).operator()
+    if us.shape[1:] != quotient.u.shape or (
+        np.linalg.norm(us[0] - quotient.u) > PAIRING_RTOL * np.linalg.norm(us[0])
+    ):
+        raise ValueError("u differs from the quotient's null vector")
+    us = quotient.u[None]
+    RU = slot4_contraction(R, us)
     return _jacobi_operators(RU, g, us, [None], quotient.rep_basis.vectors[None]).operator()
 
 

@@ -257,7 +257,7 @@ def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, 
     data = instance_to_dict(generate_instance("constant", 1, 1, {"c": 1.0}))
     data["curvature"] = {"dim": 3, "entries": [entry]}
     path = tmp_path / "sparse.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     assert run(["check", str(path), "--condition", "osserman", "--samples", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and message in err
@@ -277,7 +277,8 @@ def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, 
 )
 def test_cli_non_object_block_is_a_validation_error(tmp_path, capsys, edit, message):
     path = tmp_path / "blocks.json"
-    path.write_text(json.dumps(edit(instance_to_dict(generate_instance("constant", 1, 1)))))
+    path.write_text(json.dumps(edit(instance_to_dict(generate_instance("constant", 1, 1))),
+                               default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {message}\n"
@@ -293,7 +294,7 @@ def test_cli_non_integer_field_is_a_validation_error(tmp_path, capsys, block, ke
         data = instance_to_dict(generate_instance("constant", 1, 1))
         data[block][key] = value
         path = tmp_path / "fields.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data, default=np.ndarray.tolist))
         assert run(["validate", str(path)]) == 2, value
         err = capsys.readouterr().err
         assert err == f"validation error: {block}.{key} must be an integer, got {value!r}\n"
@@ -308,11 +309,11 @@ def test_cli_non_integral_field_is_a_validation_error(tmp_path, capsys, block, k
     data = instance_to_dict(generate_instance("constant", 1, 1))
     path = tmp_path / "fields.json"
     data[block][key] = float(data[block][key])  # an integral float is still an integer
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 0
     capsys.readouterr()
     data[block][key] = value
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"validation error: {block}.{key} must be an integer, got {value!r}\n"
 
@@ -335,7 +336,7 @@ def test_cli_non_numeric_field_is_a_validation_error(tmp_path, capsys, block, ke
     data = instance_to_dict(generate_instance("constant", 2, 2))
     data[block][key] = value
     path = tmp_path / "fields.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {block}.{key} must hold finite numbers (nested lists of numbers)\n"
@@ -347,7 +348,7 @@ def test_cli_sparse_entries_must_be_a_list(tmp_path, capsys, entries):
     data = instance_to_dict(generate_instance("constant", 1, 1))
     data["curvature"] = {"dim": 3, "entries": entries}
     path = tmp_path / "sparse.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: curvature.entries must be a list, not {type(entries).__name__}\n"
@@ -372,7 +373,7 @@ def test_cli_never_raises_on_any_field_value(field, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "fuzz.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            json.dump(data, fh, default=np.ndarray.tolist)
         with mock.patch("sys.stdout", new=io.StringIO()), mock.patch("sys.stderr", new=io.StringIO()) as err:
             code = run(["validate", path])
             assert code in (0, 2, 3), (code, err.getvalue())
@@ -389,7 +390,7 @@ def test_cli_nan_residual_is_named_as_the_worst_check(tmp_path, capsys):
     data = instance_to_dict(generate_instance("constant", 2, 2))
     data["structure"]["metric"][0] = 1.7e308
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings would go to stderr
         assert run(["check", str(path), "--condition", "osserman", "--samples", "4"]) == 2
     err = capsys.readouterr().err
@@ -547,7 +548,7 @@ def test_cli_components_above_the_bound_fail_validation(tmp_path, capsys):
     data = instance_to_dict(generate_instance("constant", 2, 2))
     data["curvature"]["components"] = [1e200 * v for v in data["curvature"]["components"]]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 2
     assert "[FAIL] component_magnitude: residual 1.000e+200" in capsys.readouterr().out
     assert run(["verify-theorem", str(path)]) == 2
@@ -623,12 +624,13 @@ def test_cli_json_to_stdout(phi_model_file, capsys):
 # -- canonical JSON -------------------------------------------------------------
 
 def _assert_canonical(text: str, data) -> None:
-    """``text`` is ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline.
+    """``text`` is ``json.dumps(data, indent=2, sort_keys=True, default=np.ndarray.tolist)``
+    plus a newline.
 
     A mismatch is reported at its first differing line: a full text diff of
     a dim-12 instance file takes minutes.
     """
-    want = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    want = json.dumps(data, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
     if text != want:
         got_lines, want_lines = text.split("\n"), want.split("\n")
         k = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
@@ -651,8 +653,22 @@ _pooled = st.sampled_from([
     0.0, -0.0, float("nan"), struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
     float("inf"), float("-inf"), 5e-324, 1e16, 0.1,
 ])
+_NEGATIVE_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]  # sign bit and payload
+_signed = st.sampled_from([_NEGATIVE_NAN, 0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324,
+                           2.2e-308, -2.2e-308, 1.5, -1.5])
+# ndarray leaves: a non-empty 1-D float64 array is written straight from its bits, any other
+# array as its tolist()
+_arrays = st.one_of(
+    st.lists(_pooled | _signed, min_size=1, max_size=8).map(np.array),
+    # x and -x: one text per magnitude
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda xs: np.array(xs + [-x for x in xs])),
+    st.lists(_pooled | _signed, min_size=1, max_size=3).map(lambda xs: np.array([xs, xs[::-1]])),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda xs: np.array(xs, dtype=bool)),
+    st.sampled_from([np.empty(0), np.empty((2, 0)), np.empty(0, dtype=np.int64)]),
+)
 _trees = st.recursive(
-    _numbers | _text | st.lists(_numbers, max_size=8)
+    _numbers | _text | _arrays | st.lists(_numbers, max_size=8)
     | st.lists(_pooled, min_size=1, max_size=8)
     | st.lists(st.integers(), min_size=1, max_size=8)  # all-int lists are joined from str
     | st.lists(st.sampled_from([1, 1.0, True]) | _pooled, min_size=1, max_size=6),
@@ -700,6 +716,44 @@ def test_dump_json_on_dim12_theorem_reports(family):
 ], ids=["int", "float", "bool", "none"])
 def test_dump_json_non_string_keys(tree):
     _assert_canonical(dump_json(tree), tree)
+
+
+def test_dump_json_layouts_of_equal_keys():
+    # 1, 1.0 and True are equal dict keys that json writes apart: a layout cache keyed on the
+    # keys alone wrote {True: 0} and {1.0: 0} as "1" after {1: 0}
+    trees = [{1: 0}, {True: 0}, {1.0: 0}, {None: 0}, {1: 0}, {"b": 1.5, "a": [2]},
+             {"a": [2], "b": 1.5}, {"x": {"b": 1.5, "a": [2]}, "y": [{"a": [2], "b": 1.5}]}]
+    for tree in trees:
+        _assert_canonical(dump_json(tree), tree)
+
+
+def test_helper_dicts_hold_copies():
+    inst = generate_instance("random", 2, 2, seed=1)
+    text = dump_json(instance_to_dict(inst))
+    data = instance_to_dict(inst)
+    arrays = [value for block in (data["structure"], data["curvature"])
+              for value in block.values() if isinstance(value, np.ndarray)]
+    assert [a.ndim for a in arrays] == [1, 1, 2, 2, 1, 1]
+    for array in arrays:
+        assert array.dtype == np.float64
+        array += 1.0  # a view of the read-only metric would raise
+    assert dump_json(instance_to_dict(inst)) == text
+
+
+@pytest.mark.parametrize("family", ["constant", "phi_model", "random"])
+@pytest.mark.parametrize("n, s", [(2, 2), (4, 3), (5, 2)], ids=["dim6", "dim11", "dim12"])
+def test_save_load_is_bit_exact(tmp_path, family, n, s):
+    inst = generate_instance(family, n, s, {"c": -2.5} if family == "constant" else None, seed=3)
+    path = tmp_path / "instance.json"
+    save_instance(path, inst)
+    back = load_instance(path)
+    pairs = [(inst.curvature.components, back.curvature.components),
+             (inst.structure.g.components, back.structure.g.components)]
+    pairs += [(getattr(inst.structure, key), getattr(back.structure, key))
+              for key in ("phi", "xi", "eta", "epsilon")]
+    for want, got in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 included
+    assert back.metadata == inst.metadata
 
 
 @pytest.mark.parametrize("family", ["constant", "phi_model", "random"])

@@ -157,6 +157,40 @@ def test_representative_shift_leaves_everything_unchanged():
     assert np.abs(m1 - m0).max() < 1e-10
 
 
+def _phi_null_pair():
+    S = canonical_structure(2, 2)
+    us = S.timelike_frame_vector + sample_phi_celestial(S, 2, seed=0)
+    return S, phi_model_family(S, 0.5, 1.5), us[0], us[1]
+
+
+def test_null_jacobi_with_a_quotient_of_another_vector_is_refused():
+    # the operator of the quotient's vector came back, with no error
+    S, R, u1, u2 = _phi_null_pair()
+    with pytest.raises(ValueError, match="differs from the quotient's null vector"):
+        null_jacobi(R, S.g, u2, quotient=null_quotient(S.g, u1))
+    with pytest.raises(ValueError, match="differs from the quotient's null vector"):
+        null_jacobi(R, S.g, u1[:-1], quotient=null_quotient(S.g, u1))
+
+
+def test_null_jacobi_with_its_own_quotient_is_the_quotient_operator():
+    S, R, u1, _ = _phi_null_pair()
+    q = null_quotient(S.g, u1)
+    op = null_jacobi(R, S.g, u1, quotient=q)
+    assert np.array_equal(op.base, q.u)
+    assert np.array_equal(op.matrix, null_jacobi(R, S.g, u1).matrix)
+    # a u within PAIRING_RTOL of q.u gets the quotient's own operator
+    assert np.array_equal(null_jacobi(R, S.g, u1 * (1 + 1e-12), quotient=q).matrix, op.matrix)
+
+
+def test_jacobi_with_a_domain_off_z_perp_is_refused():
+    # the operator came back although max |g(d, z)| over the domain's rows was 0.49
+    S = canonical_structure(2, 2)
+    R = phi_model_family(S, 0.5, 1.5)
+    x, z = sample_phi_celestial(S, 2, seed=0)
+    with pytest.raises(ValueError, match="the domain must lie in z-perp"):
+        jacobi(R, S.g, z, domain=orthogonal_complement(S.g, [x]))
+
+
 def test_null_jacobi_vanishes_for_space_forms():
     g = ScalarProduct.minkowski(5)
     for c in (-1.0, 3.0):
