@@ -168,8 +168,3 @@ def sectional_curvatures(R: CurvatureTensor, g: ScalarProduct, xs, ys) -> np.nda
     XY = (X[:, :, None] * Y[:, None, :]).reshape(len(X), -1)  # rows x (x) y: R(x, y, x, y) = XY R XY^T
     return np.einsum("ni,ni->n", XY @ R.components.reshape(XY.shape[1], -1), XY) / delta
 
-
-def sectional_curvature(R: CurvatureTensor, g: ScalarProduct, x, y) -> float:
-    """R(x, y, x, y) / delta for a nondegenerate plane span(x, y): one pair of ``sectional_curvatures``."""
-    xs, ys = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y))
-    return float(sectional_curvatures(R, g, xs, ys)[0])

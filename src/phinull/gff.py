@@ -93,9 +93,15 @@ class GffStructure:
 
     @cached_property
     def image_frame(self) -> SubspaceBasis:
-        """``phi_image_frame`` of this structure, computed once: the samplers, the fibrations and
-        the sentinel of every command read the same frame."""
-        return phi_image_frame(self)
+        """A g-orthonormal frame of Im(phi), computed once: the samplers, the fibrations and the
+        sentinel of every command read the same frame. The column space of phi is extracted by
+        SVD and orthonormalized; for a valid Lorentzian structure the restriction is positive
+        definite, so all frame signs come out +1."""
+        u, svals, _ = np.linalg.svd(self.phi)
+        tol = RANK_RTOL * max(float(np.abs(self.phi).max()), 1.0)
+        rank = int(np.sum(svals > tol))
+        columns = u[:, :rank].T
+        return orthonormalize(self.g, SubspaceBasis.from_vectors(self.g, columns))
 
 
 def canonical_structure(n: int, s: int) -> GffStructure:
@@ -171,26 +177,6 @@ def validate_gff(S: GffStructure) -> ValidationReport:
     return report
 
 
-def fundamental_two_form(S: GffStructure, X, Y) -> float:
-    """g(X, phi Y); skew in (X, Y) by the skew-adjointness of phi."""
-    Yv = np.asarray(Y, dtype=float).reshape(-1)
-    return inner(S.g, X, S.phi @ Yv)
-
-
-def phi_image_frame(S: GffStructure) -> SubspaceBasis:
-    """A g-orthonormal frame of Im(phi), deterministic per structure.
-
-    The column space of phi is extracted by SVD and orthonormalized; for a
-    valid Lorentzian structure the restriction is positive definite, so all
-    frame signs come out +1.
-    """
-    u, svals, _ = np.linalg.svd(S.phi)
-    tol = RANK_RTOL * max(float(np.abs(S.phi).max()), 1.0)
-    rank = int(np.sum(svals > tol))
-    columns = u[:, :rank].T
-    return orthonormalize(S.g, SubspaceBasis.from_vectors(S.g, columns))
-
-
 def _require_lorentzian(S: GffStructure) -> None:
     if not S.is_lorentzian_frame:
         raise CausalCharacterError(
@@ -203,7 +189,7 @@ def sample_phi_celestial(S: GffStructure, count: int, seed: int) -> np.ndarray:
     """Uniform sample of unit vectors in Im(phi) orthogonal to the timelike frame, as rows."""
     _require_lorentzian(S)
     points = sample_unit_sphere(S.g, S.image_frame, count, seed)
-    _check_sample(S, points, on_sphere=True, in_image=True)
+    _check_sample(S, points, in_image=True)
     return points
 
 
@@ -212,27 +198,13 @@ def sample_celestial(S: GffStructure, count: int, seed: int) -> np.ndarray:
     _require_lorentzian(S)
     frame = orthonormalize(S.g, orthogonal_complement(S.g, [S.timelike_frame_vector]))
     points = sample_unit_sphere(S.g, frame, count, seed)
-    _check_sample(S, points, on_sphere=True, in_image=False)
+    _check_sample(S, points, in_image=False)
     return points
 
 
-def sample_null_congruence(S: GffStructure, count: int, seed: int) -> np.ndarray:
-    """Null vectors u with g(u, u) = 0, g(u, xi_1) = -1, covering the full sphere, as rows."""
-    points = sample_celestial(S, count, seed) + S.timelike_frame_vector
-    _check_sample(S, points, on_sphere=False, in_image=False)
-    return points
-
-
-def sample_phi_null_congruence(S: GffStructure, count: int, seed: int) -> np.ndarray:
-    """The psi-preimage of the phi-celestial sphere: u = xi_1 + x, x in S_phi, as rows."""
-    points = sample_phi_celestial(S, count, seed) + S.timelike_frame_vector
-    _check_sample(S, points, on_sphere=False, in_image=True)
-    return points
-
-
-def _check_sample(S: GffStructure, points: np.ndarray, on_sphere: bool, in_image: bool) -> None:
-    """Verify the defining constraints of a sample: g(p, p) = 1, g(p, z) = 0 on a sphere,
-    g(p, p) = 0, g(p, z) = -1 on a congruence p = z + x, and eta(x) = 0 for Im(phi) points.
+def _check_sample(S: GffStructure, points: np.ndarray, in_image: bool) -> None:
+    """Verify the defining constraints of sphere points x: g(x, x) = 1, g(x, z) = 0, and
+    eta(x) = 0 for Im(phi) points.
 
     They hold only as well as the validated identities they combine (g(z, z) = -1, g(x, z) = 0,
     eta(x) = 0 through x = -phi(phi x) on Im(phi)), each good to VALIDATE_ATOL per entry. A
@@ -240,15 +212,14 @@ def _check_sample(S: GffStructure, points: np.ndarray, on_sphere: bool, in_image
     is judged against VALIDATE_ATOL (1 + |x|_1 + |phi x|_1)^2: the coefficients of z, x and phi x.
     """
     z = S.timelike_frame_vector
-    x = points if on_sphere else points - z
     q = np.einsum("nm,mk,nk->n", points, S.g.components, points)
     zp = points @ S.g.components @ z
-    tol = VALIDATE_ATOL * (1.0 + np.abs(x).sum(axis=1) + np.abs(x @ S.phi.T).sum(axis=1)) ** 2
-    ok = (np.abs(q - float(on_sphere)) <= tol) & (np.abs(zp + float(not on_sphere)) <= tol)
+    tol = VALIDATE_ATOL * (1.0 + np.abs(points).sum(axis=1) + np.abs(points @ S.phi.T).sum(axis=1)) ** 2
+    ok = (np.abs(q - 1.0) <= tol) & (np.abs(zp) <= tol)
     if in_image:
-        ok &= np.abs(x @ S.eta.T).max(axis=1) <= tol
+        ok &= np.abs(points @ S.eta.T).max(axis=1) <= tol
     if not ok.all():
-        kind = ("S_" if on_sphere else "N_") + ("phi" if in_image else "of_z")
+        kind = "S_phi" if in_image else "S_of_z"
         raise GeometryError(f"sampled point violates {kind} constraints")
 
 

@@ -60,6 +60,10 @@ FAMILIES = (
 )
 
 
+class InstanceParseError(ValueError):
+    """A file that does not parse as JSON: bad syntax or UTF-8, too deep a nesting, too long an int."""
+
+
 class InstanceValidationError(GeometryError):
     """A file parsed correctly but failed structural or curvature validation."""
 
@@ -268,7 +272,10 @@ def instance_from_dict(data: dict, validate: bool = True) -> InstanceFile:
 
 def load_instance(path: str | Path, validate: bool = True) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, or an int of too many digits
+            raise InstanceParseError(str(exc)) from exc
     return instance_from_dict(data, validate=validate)
 
 
@@ -416,11 +423,6 @@ def dump_json(data: dict) -> str:
 
 def save_instance(path: str | Path, inst: InstanceFile) -> None:
     Path(path).write_text(dump_json(instance_to_dict(inst)), encoding="utf-8")
-
-
-def instance_reports(inst: InstanceFile) -> tuple[ValidationReport, ValidationReport]:
-    """(structure report, curvature report) for an already-parsed instance."""
-    return validate_gff(inst.structure), validate_curvature(inst.curvature, inst.structure.g)
 
 
 _FAMILY_PARAMETERS = {"constant": ("c",), "phi_model": ("a", "b"), "random": ("scale",)}

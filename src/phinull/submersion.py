@@ -67,7 +67,7 @@ from enum import Enum
 import numpy as np
 
 from .curvature import CurvatureTensor, operator_apply, sectional_curvatures
-from .gff import GffStructure, sample_phi_celestial, validate_gff
+from .gff import GffStructure, sample_phi_celestial
 from .jacobi import (
     DEFAULT_CONSTANCY_TOL,
     DEFAULT_GROUPING_TOL,
@@ -100,7 +100,6 @@ HORIZONTAL_RTOL = 1e-8
 SIGMA_ATOL = 1e-12  # a fibration's sigma against its vertical sign sum
 UNIT_ATOL = 1e-8  # an Rstar base: |g(x, x) - 1|
 IN_V_RTOL = 1e-8  # a shift-identity argument y in V: its part off V against max(|y|, 1)
-SQUARE_ATOL = 1e-10  # the complex-type base: |J J + I| of the restricted phi
 
 
 class FibrationKind(Enum):
@@ -670,55 +669,3 @@ def remark_sectional_conditions(
         tol=tol,
     )
 
-
-@dataclass(frozen=True, eq=False)
-class BaseStructure:
-    """The pointwise shadow of the base space: the horizontal carrier with restricted data."""
-
-    carrier: SubspaceBasis
-    metric: np.ndarray
-    complex_structure: np.ndarray | None
-    contact: GffStructure | None
-
-
-def base_structure(F: FibrationModel) -> BaseStructure:
-    """Restrict the structure tensors to the horizontal carrier.
-
-    For the complex-type kinds the restricted phi must square to -identity;
-    for tau the restricted tuple must be a valid s = 1 Lorentzian structure.
-    A failed assertion indicates a corrupted input structure.
-    """
-    S = F.structure
-    g = S.g
-    carrier = F.horizontal
-    metric = carrier.gram
-    if F.kind in (FibrationKind.PI_FULL, FibrationKind.PI_PRIME):
-        # columns of J are the carrier coordinates of phi(h_i)
-        J = carrier.coordinates(g, (S.phi @ carrier.vectors.T).T)
-        defect = float(np.abs(J @ J + np.eye(carrier.dim)).max())
-        if defect > SQUARE_ATOL:
-            raise GeometryError(
-                f"restricted tensor does not square to -identity (defect {defect:.3e}); "
-                "input structure is corrupted"
-            )
-        return BaseStructure(carrier=carrier, metric=metric, complex_structure=J, contact=None)
-    if F.kind is FibrationKind.TAU:
-        phi_restricted = carrier.coordinates(g, (S.phi @ carrier.vectors.T).T)
-        xi_coords = carrier.coordinates(g, S.xi[0])
-        eta_row = carrier.vectors @ S.eta[0]
-        contact = GffStructure(
-            n=S.n,
-            s=1,
-            g=ScalarProduct.from_matrix(metric),
-            phi=phi_restricted,
-            xi=xi_coords[None, :],
-            eta=eta_row[None, :],
-            epsilon=np.array([S.epsilon[0]]),
-        )
-        report = validate_gff(contact)
-        if not report.passed:
-            raise GeometryError(
-                "restricted tuple fails the s = 1 structure validation:\n" + report.summary()
-            )
-        return BaseStructure(carrier=carrier, metric=metric, complex_structure=None, contact=contact)
-    raise ValueError(f"base structure is not defined for the {F.kind.value} kind")

@@ -10,7 +10,6 @@ from phinull.curvature import (
     operator_apply,
     phi_model_family,
     random_algebraic_curvature,
-    sectional_curvature,
     sectional_curvatures,
     symmetrize_curvature,
     validate_curvature,
@@ -47,13 +46,13 @@ def test_constant_sectional_curvature_everywhere():
     g = ScalarProduct.diagonal([-1.0, 1.0, 1.0])
     R = constant_curvature(g, -1.0)
     e = np.eye(3)
-    assert sectional_curvature(R, g, e[1], e[2]) == pytest.approx(-1.0)
+    assert sectional_curvatures(R, g, [e[1]], [e[2]])[0] == pytest.approx(-1.0)
     rng = np.random.default_rng(1)
     found = 0
     while found < 10:
         x, y = rng.standard_normal(3), rng.standard_normal(3)
         try:
-            k = sectional_curvature(R, g, x, y)
+            k = sectional_curvatures(R, g, [x], [y])[0]
         except DegenerateSubspaceError:
             continue
         assert k == pytest.approx(-1.0, abs=1e-9)
@@ -65,7 +64,7 @@ def test_constant_minus_one_mixed_plane_anchor():
     S = canonical_structure(1, 1)
     R = constant_curvature(S.g, -1.0)
     x = np.eye(3)[0]
-    assert sectional_curvature(R, S.g, x, S.xi[0]) == pytest.approx(-1.0)
+    assert sectional_curvatures(R, S.g, [x], [S.xi[0]])[0] == pytest.approx(-1.0)
 
 
 def test_sectional_curvature_nondegenerate_mixed_plane():
@@ -73,7 +72,7 @@ def test_sectional_curvature_nondegenerate_mixed_plane():
     R = constant_curvature(g, 3.0)
     x, y = np.array([1.0, 1.0]), np.array([0.0, 1.0])
     # delta = g(x,x) g(y,y) - g(x,y)^2 = 0*1 - 1 = -1: nondegenerate
-    assert sectional_curvature(R, g, x, y) == pytest.approx(3.0)
+    assert sectional_curvatures(R, g, [x], [y])[0] == pytest.approx(3.0)
 
 
 def test_sectional_curvature_degenerate_plane_raises():
@@ -81,7 +80,7 @@ def test_sectional_curvature_degenerate_plane_raises():
     R = constant_curvature(g, 1.0)
     x = np.array([1.0, 1.0])
     with pytest.raises(DegenerateSubspaceError):
-        sectional_curvature(R, g, x, x + np.array([0.0, 1e-13]))
+        sectional_curvatures(R, g, [x], [x + np.array([0.0, 1e-13])])[0]
 
 
 def test_sectional_curvatures_batch_the_one_plane_form():
@@ -95,14 +94,14 @@ def test_sectional_curvatures_batch_the_one_plane_form():
         delta = inner(g, x, x) * inner(g, y, y) - inner(g, x, y) ** 2
         oracle = np.einsum("abcd,a,b,c,d->", R.components, x, y, x, y) / delta
         assert k == pytest.approx(oracle, rel=1e-12, abs=1e-12 * np.abs(R.components).max())
-        assert sectional_curvature(R, g, x, y) == pytest.approx(k, rel=1e-12, abs=1e-12)
+        assert sectional_curvatures(R, g, [x], [y])[0] == pytest.approx(k, rel=1e-12, abs=1e-12)
     # a degenerate pair among good ones raises the one-plane error for that pair
     bad = ys.copy()
     bad[3] = xs[3]
     with pytest.raises(DegenerateSubspaceError) as batched:
         sectional_curvatures(R, g, xs, bad)
     with pytest.raises(DegenerateSubspaceError) as single:
-        sectional_curvature(R, g, xs[3], xs[3])
+        sectional_curvatures(R, g, xs[3:4], xs[3:4])
     assert str(batched.value) == str(single.value)
 
 
@@ -111,14 +110,14 @@ def test_sectional_curvature_plane_basis_invariance():
     R = random_algebraic_curvature(g, seed=3)
     rng = np.random.default_rng(4)
     x, y = np.eye(4)[1], np.eye(4)[2]
-    k0 = sectional_curvature(R, g, x, y)
+    k0 = sectional_curvatures(R, g, [x], [y])[0]
     for _ in range(10):
         A = rng.standard_normal((2, 2))
         if abs(np.linalg.det(A)) < 0.1:
             continue
         x2 = A[0, 0] * x + A[0, 1] * y
         y2 = A[1, 0] * x + A[1, 1] * y
-        assert sectional_curvature(R, g, x2, y2) == pytest.approx(k0, rel=1e-8)
+        assert sectional_curvatures(R, g, [x2], [y2])[0] == pytest.approx(k0, rel=1e-8)
 
 
 def test_symmetrization_idempotent_and_fixes_valid_tensors():
@@ -179,7 +178,7 @@ def test_phi_sectional_curvature_of_family():
     a, b = 1.0, 1.0
     R = phi_model_family(S, a, b)
     for x in sample_phi_celestial(S, 20, seed=3):
-        k = sectional_curvature(R, S.g, x, S.phi @ x)
+        k = sectional_curvatures(R, S.g, [x], [S.phi @ x])[0]
         assert k == pytest.approx(a + 3 * b, abs=1e-9)
 
 

@@ -11,14 +11,10 @@ from helpers import conjugated_structure
 from phinull.gff import (
     GffStructure,
     canonical_structure,
-    fundamental_two_form,
-    phi_image_frame,
     psi,
     psi_inverse,
     sample_celestial,
-    sample_null_congruence,
     sample_phi_celestial,
-    sample_phi_null_congruence,
     validate_gff,
 )
 from phinull.linalg import (
@@ -31,7 +27,7 @@ from phinull.linalg import (
     matrix_rank,
 )
 
-SAMPLERS = (sample_phi_celestial, sample_celestial, sample_null_congruence, sample_phi_null_congruence)
+SAMPLERS = (sample_phi_celestial, sample_celestial)
 
 
 def test_canonical_small_structure():
@@ -89,24 +85,6 @@ def test_structure_invariants_on_generic_coordinates():
     assert np.abs(S.xi @ S.g.components @ S.phi).max() < 1e-10
 
 
-def test_two_form_canonical_value():
-    S = canonical_structure(1, 1)
-    e0, e1 = np.eye(3)[0], np.eye(3)[1]
-    assert fundamental_two_form(S, e0, e1) == pytest.approx(-1.0)
-
-
-def test_two_form_skew_and_kernel():
-    S = conjugated_structure(1, 2, seed=9)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        X, Y = rng.standard_normal(S.dim), rng.standard_normal(S.dim)
-        assert fundamental_two_form(S, X, Y) == pytest.approx(-fundamental_two_form(S, Y, X), abs=1e-12)
-        assert fundamental_two_form(S, X, X) == pytest.approx(0.0, abs=1e-12)
-    for a in range(S.s):
-        Y = rng.standard_normal(S.dim)
-        assert fundamental_two_form(S, Y, S.xi[a]) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_phi_celestial_sampler_canonical_plane():
     S = canonical_structure(1, 1)
     pts = sample_phi_celestial(S, 32, seed=0)
@@ -132,10 +110,10 @@ def test_phi_celestial_points_are_spacelike_and_deterministic():
 def test_other_sampler_kinds_satisfy_their_constraints():
     S = conjugated_structure(1, 2, seed=11)
     z = S.timelike_frame_vector
-    for u in sample_null_congruence(S, 8, seed=2):
+    for u in z + sample_celestial(S, 8, seed=2):
         assert abs(inner(S.g, u, u)) < 1e-12
         assert inner(S.g, u, z) == pytest.approx(-1.0, abs=1e-12)
-    for u in sample_phi_null_congruence(S, 8, seed=2):
+    for u in z + sample_phi_celestial(S, 8, seed=2):
         assert abs(inner(S.g, u, u)) < 1e-12
         assert np.abs(S.eta @ (u - z)).max() < 1e-12
     for x in sample_celestial(S, 8, seed=2):
@@ -144,7 +122,7 @@ def test_other_sampler_kinds_satisfy_their_constraints():
 
 def test_phi_image_frame_is_orthonormal():
     S = conjugated_structure(2, 3, seed=21)
-    frame = phi_image_frame(S)
+    frame = S.image_frame
     assert frame.dim == 2 * S.n
     assert np.allclose(frame.gram, np.eye(frame.dim), atol=1e-12)
 
@@ -177,7 +155,7 @@ def test_psi_rejects_wrong_normalization():
 def test_phi_null_restriction_of_psi():
     # u in the phi-null congruence iff psi(u) in the phi-celestial sphere
     S = conjugated_structure(1, 3, seed=15)
-    for u in sample_phi_null_congruence(S, 10, seed=4):
+    for u in S.timelike_frame_vector + sample_phi_celestial(S, 10, seed=4):
         x = psi(S, u)
         assert np.abs(S.eta @ x).max() < 1e-12
 
@@ -236,8 +214,6 @@ def test_a_structure_off_by_1e_6_is_rejected_by_validation_and_by_the_samplers(n
         eta[0, i] = delta
         T = dataclasses.replace(S, eta=eta)
     assert not validate_gff(T).passed
-    for sampler in (sample_phi_celestial, sample_phi_null_congruence):
-        with pytest.raises(GeometryError, match="violates S_phi constraints"):
-            sampler(T, 64, 0)
-    for sampler in (sample_celestial, sample_null_congruence):
-        sampler(T, 64, 0)
+    with pytest.raises(GeometryError, match="violates S_phi constraints"):
+        sample_phi_celestial(T, 64, 0)
+    sample_celestial(T, 64, 0)

@@ -234,6 +234,15 @@ def test_cli_malformed_json_is_io_error(tmp_path, capsys):
     path.write_text("{not json")
     assert run(["validate", str(path)]) == 3
     assert run(["validate", str(tmp_path / "missing.json")]) == 3
+    # what the parser itself raises: RecursionError (exit 1, a traceback), and a UnicodeDecodeError
+    # or the int-digit ValueError (exit 2, as a validation error)
+    for content in (b"[" * 1100 + b"]" * 1100, b'{"structure": "\xff"}', b'{"n": ' + b"7" * 5000 + b"}"):
+        path.write_bytes(content)
+        capsys.readouterr()
+        for argv in (["validate"], ["check", "--condition", "osserman"], ["verify-theorem"]):
+            assert run([argv[0], str(path), *argv[1:]]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("parse error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -362,14 +371,24 @@ _json_values = st.recursive(
 _fields = [("structure", key) for key in ("dim", "n", "s", "metric", "phi", "xi", "eta", "epsilon")]
 _fields += [("curvature", key) for key in ("dim", "components", "entries")]
 _fields += [("metadata", key) for key in ("name", "seed", "family", "parameters")]
+# one nonzero element of each array, each key of one sparse entry, and the family parameter
+_fields += [("structure", "metric", 7), ("structure", "phi", 9), ("structure", "epsilon", 0)]
+_fields += [("structure", "xi", 0, 4), ("structure", "eta", 0, 4), ("curvature", "components", 37)]
+_fields += [("curvature", "entries", 0, key) for key in ("i", "j", "k", "l", "value")]
+_fields += [("metadata", "parameters", "c")]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_fields), _json_values)
 def test_cli_never_raises_on_any_field_value(field, value):
-    block, key = field
-    data = instance_to_dict(generate_instance("constant", 2, 2))
-    data[block][key] = value
+    *parents, key = field
+    data = json.loads(dump_json(instance_to_dict(generate_instance("constant", 2, 2))))
+    if "entries" in parents:  # R(e_0, e_1, e_0, e_1) = 1, the rest by symmetry
+        data["curvature"] = {"dim": 6, "entries": [{"i": 0, "j": 1, "k": 0, "l": 1, "value": 1.0}]}
+    target = data
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "fuzz.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -329,6 +329,8 @@ def _oracle_spectrum(R, G, base, kind):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 40), st.sampled_from(["timelike", "spacelike", "null"]),
        st.floats(-BOOST_WINDOW, BOOST_WINDOW), st.integers(0, 2**16), st.booleans())
+@example(0, "spacelike", 5e-324, 0, False)
+@example(0, "timelike", 5e-324, 0, False)
 def test_reflected_domains_are_orthonormal_complements_with_oracle_spectra(conjugation, kind, t, seed, axis):
     S, base = _reflection_case(conjugation, kind, t, seed, axis)
     G = S.g.components
@@ -337,9 +339,11 @@ def test_reflected_domains_are_orthonormal_complements_with_oracle_spectra(conju
     corank = 2 if kind == "null" else 1
     assert D.shape == (S.dim - corank, S.dim)
     # g-orthonormal with the expected signs, and g-orthogonal to the base, at round-off of their scale
-    scale = np.abs(D) @ np.abs(G) @ np.abs(D).T
+    # (a subnormal scale, as at t = 5e-324, would make the bound underflow to 0)
+    scale = np.maximum(np.abs(D) @ np.abs(G) @ np.abs(D).T, np.finfo(float).tiny)
     assert (np.abs(D @ G @ D.T - np.diag(signs)) <= 1e-14 * S.dim * scale).all()
-    assert (np.abs(D @ G @ base) <= 1e-14 * S.dim * (np.abs(D) @ np.abs(G) @ np.abs(base))).all()
+    scale = np.maximum(np.abs(D) @ np.abs(G) @ np.abs(base), np.finfo(float).tiny)
+    assert (np.abs(D @ G @ base) <= 1e-14 * S.dim * scale).all()
     expected = {"timelike": [1.0] * (S.dim - 1), "spacelike": [-1.0] + [1.0] * (S.dim - 2),
                 "null": [1.0] * (S.dim - 2)}[kind]
     assert sorted(signs) == expected

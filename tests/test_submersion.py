@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import bf_form_matrix, conjugated_structure, horizontal_draw
 from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
-from phinull.gff import canonical_structure, phi_image_frame, sample_phi_celestial, validate_gff
+from phinull.gff import canonical_structure, sample_phi_celestial
 from phinull.cli import run
 from phinull.io import dump_json, generate_instance, save_instance
 from phinull.jacobi import (
@@ -33,7 +33,6 @@ from phinull.submersion import (
     base_null_osserman_check,
     base_null_stack,
     base_osserman_check,
-    base_structure,
     make_fibration,
     oneill_A,
     r_star,
@@ -222,7 +221,7 @@ def test_r_star_requires_unit_horizontal_base():
 
 def _v_draw(S, x, rng):
     """Random vector in x-perp within Im(phi)."""
-    frame = phi_image_frame(S)
+    frame = S.image_frame
     weights = frame.vectors @ S.g.components @ x
     combos = nullspace(weights[None, :])
     coeffs = rng.standard_normal(combos.shape[0])
@@ -446,7 +445,8 @@ def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, a
         return wrapper
 
     monkeypatch.setattr(gff, "sample_unit_sphere", counted("sphere", gff.sample_unit_sphere))
-    monkeypatch.setattr(gff, "phi_image_frame", counted("frame", gff.phi_image_frame))
+    frame = gff.GffStructure.image_frame  # the cached property; its func builds the frame
+    monkeypatch.setattr(frame, "func", counted("frame", frame.func))
     slot4 = counted("slot4", jacobi_module.slot4_contraction)
     for module in (jacobi_module, submersion_module):  # every module that looks it up
         monkeypatch.setattr(module, "slot4_contraction", slot4)
@@ -544,51 +544,6 @@ def test_remark_vertical_norm_equals_sign_sum():
     report = remark_sectional_conditions(R, S, RemarkKind.LORENTZ_SASAKI_BASE, samples=4, seed=0)
     for sample in report.samples:
         assert sample.a_norm_sq == pytest.approx(S.s - 1, abs=1e-10)
-
-
-# -- base structures ----------------------------------------------------------
-
-def test_base_structure_complex_type():
-    S = conjugated_structure(2, 3, seed=91)
-    F = make_fibration(S, FibrationKind.PI_FULL)
-    base = base_structure(F)
-    J = base.complex_structure
-    assert np.abs(J @ J + np.eye(4)).max() < 1e-10
-    assert base.contact is None
-
-
-def test_base_structure_contact_type():
-    S = conjugated_structure(2, 3, seed=92)
-    F = make_fibration(S, FibrationKind.TAU)
-    base = base_structure(F)
-    assert base.contact is not None
-    assert (base.contact.n, base.contact.s, base.contact.dim) == (2, 1, 5)
-    assert validate_gff(base.contact).passed
-
-
-def test_base_structure_s1_specialization():
-    S = conjugated_structure(2, 1, seed=94)
-    F = make_fibration(S, FibrationKind.PI_PRIME)
-    base = base_structure(F)
-    assert np.abs(base.complex_structure @ base.complex_structure + np.eye(4)).max() < 1e-10
-
-
-def test_base_structure_corrupted_phi_surfaces():
-    S = canonical_structure(2, 3)
-    F = make_fibration(S, FibrationKind.PI_FULL)
-    phi_bad = S.phi.copy()
-    phi_bad[0, 1] += 0.05
-    S_bad = dataclasses.replace(S, phi=phi_bad)
-    F_bad = dataclasses.replace(F, structure=S_bad)
-    with pytest.raises(GeometryError):
-        base_structure(F_bad)
-
-
-def test_base_structure_unsupported_kind():
-    S = canonical_structure(1, 3)
-    F = make_fibration(S, FibrationKind.REMARK_SASAKI)
-    with pytest.raises(ValueError):
-        base_structure(F)
 
 
 def test_full_desk_scale_instance():
