@@ -6,9 +6,9 @@ emits the machine report instead (to stdout) or alongside (to a file).
 Reports contain no timestamps or absolute paths, so identical commands with
 identical seeds produce byte-identical JSON.
 
-Exit codes: 0 success/pass, 1 condition failed, 2 validation error,
-3 I/O or parse error, 4 internal-consistency sentinel (engine bug or
-tampered shift coefficient -- never a property of the instance).
+Exit codes: 0 success/pass, 1 condition failed, 2 validation error or an
+allocation too large, 3 I/O or parse error, 4 internal-consistency sentinel
+(engine bug or tampered shift coefficient -- never a property of the instance).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .submersion import (
 )
 # io loads after jacobi and submersion: io first made perfbench's theorem calls ~5% slower
 from .io import (
+    FAMILY_PARAMETERS,
     InstanceParseError,
     InstanceValidationError,
     dump_json,
@@ -79,6 +80,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_CONSTANCY_TOL,
                         help="spectral constancy tolerance (default 1e-8)")
+
+
+def _add_grouping_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grouping-tol", type=_tolerance, default=DEFAULT_GROUPING_TOL,
                         help="eigenvalue multiplicity grouping tolerance (default 1e-6)")
 
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("generate", help="write a canonical instance file")
-    p.add_argument("--family", required=True, choices=["constant", "phi_model", "random"])
+    p.add_argument("--family", required=True, choices=list(FAMILY_PARAMETERS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
@@ -285,12 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--causal-kind", default="spacelike", choices=["spacelike", "timelike"],
                    help="unit-vector kind for the plain Osserman check")
     _add_common_flags(p)
+    _add_grouping_flag(p)
     _add_json_flag(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify-theorem", help="three-way equivalence report")
     p.add_argument("path")
     _add_common_flags(p)
+    _add_grouping_flag(p)
     _add_json_flag(p)
     p.add_argument("--tamper-sigma", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_theorem)
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Jacobi spectrum at a given base vector")
     p.add_argument("path")
     p.add_argument("--vector", required=True, help="comma-separated coordinates")
-    p.add_argument("--grouping-tol", type=_tolerance, default=DEFAULT_GROUPING_TOL)
+    _add_grouping_flag(p)
     _add_json_flag(p)
     p.set_defaults(func=cmd_spectrum)
     return parser
@@ -322,7 +328,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except (InstanceValidationError, GeometryError, ValueError) as exc:
+    except (InstanceValidationError, GeometryError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
 

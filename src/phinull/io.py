@@ -52,12 +52,9 @@ from .gff import GffStructure, canonical_structure, validate_gff
 from .linalg import GeometryError, ScalarProduct
 from .reports import ValidationReport
 
-FAMILIES = (
-    "canonical+constant",
-    "canonical+phi_model",
-    "canonical+random",
-    "external",
-)
+# the stock families of ``generate_instance``, with their parameters
+FAMILY_PARAMETERS = {"constant": ("c",), "phi_model": ("a", "b"), "random": ("scale",)}
+FAMILIES = (*(f"canonical+{family}" for family in FAMILY_PARAMETERS), "external")
 
 
 class InstanceParseError(ValueError):
@@ -425,9 +422,6 @@ def save_instance(path: str | Path, inst: InstanceFile) -> None:
     Path(path).write_text(dump_json(instance_to_dict(inst)), encoding="utf-8")
 
 
-_FAMILY_PARAMETERS = {"constant": ("c",), "phi_model": ("a", "b"), "random": ("scale",)}
-
-
 def generate_instance(
     family: str,
     n: int,
@@ -444,9 +438,9 @@ def generate_instance(
     So is a tensor that fails ``validate_curvature``, as the random family's
     round-off does at large ``scale``. Deterministic per seed.
     """
-    if family not in _FAMILY_PARAMETERS:
-        raise ValueError(f"unknown family '{family}'; expected constant, phi_model or random")
-    keys = _FAMILY_PARAMETERS[family]
+    if family not in FAMILY_PARAMETERS:
+        raise ValueError(f"unknown family '{family}'; expected one of {', '.join(FAMILY_PARAMETERS)}")
+    keys = FAMILY_PARAMETERS[family]
     given = parameters or {}
     unknown = [key for key in given if key not in keys]
     if unknown:

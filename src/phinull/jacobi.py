@@ -461,7 +461,6 @@ class DecisionReport:
 
     condition: str
     passed: bool
-    samples: int
     seed: int
     tol: float
     grouping_tol: float
@@ -474,7 +473,7 @@ class DecisionReport:
         return {
             "condition": self.condition,
             "passed": self.passed,
-            "samples": self.samples,
+            "samples": len(self.records),
             "seeds": {"sampling": self.seed},
             "tolerances": {"constancy": self.tol, "grouping": self.grouping_tol},
             "per_sample_spectra": [r.to_dict() for r in self.records],
@@ -493,36 +492,26 @@ def decide_constancy(
     notes: dict | None = None,
 ) -> DecisionReport:
     """Pass iff all sampled spectra exist, share one group pattern, and agree within tol: every
-    group's spread is below tol (a NaN spread or tol fails)."""
-    report = DecisionReport(
-        condition=condition,
-        passed=False,
-        samples=len(records),
-        seed=seed,
-        tol=tol,
-        grouping_tol=grouping_tol,
-        records=records,
-        notes=notes or {},
-    )
-    for i, rec in enumerate(records):
-        if rec.error is not None:
-            report.failure = f"sample {i}: {rec.error}"
-            return report
-    reference = records[0].spectrum
-    for i, rec in enumerate(records[1:], start=1):
-        if rec.spectrum.multiplicities != reference.multiplicities:
-            report.failure = (
-                f"multiplicity pattern differs at sample {i}: "
-                f"{rec.spectrum.multiplicities} vs {reference.multiplicities}"
-            )
-            return report
-    for gi, (value, multiplicity) in enumerate(zip(reference.eigenvalues, reference.multiplicities)):
-        values = [rec.spectrum.eigenvalues[gi] for rec in records]
-        lo, hi = float(np.min(values)), float(np.max(values))  # a NaN value makes a NaN spread
-        report.groups.append(
-            {"eigenvalue": value, "multiplicity": multiplicity, "min": lo, "max": hi, "spread": hi - lo}
+    group's spread, max - min of its means over the samples, is below tol (a NaN spread or tol fails)."""
+    report = DecisionReport(condition, False, seed, tol, grouping_tol, records, notes=notes or {})
+    bad = next((i for i, rec in enumerate(records) if rec.error is not None), None)
+    if bad is not None:
+        report.failure = f"sample {bad}: {records[bad].error}"
+        return report
+    pattern = records[0].spectrum.multiplicities
+    bad = next((i for i, rec in enumerate(records) if rec.spectrum.multiplicities != pattern), None)
+    if bad is not None:
+        report.failure = (
+            f"multiplicity pattern differs at sample {bad}: {records[bad].spectrum.multiplicities} vs {pattern}"
         )
-    spreads = np.array([grp["spread"] for grp in report.groups])
+        return report
+    means = np.array([rec.spectrum.eigenvalues for rec in records])  # (samples, groups)
+    lo, hi = means.min(axis=0), means.max(axis=0)  # a NaN mean makes a NaN spread
+    spreads = hi - lo
+    report.groups = [
+        {"eigenvalue": value, "multiplicity": multiplicity, "min": a, "max": b, "spread": b - a}
+        for value, multiplicity, a, b in zip(means[0].tolist(), pattern, lo.tolist(), hi.tolist())
+    ]
     gi = int(np.argmax(spreads))  # the first widest group, or the first NaN spread
     if not spreads[gi] < tol:
         report.failure = f"group {gi} eigenvalue spread {spreads[gi]:.3e} >= tol {tol:.1e}"

@@ -433,11 +433,6 @@ class TheoremReport:
     agreement_scope: str | None
     agreement_holds: bool | None
     s: int
-    samples: int
-    seed: int
-    tol: float
-    grouping_tol: float
-    sigma: dict
 
     @property
     def verdicts(self) -> dict:
@@ -461,10 +456,10 @@ class TheoremReport:
                 "hypothesis": self.hypothesis_residual,
                 "shift_identity": self.sigma_identity_residual,
             },
-            "seeds": {"sampling": self.seed},
+            "seeds": {"sampling": self.base.seed},
             "tolerances": {
-                "constancy": self.tol,
-                "grouping": self.grouping_tol,
+                "constancy": self.base.tol,
+                "grouping": self.base.grouping_tol,
                 "identity": IDENTITY_ATOL,
             },
             "agreement": {
@@ -472,8 +467,8 @@ class TheoremReport:
                 "scope": self.agreement_scope,
                 "holds": self.agreement_holds,
             },
-            "sigma": self.sigma,
-            "samples": self.samples,
+            "sigma": {"pi_full": self.base.notes["sigma"], "tau": self.base_null.notes["sigma"]},
+            "samples": len(self.base.records),
             "s": self.s,
             "internal_consistency": "ok" if self.internal_consistency_ok else "failed",
         }
@@ -561,42 +556,42 @@ def theorem_equivalence_report(
         agreement_scope=scope,
         agreement_holds=holds,
         s=S.s,
-        samples=samples,
-        seed=seed,
-        tol=tol,
-        grouping_tol=grouping_tol,
-        sigma={"pi_full": F_pi.sigma, "tau": F_tau.sigma},
     )
 
 
 @dataclass
-class RemarkSample:
-    base: list
-    phi_sectional: float
-    base_sectional: float
-    a_norm_sq: float
-    identity_residual: float
-    necessary_ok: bool
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "base": list(self.base)}
-
-
-@dataclass
 class RemarkReport:
-    """Sectional-curvature transfer identity and the necessary-condition flags."""
+    """Sectional-curvature transfer identity and the necessary-condition flags, one array entry
+    per sampled base."""
 
     kind: RemarkKind
     fibration_kind: FibrationKind
     target: float
-    samples: list[RemarkSample]
-    identity_residual_max: float
-    identity_passed: bool
-    necessary_all: bool
+    bases: np.ndarray
+    phi_sectional: np.ndarray
+    base_sectional: np.ndarray
+    a_norm_sq: np.ndarray
+    identity_residual: np.ndarray
+    necessary_ok: np.ndarray
     seed: int
     tol: float
 
+    @property
+    def identity_residual_max(self) -> float:
+        return float(self.identity_residual.max())  # a NaN residual makes a NaN maximum
+
+    @property
+    def identity_passed(self) -> bool:
+        return self.identity_residual_max < IDENTITY_ATOL
+
+    @property
+    def necessary_all(self) -> bool:
+        return bool(self.necessary_ok.all())
+
     def to_dict(self) -> dict:
+        columns = {"base": self.bases, "phi_sectional": self.phi_sectional,
+                   "base_sectional": self.base_sectional, "a_norm_sq": self.a_norm_sq,
+                   "identity_residual": self.identity_residual, "necessary_ok": self.necessary_ok}
         return {
             "kind": self.kind.value,
             "fibration": self.fibration_kind.value,
@@ -606,7 +601,7 @@ class RemarkReport:
             "necessary_condition_all": self.necessary_all,
             "tolerances": {"identity": IDENTITY_ATOL, "necessary": self.tol},
             "seeds": {"sampling": self.seed},
-            "per_sample": [s.to_dict() for s in self.samples],
+            "per_sample": [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))],
         }
 
 
@@ -645,27 +640,16 @@ def remark_sectional_conditions(
     C = jacobi_covectors(slot4_contraction(R, xs), xs, phix[:, None, :])
     k_base = transfer_forms(g, F, xs, phix[:, None, :], C)[:, 0, 0] / delta
     a_sq = inner(g, F.vertical_sum, F.vertical_sum) * _a_coefficients(F, xs, phix[:, None, :])[0][:, 0] ** 2
-    out = [
-        RemarkSample(
-            base=x.tolist(),
-            phi_sectional=float(kt),
-            base_sectional=float(kb),
-            a_norm_sq=float(asq),
-            identity_residual=float(abs(kt - (kb - 3.0 * asq))),
-            necessary_ok=bool(abs(kt - target) < tol),
-        )
-        for x, kt, kb, asq in zip(xs, k_total, k_base, a_sq)
-    ]
-    worst = max(s.identity_residual for s in out)
     return RemarkReport(
         kind=kind,
         fibration_kind=F.kind,
         target=target,
-        samples=out,
-        identity_residual_max=worst,
-        identity_passed=worst < IDENTITY_ATOL,
-        necessary_all=all(s.necessary_ok for s in out),
+        bases=xs,
+        phi_sectional=k_total,
+        base_sectional=k_base,
+        a_norm_sq=a_sq,
+        identity_residual=np.abs(k_total - (k_base - 3.0 * a_sq)),
+        necessary_ok=np.abs(k_total - target) < tol,
         seed=seed,
         tol=tol,
     )
-

@@ -540,6 +540,31 @@ def test_cli_tolerances_must_be_positive_finite(phi_model_file, capsys, flag, va
         assert f"argument {flag}: must be a positive finite number, got {value!r}" in err
 
 
+def test_cli_remarks_takes_no_grouping_tol(tmp_path, capsys):
+    # remarks groups no eigenvalues: it accepted the flag and ignored it
+    path = tmp_path / "constant.json"
+    save_instance(path, generate_instance("constant", 2, 2))
+    with pytest.raises(SystemExit) as exc:
+        run(["remarks", str(path), "--kind", "sasaki_base", "--grouping-tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grouping-tol 1e-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--condition", "osserman"],
+    ["check", "--condition", "null-osserman"],
+    ["check", "--condition", "phi-null-osserman"],
+    ["remarks", "--kind", "sasaki_base"],
+    ["verify-theorem"],
+])
+def test_cli_an_allocation_too_large_is_a_validation_error(phi_model_file, capsys, argv):
+    # 10**15 samples ask for petabytes, past any address space, so numpy refuses them before
+    # any memory is touched; the MemoryError was a traceback with exit 1, "condition failed"
+    assert run([argv[0], phi_model_file, *argv[1:], "--samples", str(10**15)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: Unable to allocate ") and err.count("\n") == 1
+
+
 def test_cli_generate_bad_param(tmp_path):
     assert run(["generate", "--family", "constant", "--n", "1", "--s", "1",
                 "--param", "c", "--out", str(tmp_path / "x.json")]) == 2

@@ -539,11 +539,11 @@ def test_remark_vertical_norm_equals_sign_sum():
     S = canonical_structure(1, 4)
     R = constant_curvature(S.g, 1.0)
     report = remark_sectional_conditions(R, S, RemarkKind.SASAKI_BASE, samples=4, seed=0)
-    for sample in report.samples:
-        assert sample.a_norm_sq == pytest.approx(S.s - 3, abs=1e-10)
+    for a_norm_sq in report.a_norm_sq:
+        assert a_norm_sq == pytest.approx(S.s - 3, abs=1e-10)
     report = remark_sectional_conditions(R, S, RemarkKind.LORENTZ_SASAKI_BASE, samples=4, seed=0)
-    for sample in report.samples:
-        assert sample.a_norm_sq == pytest.approx(S.s - 1, abs=1e-10)
+    for a_norm_sq in report.a_norm_sq:
+        assert a_norm_sq == pytest.approx(S.s - 1, abs=1e-10)
 
 
 def test_full_desk_scale_instance():
