@@ -12,7 +12,7 @@ Three operator constructions live here:
 Every operator, these and the transfer operators of ``submersion``, takes
 one path over all samples at once: bases -> domain rows D, g-orthonormal by one
 reflection per sample (``reflected_domains``) -> a curvature form -> its
-symmetrization F (``operator_stack``) -> ``OperatorStack.records``, whose spectra
+symmetrization F -> ``OperatorStack.records``, whose spectra
 are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one of
 signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
 the grouped eigenvalues of all samples agree within a tolerance. The Jacobi forms are
@@ -20,9 +20,11 @@ the grouped eigenvalues of all samples agree within a tolerance. The Jacobi form
 d in slot 3 and x in slot 2: forming ``K_x = R(., x, ., x)`` first loses more
 to cancellation on large-norm timelike x. The slot-4 contraction
 (``slot4_contraction``) is made once per stack of bases and every form on
-those bases is built from it (``jacobi_covectors``). Every operator-stack builder
-takes it as its first argument, so a decider that shares its bases with
-another, as the theorem report's do, contracts them once.
+those bases is built from it (``jacobi_covectors``). ``operator_stack`` is the one
+assembly from a contraction to operators (C, the form ``D C`` or one built from C,
+then F); each operator-stack builder is its per-base checks and one call to it, and
+takes the contraction first, so a decider that shares its bases with another, as
+the theorem report's do, contracts them once.
 Each contraction is a stack of BLAS products, one per sample. Under OpenBLAS
 (0.3.31, 2 cores) these per-sample products ran on one thread at every
 dimension measured, 11 to 24; one product over the whole stack goes threaded
@@ -191,20 +193,18 @@ def reflected_domains(g: ScalarProduct, frame: tuple, xs, null: bool = False) ->
     return D[keep].reshape(shape + (E.shape[1],)), np.broadcast_to(eta, a.shape)[keep].reshape(shape)
 
 
-def operator_stack(bases, errors: list, g: ScalarProduct, domains, forms, signs=None) -> OperatorStack:
-    """The operators of the symmetrized forms F: ``signs F`` on g-orthonormal domains, else solve(Gram, F)."""
+def operator_stack(RX, g: ScalarProduct, bases, errors: list, domains, signs=None, form=None) -> OperatorStack:
+    """The operators of the error-free bases on their domains, from RX = ``slot4_contraction`` of
+    all the bases: with ``C = jacobi_covectors`` their forms are the Jacobi forms ``D C``, or
+    ``form(bases, D, C)``; symmetrized to F, the operators are ``signs F`` on g-orthonormal
+    domains, else solve(Gram, F). Every operator stack is assembled here."""
     grams = domains @ g.components @ domains.transpose(0, 2, 1)
+    ok = _error_free(errors)
+    C = jacobi_covectors(RX[ok], bases[ok], domains)
+    forms = domains @ C if form is None else form(bases[ok], domains, C)
     forms = 0.5 * (forms + forms.transpose(0, 2, 1))
     matrices = np.linalg.solve(grams, forms) if signs is None else signs[:, :, None] * forms
     return OperatorStack(bases, errors, domains, grams, matrices, signs)
-
-
-def _jacobi_operators(RX, g: ScalarProduct, bases, errors: list, domains, signs=None) -> OperatorStack:
-    """``operator_stack`` of the Jacobi forms ``D C`` on the domains D of the error-free bases;
-    RX is the slot-4 contraction of all the bases."""
-    ok = _error_free(errors)
-    forms = domains @ jacobi_covectors(RX[ok], bases[ok], domains)
-    return operator_stack(bases, errors, g, domains, forms, signs)
 
 
 def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
@@ -221,8 +221,8 @@ def jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray) -> OperatorSt
     """Classical Jacobi operators y -> R(y, z) z of the bases z, each on z-perp, from
     RX = ``slot4_contraction(R, zs)``; a null or zero base gets an error instead of an operator."""
     errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
-    ok = _error_free(errors)
-    return _jacobi_operators(RX, g, zs, errors, *reflected_domains(g, orthonormal_frame(g), zs[ok]))
+    domains, signs = reflected_domains(g, orthonormal_frame(g), zs[_error_free(errors)])
+    return operator_stack(RX, g, zs, errors, domains, signs)
 
 
 def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None = None) -> JacobiOperator:
@@ -239,7 +239,7 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None
         return jacobi_stack(RX, g, zs).operator()
     _check_pairing(g, domain.vectors, zs[0], "the domain must lie in z-perp")
     errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
-    return _jacobi_operators(RX, g, zs, errors, domain.vectors[None][_error_free(errors)]).operator()
+    return operator_stack(RX, g, zs, errors, domain.vectors[None][_error_free(errors)]).operator()
 
 
 def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray, np.ndarray]:
@@ -295,7 +295,7 @@ def null_jacobi_stack(RU: np.ndarray, g: ScalarProduct, us: np.ndarray) -> Opera
     """Null Jacobi operators x -> proj(R(x, u) u) of the bases u, each on the quotient of u-perp,
     from RU = ``slot4_contraction(R, us)``; a base that is not null, or whose restricted Gram has
     a kernel other than span(u), gets an error instead of an operator."""
-    return _jacobi_operators(RU, g, us, *_null_quotients(g, us))
+    return operator_stack(RU, g, us, *_null_quotients(g, us))
 
 
 def null_jacobi(
@@ -316,8 +316,7 @@ def null_jacobi(
     ):
         raise ValueError("u differs from the quotient's null vector")
     us = quotient.u[None]
-    RU = slot4_contraction(R, us)
-    return _jacobi_operators(RU, g, us, [None], quotient.rep_basis.vectors[None]).operator()
+    return operator_stack(slot4_contraction(R, us), g, us, [None], quotient.rep_basis.vectors[None]).operator()
 
 
 def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:

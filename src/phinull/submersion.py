@@ -36,12 +36,13 @@ fundamental equations of a submersion", Michigan Math. J. 13, 1966), read off
 the ambient contraction, so Rstar is never built as a tensor (each Rstar would
 need its own slot-4 contraction). ``transfer_forms`` builds it for a whole
 stack of samples at once, its first term as ``D C`` from
-``jacobi.jacobi_covectors``; the base operators (``r_star_stack``,
+``jacobi.jacobi_covectors``. The base operator builders (``r_star_stack``,
 ``base_null_stack``, which take the slot-4 contraction of their bases like the
-builders of ``jacobi``) become operators through ``jacobi.operator_stack`` like
-every other operator, and the shift-identity sentinel and the remark identity
-are read off the same form. ``oneill_A`` and ``r_star_form`` stay as the
-per-vector definitions it is tested against.
+builders of ``jacobi``) check their bases and pass ``transfer_forms``, bound to
+their fibration, to ``jacobi.operator_stack``, the one assembly of every
+operator; the shift-identity sentinel and the remark identity are read off the
+same form. ``oneill_A`` and ``r_star_form`` stay as the per-vector definitions
+it is tested against.
 
 A theorem report samples one phi-celestial sphere and contracts curvature
 with two stacks of bases only: the sphere and the null bases xi_1 + x. Each
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -272,10 +274,8 @@ def r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.nda
     for n, q in enumerate(np.einsum("nm,mk,nk->n", xs, g.components, xs)):
         if errors[n] is None and abs(q - 1.0) > UNIT_ATOL:
             errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
-    ok = _error_free(errors)
-    domains, signs = reflected_domains(g, F.frame, xs[ok])
-    C = jacobi_covectors(RX[ok], xs[ok], domains)
-    return operator_stack(xs, errors, g, domains, transfer_forms(g, F, xs[ok], domains, C), signs)
+    domains, signs = reflected_domains(g, F.frame, xs[_error_free(errors)])
+    return operator_stack(RX, g, xs, errors, domains, signs, partial(transfer_forms, g, F))
 
 
 def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> JacobiOperator:
@@ -370,10 +370,8 @@ def base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.
     errors = _horizontal_errors(F, us, "first argument of A")
     for n in np.flatnonzero(~_null_in_frame(g, F.frame, us)):
         errors[n] = GeometryError("base null quotient: restricted Gram kernel is not one-dimensional")
-    ok = _error_free(errors)
-    reps, signs = reflected_domains(g, F.frame, us[ok], null=True)
-    C = jacobi_covectors(RU[ok], us[ok], reps)
-    return operator_stack(us, errors, g, reps, transfer_forms(g, F, us[ok], reps, C), signs)
+    reps, signs = reflected_domains(g, F.frame, us[_error_free(errors)], null=True)
+    return operator_stack(RU, g, us, errors, reps, signs, partial(transfer_forms, g, F))
 
 
 def base_null_osserman_check(
