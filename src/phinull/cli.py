@@ -2,7 +2,8 @@
 
 Subcommands: ``validate``, ``generate``, ``check``, ``verify-theorem``,
 ``remarks``, ``spectrum``. Human-readable text goes to stdout; ``--json``
-emits the machine report instead (to stdout) or alongside (to a file).
+emits the machine report instead (to stdout) or alongside (to a file, never
+the input file).
 Reports contain no timestamps or absolute paths, so identical commands with
 identical seeds produce byte-identical JSON.
 
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -317,10 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_json_over_input(args) -> None:
+    """A ValueError if ``--json`` names the input file, which the report would replace."""
+    target = getattr(args, "json", None)
+    try:
+        same = target not in (None, "-") and os.path.samefile(target, args.path)
+    except OSError:  # a missing target or input cannot be the other one
+        same = False
+    if same:
+        raise ValueError(f"--json {target} names the input file; the report would replace it")
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_json_over_input(args)
         return args.func(args)
     except InstanceParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

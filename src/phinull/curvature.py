@@ -76,9 +76,10 @@ def validate_curvature(R: CurvatureTensor, g: ScalarProduct) -> ValidationReport
     report = ValidationReport(subject="curvature")
 
     def _add(name: str, deviation: np.ndarray) -> None:
-        residual = float(np.abs(deviation).max())
-        idx = np.unravel_index(int(np.abs(deviation).argmax()), deviation.shape)
-        report.add(name, residual, VALIDATE_ATOL, detail=f"worst at indices {tuple(int(i) for i in idx)}")
+        size = np.abs(deviation)
+        worst = int(size.argmax())  # the first NaN if there is one, which is then also the max
+        idx = tuple(int(i) for i in np.unravel_index(worst, deviation.shape))
+        report.add(name, size.flat[worst], VALIDATE_ATOL, detail=f"worst at indices {idx}")
 
     _add("skew_first_pair", comps + comps.transpose(1, 0, 2, 3))
     _add("skew_second_pair", comps + comps.transpose(0, 1, 3, 2))

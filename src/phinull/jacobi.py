@@ -491,7 +491,10 @@ def decide_constancy(
     notes: dict | None = None,
 ) -> DecisionReport:
     """Pass iff all sampled spectra exist, share one group pattern, and agree within tol: every
-    group's spread, max - min of its means over the samples, is below tol (a NaN spread or tol fails)."""
+    group's spread, max - min of its means over the samples, is below tol (a NaN spread or tol fails).
+    Fewer than 2 samples is a ValueError: one spectrum has nothing to be constant against."""
+    if len(records) < 2:
+        raise ValueError(f"a constancy decision needs at least 2 samples, got {len(records)}")
     report = DecisionReport(condition, False, seed, tol, grouping_tol, records, notes=notes or {})
     bad = next((i for i, rec in enumerate(records) if rec.error is not None), None)
     if bad is not None:

@@ -1,5 +1,7 @@
 """Curvature builders, symmetry validation, and sectional curvature."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,38 @@ def test_random_unsymmetrized_array_fails_pair_symmetry():
     report = validate_curvature(CurvatureTensor(components=raw), g)
     names = {c.name for c in report.failing()}
     assert "pair_exchange" in names
+
+
+def _checks(report) -> list:
+    return [(c.name, repr(c.residual), c.detail) for c in report.checks]
+
+
+def test_validation_names_the_one_broken_symmetry_and_the_first_nan():
+    # a fully antisymmetric 4-tensor keeps both skew pairs and pair exchange and breaks only the
+    # cyclic Bianchi sum, to 3 times itself: every tied |deviation| is 1.5, the first one is named
+    g = ScalarProduct.minkowski(5)
+    comps = constant_curvature(g, 2.0).components.copy()
+    for p in itertools.permutations(range(4)):
+        parity = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2
+        comps[p] += -0.5 if parity else 0.5
+    assert _checks(validate_curvature(CurvatureTensor(components=comps), g)) == [
+        ("skew_first_pair", "0.0", "worst at indices (0, 0, 0, 0)"),
+        ("skew_second_pair", "0.0", "worst at indices (0, 0, 0, 0)"),
+        ("pair_exchange", "0.0", "worst at indices (0, 0, 0, 0)"),
+        ("first_bianchi", "1.5", "worst at indices (0, 1, 2, 3)"),
+        ("component_magnitude", "2.0", "largest |component|"),
+    ]
+    # a NaN outranks a larger finite deviation earlier in the array: the residual is NaN and the
+    # indices are those of the first NaN deviation
+    comps[0, 1, 0, 1] += 7.0
+    comps[2, 3, 2, 3] = np.nan
+    assert _checks(validate_curvature(CurvatureTensor(components=comps), g)) == [
+        ("skew_first_pair", "nan", "worst at indices (2, 3, 2, 3)"),
+        ("skew_second_pair", "nan", "worst at indices (2, 3, 2, 3)"),
+        ("pair_exchange", "nan", "worst at indices (2, 3, 2, 3)"),
+        ("first_bianchi", "nan", "worst at indices (2, 2, 3, 3)"),
+        ("component_magnitude", "nan", "largest |component|"),
+    ]
 
 
 def test_zero_tensor_validates():

@@ -565,6 +565,54 @@ def test_cli_an_allocation_too_large_is_a_validation_error(phi_model_file, capsy
     assert err.startswith("validation error: Unable to allocate ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--condition", "osserman"],
+    ["check", "--condition", "null-osserman"],
+    ["check", "--condition", "phi-null-osserman"],
+    ["verify-theorem"],
+])
+def test_cli_a_single_sample_is_a_validation_error(phi_model_file, capsys, argv):
+    # one sample passed a constancy decision with spread 0 that 2, 3 and 8 samples fail
+    assert run([argv[0], phi_model_file, *argv[1:], "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: a constancy decision needs at least 2 samples, got 1\n"
+
+
+JSON_COMMANDS = [
+    ["validate"],
+    ["check", "--condition", "osserman"],
+    ["verify-theorem"],
+    ["remarks", "--kind", "sasaki_base"],
+    ["spectrum", "--vector", "1,0,0,0,0,0,0"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS)
+def test_cli_json_may_not_name_the_input(phi_model_file, tmp_path, capsys, argv):
+    # the report replaced the instance, and the next command on it was a validation error
+    original = Path(phi_model_file).read_bytes()
+    link = tmp_path / "link.json"
+    link.symlink_to(phi_model_file)
+    samples = [] if argv[0] in ("validate", "spectrum") else ["--samples", "4"]
+    for target in (phi_model_file, str(link), str(Path(phi_model_file).parent / "." / "phi_model.json")):
+        assert run([argv[0], phi_model_file, *argv[1:], *samples, "--json", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"validation error: --json {target} names the input file; "
+                                "the report would replace it\n")
+        assert Path(phi_model_file).read_bytes() == original
+    code = run([argv[0], phi_model_file, *argv[1:], *samples])
+    capsys.readouterr()
+    assert run([argv[0], phi_model_file, *argv[1:], *samples, "--json", "-"]) == code
+    json.loads(capsys.readouterr().out)
+    report = tmp_path / "report.json"
+    report.write_text("stale")
+    assert run([argv[0], phi_model_file, *argv[1:], *samples, "--json", str(report)]) == code
+    json.loads(report.read_text())
+    assert Path(phi_model_file).read_bytes() == original
+
+
 def test_cli_generate_bad_param(tmp_path):
     assert run(["generate", "--family", "constant", "--n", "1", "--s", "1",
                 "--param", "c", "--out", str(tmp_path / "x.json")]) == 2

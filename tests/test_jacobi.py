@@ -810,6 +810,15 @@ def test_decide_constancy_fails_a_nan_spread_or_tol():
     assert not report.passed and report.failure == "group 0 eigenvalue spread 0.000e+00 >= tol nan"
 
 
+def test_decide_constancy_needs_two_samples():
+    # one spectrum is constant against nothing: a one-sample decision used to pass with spread 0
+    record = SampleRecord(np.zeros(3), SpectralData((1.0, 2.0), (1, 1)))
+    for records in ([], [record]):
+        with pytest.raises(ValueError, match=f"needs at least 2 samples, got {len(records)}"):
+            decide_constancy("c", records, 0, 1e-8, 1e-6)
+    assert decide_constancy("c", [record, record], 0, 1e-8, 1e-6).passed
+
+
 def test_decision_report_serializes():
     g = ScalarProduct.minkowski(4)
     report = is_osserman_at(constant_curvature(g, 1.0), g, CausalCharacter.SPACELIKE, samples=4)
