@@ -579,16 +579,13 @@ def test_cli_a_single_sample_is_a_validation_error(phi_model_file, capsys, argv)
     assert captured.err == "validation error: a constancy decision needs at least 2 samples, got 1\n"
 
 
-JSON_COMMANDS = [
+@pytest.mark.parametrize("argv", [
     ["validate"],
     ["check", "--condition", "osserman"],
     ["verify-theorem"],
     ["remarks", "--kind", "sasaki_base"],
     ["spectrum", "--vector", "1,0,0,0,0,0,0"],
-]
-
-
-@pytest.mark.parametrize("argv", JSON_COMMANDS)
+])
 def test_cli_json_may_not_name_the_input(phi_model_file, tmp_path, capsys, argv):
     # the report replaced the instance, and the next command on it was a validation error
     original = Path(phi_model_file).read_bytes()
