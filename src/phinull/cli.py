@@ -202,11 +202,9 @@ def cmd_verify_theorem(args) -> int:
         lines.append("  note: s=2 agreement violated without the eigenvector hypothesis; "
                      "recorded, not a sentinel")
     _emit(payload, "\n".join(lines), args.json)
-    if not report.internal_consistency_ok:
-        return EXIT_SENTINEL
-    if report.hypothesis_holds and report.agreement_required and not report.agreement_holds:
-        return EXIT_SENTINEL
-    return EXIT_PASS
+    # under the eigenvector hypothesis the agreement is required, and a violation is an engine defect
+    defect = not report.internal_consistency_ok or (report.hypothesis_holds and not report.agreement_holds)
+    return EXIT_SENTINEL if defect else EXIT_PASS
 
 
 def cmd_remarks(args) -> int:

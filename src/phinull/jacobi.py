@@ -103,16 +103,17 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class JacobiOperator:
-    """An operator on a subspace of base-perp, self-adjoint w.r.t. the domain Gram."""
+    """An operator on a subspace of base-perp, self-adjoint w.r.t. the domain Gram; ``signs`` are
+    those of a g-orthonormal domain, None for an explicit one."""
 
     base: np.ndarray
     domain: SubspaceBasis
     matrix: np.ndarray
-    metric_on_domain: np.ndarray
+    signs: np.ndarray | None
 
     @property
     def self_adjointness_residual(self) -> float:
-        G, M = self.metric_on_domain, self.matrix
+        G, M = self.domain.gram, self.matrix
         return float(np.abs(G @ M - M.T @ G).max())
 
 
@@ -320,23 +321,23 @@ def null_jacobi(
 
 
 def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:
-    """Grouped eigenvalues of a Jacobi operator.
+    """Grouped eigenvalues of a Jacobi operator, by the eigen step of ``OperatorStack.records``.
 
-    With a positive definite domain Gram = L L^T the generalized symmetric
-    eigenproblem (Gram * matrix) v = lambda * Gram v is solved as the symmetric
-    L^-1 (Gram * matrix) L^-T (Golub & Van Loan, 8.7), so eigenvalues are exactly
-    real. Otherwise the plain eigenvalue problem is used and non-real eigenvalues
-    beyond tolerance raise ``SpectrumError`` -- they are possible for spacelike
-    bases in indefinite signature.
+    On a g-orthonormal domain the operator is eta F for symmetric F: ``eigvalsh`` if every sign is
+    positive. Only an explicit positive definite Gram = L L^T is whitened, the generalized problem
+    (Gram * matrix) v = lambda * Gram v solved as the symmetric L^-1 (Gram * matrix) L^-T (Golub &
+    Van Loan, 8.7). Otherwise the plain eigenvalue problem is used and non-real eigenvalues beyond
+    tolerance raise ``SpectrumError`` -- possible for spacelike bases in indefinite signature.
     """
-    result = _spectra(*_whitened(op.metric_on_domain[None], op.matrix[None]), grouping_tol)[0]
+    signs = None if op.signs is None else op.signs[None]
+    result = _spectra(op.matrix[None], op.domain.gram[None], signs, grouping_tol)[0]
     if isinstance(result, SpectrumError):
         raise result
     return result
 
 
 def _whitened(grams, matrices) -> tuple[np.ndarray, np.ndarray]:
-    """``_spectra``'s input on arbitrary Grams: L^-1 (Gram matrix) L^-T where Gram = L L^T, else the matrix."""
+    """On explicit Grams: L^-1 (Gram matrix) L^-T where Gram = L L^T, else the matrix; and where."""
     evals_G = np.linalg.eigvalsh(grams)
     definite = evals_G.min(axis=1) > DEFINITE_RTOL * np.maximum(np.abs(evals_G).max(axis=1), 1.0)
     if definite.any():
@@ -348,8 +349,10 @@ def _whitened(grams, matrices) -> tuple[np.ndarray, np.ndarray]:
     return matrices, definite
 
 
-def _spectra(matrices, definite, grouping_tol: float) -> list:
-    """``spectrum`` of each operator: ``eigvalsh`` of the symmetric ones marked definite, else ``eigvals``."""
+def _spectra(matrices, grams, signs, grouping_tol: float) -> list:
+    """``spectrum`` of each operator: ``eigvalsh`` of the symmetric ones, those on domains of
+    positive ``signs`` or on whitened definite Grams (``signs`` None), else ``eigvals``."""
+    matrices, definite = _whitened(grams, matrices) if signs is None else (matrices, (signs > 0).all(axis=1))
     out: list = [None] * len(matrices)
     if definite.any():
         spectra = _grouped(np.linalg.eigvalsh(matrices[definite]), grouping_tol)
@@ -440,13 +443,12 @@ class OperatorStack:
         if self.errors[0] is not None:
             raise self.errors[0]
         domain = SubspaceBasis(vectors=self.domains[0], gram=self.grams[0])
-        return JacobiOperator(self.bases[0], domain, self.matrices[0], self.grams[0])
+        signs = None if self.signs is None else self.signs[0]
+        return JacobiOperator(self.bases[0], domain, self.matrices[0], signs)
 
     def records(self, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
         """One record per base: its spectrum, or the error that prevented it."""
-        matrices, definite = (_whitened(self.grams, self.matrices) if self.signs is None
-                              else (self.matrices, (self.signs > 0).all(axis=1)))
-        spectra = iter(_spectra(matrices, definite, grouping_tol))
+        spectra = iter(_spectra(self.matrices, self.grams, self.signs, grouping_tol))
         results = [error or next(spectra) for error in self.errors]
         return [
             SampleRecord(base, None, str(r)) if isinstance(r, GeometryError) else SampleRecord(base, r)

@@ -418,19 +418,42 @@ def _hypothesis_residuals(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> np
 
 @dataclass
 class TheoremReport:
-    """Three-way equivalence report: phi-null, base Osserman, base null Osserman."""
+    """Three-way equivalence report: phi-null, base Osserman, base null Osserman. It keeps what the
+    report measured; the flags and the agreement contract are read off those."""
 
     phi_null: PhiNullReport
     base: DecisionReport
     base_null: DecisionReport
-    hypothesis_holds: bool
     hypothesis_residual: float
     sigma_identity_residual: float
-    internal_consistency_ok: bool
-    agreement_required: bool
-    agreement_scope: str | None
-    agreement_holds: bool | None
     s: int
+
+    @property
+    def hypothesis_holds(self) -> bool:
+        """phi x is an eigenvector of R_x at every sample, within the constancy tolerance."""
+        return self.hypothesis_residual <= self.base.tol
+
+    @property
+    def internal_consistency_ok(self) -> bool:
+        return self.sigma_identity_residual < IDENTITY_ATOL
+
+    @property
+    def agreement_scope(self) -> str | None:
+        """The verdicts that must agree: all three under the eigenvector hypothesis, else at s = 2
+        the phi-null and base ones, else none."""
+        if self.hypothesis_holds:
+            return "all-three"
+        return "phi-null-vs-base" if self.s == 2 else None
+
+    @property
+    def agreement_required(self) -> bool:
+        return self.agreement_scope is not None
+
+    @property
+    def agreement_holds(self) -> bool | None:
+        """Whether the verdicts in scope agree; None when none are required to."""
+        a, b, c = self.phi_null.direct.passed, self.base.passed, self.base_null.passed
+        return {"all-three": a == b == c, "phi-null-vs-base": a == b}.get(self.agreement_scope)
 
     @property
     def verdicts(self) -> dict:
@@ -515,7 +538,6 @@ def theorem_equivalence_report(
     sphere = sample_phi_celestial(S, samples, seed)
     RX = slot4_contraction(R, sphere)
     hyp_residual = float(_hypothesis_residuals(RX, S, sphere).max())
-    hypothesis_holds = hyp_residual <= tol
     direct = _phi_null_direct(RX, g, sphere, seed, tol, grouping_tol)
     base = _base_osserman(RX, g, F_pi, sphere, seed, tol, grouping_tol)
     frame = _sentinel_frame(RX, S, sphere)
@@ -524,7 +546,6 @@ def theorem_equivalence_report(
     for F in (F_pi, F_tau):
         defects, scales = _shift_identity_defects(g, F, sphere, frame)
         sigma_residual = max(sigma_residual, float((np.abs(defects).max(axis=(1, 2)) / scales).max()))
-    consistency_ok = sigma_residual < IDENTITY_ATOL
     del frame
 
     us = S.timelike_frame_vector + sphere
@@ -533,28 +554,7 @@ def theorem_equivalence_report(
         quotient=_phi_null_quotient(RU, g, us, sphere, seed, tol, grouping_tol), direct=direct
     )
     base_null = _base_null_osserman(RU, g, F_tau, us, seed, tol, grouping_tol)
-
-    a, b, c = phi_null.direct.passed, base.passed, base_null.passed
-    if hypothesis_holds:
-        required, scope, holds = True, "all-three", (a == b == c)
-    elif S.s == 2:
-        required, scope, holds = True, "phi-null-vs-base", (a == b)
-    else:
-        required, scope, holds = False, None, None
-
-    return TheoremReport(
-        phi_null=phi_null,
-        base=base,
-        base_null=base_null,
-        hypothesis_holds=hypothesis_holds,
-        hypothesis_residual=hyp_residual,
-        sigma_identity_residual=sigma_residual,
-        internal_consistency_ok=consistency_ok,
-        agreement_required=required,
-        agreement_scope=scope,
-        agreement_holds=holds,
-        s=S.s,
-    )
+    return TheoremReport(phi_null, base, base_null, hyp_residual, sigma_residual, S.s)
 
 
 @dataclass

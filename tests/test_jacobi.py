@@ -403,14 +403,14 @@ def test_contraction_kernels_match_einsum(count):
 # -- spectra ------------------------------------------------------------------
 
 def _operator_from(matrix, gram):
+    # an explicit domain: coordinate rows carrying the given Gram, so spectrum() whitens it
     dim = matrix.shape[0] + 1
-    g = ScalarProduct.diagonal([1.0] * dim)
-    basis = SubspaceBasis.from_vectors(g, np.eye(dim)[: matrix.shape[0]])
+    basis = SubspaceBasis(np.eye(dim)[: matrix.shape[0]], np.asarray(gram, dtype=float))
     return JacobiOperator(
         base=np.eye(dim)[-1],
         domain=basis,
         matrix=np.asarray(matrix, dtype=float),
-        metric_on_domain=np.asarray(gram, dtype=float),
+        signs=None,
     )
 
 
@@ -556,8 +556,8 @@ def test_spectrum_reconstruction_residual():
     R = random_algebraic_curvature(g, seed=4)
     z = np.eye(6)[0]  # timelike: positive definite domain
     op = jacobi(R, g, z)
-    A = 0.5 * (op.metric_on_domain @ op.matrix + (op.metric_on_domain @ op.matrix).T)
-    values, vectors = scipy.linalg.eigh(A, op.metric_on_domain)
+    A = 0.5 * (op.domain.gram @ op.matrix + (op.domain.gram @ op.matrix).T)
+    values, vectors = scipy.linalg.eigh(A, op.domain.gram)
     recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
     assert np.abs(recon - op.matrix).max() < 1e-8
 
