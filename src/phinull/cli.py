@@ -76,10 +76,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A non-negative int, as numpy's generators take it: decimal digits only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                         help=f"sphere samples per decision (default {DEFAULT_SAMPLES})")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="sampling seed (default 0)")
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_CONSTANCY_TOL,
                         help="spectral constancy tolerance (default 1e-8)")
 
@@ -241,8 +248,8 @@ def cmd_spectrum(args) -> int:
         operator = f"jacobi ({kind.value} base)"
     try:
         data = spectrum(op, args.grouping_tol)
-    except SpectrumError as exc:
-        sys.stdout.write(f"{operator}: {exc}\n")
+    except SpectrumError as exc:  # under --json -, stdout holds a JSON document or nothing
+        (sys.stderr if args.json == "-" else sys.stdout).write(f"{operator}: {exc}\n")
         return EXIT_CONDITION_FAIL
     payload = {
         "operator": operator,
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="family parameter (c / a,b / scale); repeatable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

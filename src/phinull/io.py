@@ -48,7 +48,7 @@ from .curvature import (
     symmetrize_curvature,
     validate_curvature,
 )
-from .gff import GffStructure, canonical_structure, validate_gff
+from .gff import VALIDATE_ATOL, GffStructure, canonical_structure, validate_gff
 from .linalg import GeometryError, ScalarProduct
 from .reports import ValidationReport
 
@@ -124,7 +124,13 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
     n, s, dim = (_integer(data[key], f"structure.{key}") for key in ("n", "s", "dim"))
     if dim != 2 * n + s:
         raise ValueError(f"dim = {dim} does not equal 2n+s = {2 * n + s}")
-    g = ScalarProduct.from_matrix(_square(data["metric"], dim, "metric"))
+    metric = _square(data["metric"], dim, "metric")
+    asymmetry = np.abs(metric - metric.T)
+    if asymmetry.max() > VALIDATE_ATOL:  # from_matrix would average g and g^T: no check sees the rest
+        i, j = np.unravel_index(np.argmax(asymmetry), asymmetry.shape)
+        raise ValueError(f"structure.metric is not symmetric: |g[{i}][{j}] - g[{j}][{i}]| = "
+                         f"{asymmetry[i, j]:.3e} > {VALIDATE_ATOL:.0e}")
+    g = ScalarProduct.from_matrix(metric)
     phi = _square(data["phi"], dim, "phi")
     xi, eta, epsilon = (_numbers(data[key], f"structure.{key}") for key in ("xi", "eta", "epsilon"))
     if xi.shape != (s, dim) or eta.shape != (s, dim) or epsilon.shape != (s,):

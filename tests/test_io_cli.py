@@ -610,6 +610,60 @@ def test_cli_json_may_not_name_the_input(phi_model_file, tmp_path, capsys, argv)
     assert Path(phi_model_file).read_bytes() == original
 
 
+def _asymmetric_metric_file(tmp_path, tilt: float) -> str:
+    data = instance_to_dict(generate_instance("phi_model", 2, 2))
+    metric = data["structure"]["metric"]  # 6x6 flat: entries 1 and 6 are g[0][1] and g[1][0]
+    metric[1], metric[6] = metric[1] + tilt, metric[6] - tilt
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(data, default=np.ndarray.tolist))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["check", "--condition", "osserman"],
+    ["verify-theorem"],
+    ["remarks", "--kind", "sasaki_base"],
+    ["spectrum", "--vector", "1,0,0,0,0,0"],
+])
+def test_cli_an_asymmetric_metric_is_a_validation_error(tmp_path, capsys, argv):
+    # the scalar product averages g and g^T, so validate saw residuals 0 and every command ran on
+    # the average
+    path = _asymmetric_metric_file(tmp_path, 0.5)
+    assert run([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("validation error: structure.metric is not symmetric: "
+                            "|g[0][1] - g[1][0]| = 1.000e+00 > 1e-10\n")
+
+
+def test_an_asymmetry_below_the_validation_bound_still_loads(tmp_path):
+    path = _asymmetric_metric_file(tmp_path, 1e-12)
+    assert run(["validate", path]) == 0
+    g = load_instance(path).structure.g.components
+    assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "constant", "--n", "2", "--s", "2"],
+    ["generate", "--family", "random", "--n", "2", "--s", "2"],
+    ["check", "<path>", "--condition", "osserman"],
+    ["verify-theorem", "<path>"],
+    ["remarks", "<path>", "--kind", "sasaki_base"],
+])
+def test_cli_a_negative_seed_is_a_usage_error(phi_model_file, tmp_path, capsys, argv):
+    # numpy refused it with a message that names no flag, or generate wrote "seed": -3 into the file
+    out = tmp_path / "x.json"
+    argv = [phi_model_file if a == "<path>" else a for a in argv]
+    argv += ["--out", str(out)] if argv[0] == "generate" else []
+    for seed in ("-1", "-3"):
+        with pytest.raises(SystemExit) as info:
+            run([*argv, "--seed", seed])
+        assert info.value.code == 2
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_generate_bad_param(tmp_path):
     assert run(["generate", "--family", "constant", "--n", "1", "--s", "1",
                 "--param", "c", "--out", str(tmp_path / "x.json")]) == 2
@@ -701,13 +755,44 @@ def test_cli_determinism_across_processes(phi_model_file, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_json_to_stdout(phi_model_file, capsys):
+def test_cli_json_to_stdout(phi_model_file, tmp_path, capsys):
     assert run(["check", phi_model_file, "--condition", "phi-null-osserman",
                 "--samples", "4", "--json"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert payload["condition"] == "phi-null-osserman"
     assert payload["passed"] is True
+    # every subcommand with --json writes one JSON document to stdout, or nothing when it fails
+    random12 = str(tmp_path / "random12.json")
+    save_instance(random12, generate_instance("random", 5, 2))
+    commands = [
+        ["validate", phi_model_file],
+        ["check", phi_model_file, "--condition", "osserman", "--samples", "4"],
+        ["verify-theorem", phi_model_file, "--samples", "4"],
+        ["remarks", phi_model_file, "--kind", "sasaki_base", "--samples", "4"],
+        ["spectrum", phi_model_file, "--vector", "1,0,0,0,0,0,0"],
+        ["spectrum", random12, "--vector", "0,0,1,0,0,0,0,0,0,0,0,0"],  # non-real eigenvalues
+    ]
+    for argv in commands:
+        code = run([*argv, "--json", "-"])
+        captured = capsys.readouterr()
+        if code == 1 and argv[0] == "spectrum":
+            assert captured.out == ""
+            assert "non-real eigenvalues" in captured.err and captured.err.count("\n") == 1
+        else:
+            assert isinstance(json.loads(captured.out), dict), argv
+    assert code == 1  # the last spectrum fails: its line went to stderr
+
+
+def test_cli_failed_spectrum_without_json_to_stdout(tmp_path, capsys):
+    # with a report file or no --json the failed spectrum's line stays on stdout and no file is written
+    path, report = str(tmp_path / "random12.json"), tmp_path / "report.json"
+    save_instance(path, generate_instance("random", 5, 2))
+    for extra in ([], ["--json", str(report)]):
+        assert run(["spectrum", path, "--vector", "0,0,1,0,0,0,0,0,0,0,0,0", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("jacobi (spacelike base): non-real eigenvalues") and captured.err == ""
+        assert not report.exists()
 
 
 # -- canonical JSON -------------------------------------------------------------

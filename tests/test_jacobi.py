@@ -577,6 +577,36 @@ def test_spectrum_whitening_matches_scipy_on_definite_pencils():
             assert np.abs(values - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
 
 
+def _spectrum_or_error(op):
+    try:
+        return spectrum(op), None
+    except SpectrumError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("family", ["constant", "phi_model", "random"])
+@pytest.mark.parametrize("n, s", [(2, 2), (4, 3), (5, 2)])
+def test_spectrum_is_the_one_base_stacks_eigen_step(family, n, s):
+    # one operator, one spectrum: spectrum() of a base's operator and the record of its one-base
+    # stack agree bit for bit, on g-orthonormal domains of every sign pattern (no Gram whitened)
+    inst = generate_instance(family, n, s)
+    R, g = inst.curvature, inst.structure.g
+    bases = {
+        "timelike": sample_unit_causal(g, CausalCharacter.TIMELIKE, 16, seed=3),
+        "spacelike": sample_unit_causal(g, CausalCharacter.SPACELIKE, 16, seed=4),
+        "null": sample_null_vectors(g, 16, seed=5),
+    }
+    for kind, xs in bases.items():
+        one, stack = (null_jacobi, null_jacobi_stack) if kind == "null" else (jacobi, jacobi_stack)
+        for x in xs:
+            record = stack(slot4_contraction(R, x[None]), g, x[None]).records()[0]
+            data, error = _spectrum_or_error(one(R, g, x))
+            assert error == record.error, (kind, x)
+            if data is not None:
+                assert data.multiplicities == record.spectrum.multiplicities, (kind, x)
+                assert [v.hex() for v in data.eigenvalues] == [v.hex() for v in record.spectrum.eigenvalues]
+
+
 def test_import_leaves_scipy_unloaded():
     import os
     import subprocess

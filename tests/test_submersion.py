@@ -463,10 +463,15 @@ def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, a
     (["check", "--condition", "osserman", "--causal-kind", "timelike"], 1, 0),
     (["check", "--condition", "null-osserman"], 1, 0),
     (["check", "--condition", "phi-null-osserman"], 0, 0),
-], ids=["verify-theorem", "osserman", "osserman-timelike", "null-osserman", "phi-null-osserman"])
+    (["spectrum", "--vector", "0,0,0,0,1,0"], 0, 0),
+    (["spectrum", "--vector", "1,0,0,0,1,0"], 0, 0),
+    (["spectrum", "--vector", "1,0,0,0,0,0"], 0, 0),
+], ids=["verify-theorem", "osserman", "osserman-timelike", "null-osserman", "phi-null-osserman",
+        "spectrum-timelike", "spectrum-null", "spectrum-spacelike"])
 def test_stacked_paths_neither_factor_nor_solve_a_gram(tmp_path, monkeypatch, argv, code, solves):
-    # every stacked domain is built g-orthonormal: no Cholesky factor anywhere, and the only solves
-    # are against the metric, by the sentinel (R_x raised through g^-1) and the hypothesis residual
+    # every stacked domain is built g-orthonormal, the one-base operators of spectrum too: no
+    # Cholesky factor anywhere, and the only solves are against the metric, by the sentinel
+    # (R_x raised through g^-1) and the hypothesis residual
     path = str(tmp_path / "instance.json")
     inst = generate_instance("phi_model", 2, 2)
     save_instance(path, inst)
