@@ -126,7 +126,7 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
         raise ValueError(f"dim = {dim} does not equal 2n+s = {2 * n + s}")
     metric = _square(data["metric"], dim, "metric")
     asymmetry = np.abs(metric - metric.T)
-    if asymmetry.max() > VALIDATE_ATOL:  # from_matrix would average g and g^T: no check sees the rest
+    if asymmetry.max(initial=0.0) > VALIDATE_ATOL:  # from_matrix would average g and g^T: no check sees the rest
         i, j = np.unravel_index(np.argmax(asymmetry), asymmetry.shape)
         raise ValueError(f"structure.metric is not symmetric: |g[{i}][{j}] - g[{j}][{i}]| = "
                          f"{asymmetry[i, j]:.3e} > {VALIDATE_ATOL:.0e}")
