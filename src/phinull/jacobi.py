@@ -15,7 +15,9 @@ reflection per sample (``reflected_domains``) -> a curvature form -> its
 symmetrization F -> ``OperatorStack.records``, whose spectra
 are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one of
 signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
-the grouped eigenvalues of all samples agree within a tolerance. The Jacobi forms are
+the grouped eigenvalues of all samples agree within a tolerance. Records and decision
+are one step, ``_decide``, taken by every decider here and in ``submersion``: a decider
+is its draw, a contraction per stack of bases, a builder and that step. The Jacobi forms are
 ``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)``, contracted x in slot 4, then
 d in slot 3 and x in slot 2: forming ``K_x = R(., x, ., x)`` first loses more
 to cancellation on large-norm timelike x. The slot-4 contraction
@@ -561,6 +563,16 @@ def sample_null_vectors(g: ScalarProduct, count: int, seed: int) -> np.ndarray:
     return scales[:, None] * (sphere + timelike[0])
 
 
+def _decide(
+    condition: str, stack: OperatorStack, seed: int, tol: float, grouping_tol: float, notes=None, names=None
+) -> DecisionReport:
+    """The one decision step of every decider: the stack's records, each naming its base or, with
+    ``names``, the point of ``names`` in its place, judged by ``decide_constancy``."""
+    if names is not None:
+        stack = replace(stack, bases=names)
+    return decide_constancy(condition, stack.records(grouping_tol), seed, tol, grouping_tol, notes)
+
+
 def is_osserman_at(
     R: CurvatureTensor,
     g: ScalarProduct,
@@ -572,11 +584,8 @@ def is_osserman_at(
 ) -> DecisionReport:
     """Pointwise Osserman decision for one causal kind of unit vectors."""
     bases = sample_unit_causal(g, kind, samples, seed)
-    records = jacobi_stack(slot4_contraction(R, bases), g, bases).records(grouping_tol)
-    return decide_constancy(
-        f"osserman[{kind.value}]", records, seed, tol, grouping_tol,
-        notes={"causal_kind": kind.value},
-    )
+    stack = jacobi_stack(slot4_contraction(R, bases), g, bases)
+    return _decide(f"osserman[{kind.value}]", stack, seed, tol, grouping_tol, {"causal_kind": kind.value})
 
 
 def is_null_osserman_wrt(
@@ -598,11 +607,8 @@ def is_null_osserman_wrt(
         raise CausalCharacterError("null Osserman reference vector must be unit timelike")
     sphere = sample_unit_sphere(g, orthonormalize(g, orthogonal_complement(g, [zv])), samples, seed)
     us = zv + sphere
-    records = replace(null_jacobi_stack(slot4_contraction(R, us), g, us), bases=sphere).records(grouping_tol)
-    return decide_constancy(
-        "null-osserman", records, seed, tol, grouping_tol,
-        notes={"reference": [float(v) for v in zv]},
-    )
+    stack = null_jacobi_stack(slot4_contraction(R, us), g, us)
+    return _decide("null-osserman", stack, seed, tol, grouping_tol, {"reference": zv.tolist()}, sphere)
 
 
 @dataclass
@@ -645,24 +651,17 @@ def is_phi_null_osserman_wrt(
     """Phi-null Osserman decision w.r.t. the timelike frame vector of S."""
     sphere = sample_phi_celestial(S, samples, seed)
     us = S.timelike_frame_vector + sphere
+    quotient = null_jacobi_stack(slot4_contraction(R, us), S.g, us)
+    direct = jacobi_stack(slot4_contraction(R, sphere), S.g, sphere)
+    return _phi_null(quotient, direct, sphere, seed, tol, grouping_tol)
+
+
+def _phi_null(
+    quotient: OperatorStack, direct: OperatorStack, sphere, seed: int, tol: float, grouping_tol: float
+) -> PhiNullReport:
+    """Both paths' decisions: the null stack on the phi-null congruence xi_1 + sphere, whose records
+    name their sphere points, and the classical stack on the phi-celestial sphere."""
     return PhiNullReport(
-        quotient=_phi_null_quotient(slot4_contraction(R, us), S.g, us, sphere, seed, tol, grouping_tol),
-        direct=_phi_null_direct(slot4_contraction(R, sphere), S.g, sphere, seed, tol, grouping_tol),
+        quotient=_decide("phi-null-osserman[quotient]", quotient, seed, tol, grouping_tol, names=sphere),
+        direct=_decide("phi-null-osserman[direct]", direct, seed, tol, grouping_tol),
     )
-
-
-def _phi_null_quotient(
-    RU: np.ndarray, g: ScalarProduct, us, sphere, seed: int, tol: float, grouping_tol: float
-) -> DecisionReport:
-    """The quotient path on the phi-null congruence us = xi_1 + sphere, from its slot-4
-    contraction RU; each record names its sphere point."""
-    records = replace(null_jacobi_stack(RU, g, us), bases=sphere).records(grouping_tol)
-    return decide_constancy("phi-null-osserman[quotient]", records, seed, tol, grouping_tol)
-
-
-def _phi_null_direct(
-    RX: np.ndarray, g: ScalarProduct, sphere, seed: int, tol: float, grouping_tol: float
-) -> DecisionReport:
-    """The direct path on the phi-celestial sphere, from its slot-4 contraction RX."""
-    records = jacobi_stack(RX, g, sphere).records(grouping_tol)
-    return decide_constancy("phi-null-osserman[direct]", records, seed, tol, grouping_tol)

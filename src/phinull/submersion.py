@@ -46,9 +46,10 @@ it is tested against.
 
 A theorem report samples one phi-celestial sphere and contracts curvature
 with two stacks of bases only: the sphere and the null bases xi_1 + x. Each
-public decider samples its sphere and calls the private body the report
-calls with those shared pieces, so a decider run alone and its block of the
-report are the same computation.
+public decider is its draw, the slot-4 contraction of its bases, a builder and
+the decision the report takes on the same stack (``_base``, ``jacobi._phi_null``,
+each ending in ``jacobi._decide``, where each report name is written once), so a
+decider run alone and its block of the report are the same computation.
 
 On V = x-perp within Im(phi) the transfer equals g(R_x(y), z) +
 3 sigma g(y, phi x) g(phi x, z). The identity is algebraic, so it doubles as
@@ -78,12 +79,13 @@ from .jacobi import (
     JacobiOperator,
     OperatorStack,
     PhiNullReport,
+    _decide,
     _error_free,
     _null_in_frame,
-    _phi_null_direct,
-    _phi_null_quotient,
-    decide_constancy,
+    _phi_null,
     jacobi_covectors,
+    jacobi_stack,
+    null_jacobi_stack,
     operator_stack,
     reflected_domains,
     slot4_contraction,
@@ -109,6 +111,9 @@ class FibrationKind(Enum):
     TAU = "tau"
     PI_PRIME = "pi_prime"
     REMARK_SASAKI = "remark_sasaki"
+
+
+_PI_KINDS = (FibrationKind.PI_FULL, FibrationKind.PI_PRIME)  # the complex-type bases
 
 
 class RemarkKind(Enum):
@@ -348,20 +353,16 @@ def base_osserman_check(
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> DecisionReport:
     """Pointwise Osserman condition of the complex-type base, through the transfer operator."""
-    sphere = sample_phi_celestial(S, samples, seed)
-    return _base_osserman(slot4_contraction(R, sphere), S.g, F, sphere, seed, tol, grouping_tol)
-
-
-def _base_osserman(
-    RX: np.ndarray, g: ScalarProduct, F: FibrationModel, sphere, seed: int, tol: float, grouping_tol: float
-) -> DecisionReport:
-    """``base_osserman_check`` on the sampled sphere, from its slot-4 contraction RX."""
-    if F.kind not in (FibrationKind.PI_FULL, FibrationKind.PI_PRIME):
+    if F.kind not in _PI_KINDS:
         raise ValueError(f"base Osserman check applies to pi_full/pi_prime, got {F.kind.value}")
-    return decide_constancy(
-        f"base-osserman[{F.kind.value}]", r_star_stack(RX, g, F, sphere).records(grouping_tol),
-        seed, tol, grouping_tol, notes={"sigma": F.sigma},
-    )
+    sphere = sample_phi_celestial(S, samples, seed)
+    return _base(F, r_star_stack(slot4_contraction(R, sphere), S.g, F, sphere), seed, tol, grouping_tol)
+
+
+def _base(F: FibrationModel, stack: OperatorStack, seed: int, tol: float, grouping_tol: float) -> DecisionReport:
+    """The base decision on F's stack: Osserman of a pi base, null Osserman of the tau base."""
+    name = "base-null-osserman[tau]" if F.kind is FibrationKind.TAU else f"base-osserman[{F.kind.value}]"
+    return _decide(name, stack, seed, tol, grouping_tol, notes={"sigma": F.sigma})
 
 
 def base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.ndarray) -> OperatorStack:
@@ -390,20 +391,10 @@ def base_null_osserman_check(
     the phi-celestial sphere upstairs; null directions are xi_1 + x and their
     quotient operators are assembled from the transfer form.
     """
-    us = F.structure.xi[0] + sample_phi_celestial(S, samples, seed)
-    return _base_null_osserman(slot4_contraction(R, us), S.g, F, us, seed, tol, grouping_tol)
-
-
-def _base_null_osserman(
-    RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us, seed: int, tol: float, grouping_tol: float
-) -> DecisionReport:
-    """``base_null_osserman_check`` on the null bases us = xi_1 + x, from their slot-4 contraction RU."""
     if F.kind is not FibrationKind.TAU:
         raise ValueError(f"base null Osserman check applies to the tau kind, got {F.kind.value}")
-    return decide_constancy(
-        "base-null-osserman[tau]", base_null_stack(RU, g, F, us).records(grouping_tol),
-        seed, tol, grouping_tol, notes={"sigma": F.sigma},
-    )
+    us = F.structure.xi[0] + sample_phi_celestial(S, samples, seed)
+    return _base(F, base_null_stack(slot4_contraction(R, us), S.g, F, us), seed, tol, grouping_tol)
 
 
 def _hypothesis_residuals(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> np.ndarray:
@@ -528,8 +519,8 @@ def theorem_equivalence_report(
     if S.s < 2:
         raise ValueError(f"theorem report requires s >= 2, got s = {S.s}")
     F_pi = pi_fibration if pi_fibration is not None else make_fibration(S, FibrationKind.PI_FULL)
-    if F_pi.structure is not S:
-        raise ValueError("the theorem report needs fibrations of its own structure")
+    if F_pi.structure is not S or F_pi.kind not in _PI_KINDS:
+        raise ValueError("the theorem report needs fibrations of its own structure, pi_fibration of a pi kind")
     F_tau = make_fibration(S, FibrationKind.TAU)
     g = S.g
 
@@ -538,8 +529,8 @@ def theorem_equivalence_report(
     sphere = sample_phi_celestial(S, samples, seed)
     RX = slot4_contraction(R, sphere)
     hyp_residual = float(_hypothesis_residuals(RX, S, sphere).max())
-    direct = _phi_null_direct(RX, g, sphere, seed, tol, grouping_tol)
-    base = _base_osserman(RX, g, F_pi, sphere, seed, tol, grouping_tol)
+    direct = jacobi_stack(RX, g, sphere)
+    base = _base(F_pi, r_star_stack(RX, g, F_pi, sphere), seed, tol, grouping_tol)
     frame = _sentinel_frame(RX, S, sphere)
     del RX
     sigma_residual = 0.0
@@ -550,10 +541,8 @@ def theorem_equivalence_report(
 
     us = S.timelike_frame_vector + sphere
     RU = slot4_contraction(R, us)
-    phi_null = PhiNullReport(
-        quotient=_phi_null_quotient(RU, g, us, sphere, seed, tol, grouping_tol), direct=direct
-    )
-    base_null = _base_null_osserman(RU, g, F_tau, us, seed, tol, grouping_tol)
+    phi_null = _phi_null(null_jacobi_stack(RU, g, us), direct, sphere, seed, tol, grouping_tol)
+    base_null = _base(F_tau, base_null_stack(RU, g, F_tau, us), seed, tol, grouping_tol)
     return TheoremReport(phi_null, base, base_null, hyp_residual, sigma_residual, S.s)
 
 
