@@ -41,6 +41,7 @@ from .jacobi import (
 )
 from .linalg import GeometryError, causal_character
 from .submersion import (
+    IDENTITY_ATOL,
     FibrationKind,
     RemarkKind,
     make_fibration,
@@ -187,16 +188,12 @@ def cmd_verify_theorem(args) -> int:
         R, S, args.samples, args.seed, args.tol, args.grouping_tol, pi_fibration=pi_fibration
     )
     payload = report.to_dict()
-    verdicts = report.verdicts
-    lines = [
-        "theorem equivalence report",
-        f"  phi-null Osserman (direct): {'PASS' if verdicts['phi_null_osserman'] else 'FAIL'}",
-        f"  base Osserman (pi):         {'PASS' if verdicts['base_osserman'] else 'FAIL'}",
-        f"  base null Osserman (tau):   {'PASS' if verdicts['base_null_osserman'] else 'FAIL'}",
-        f"  eigenvector hypothesis:     {report.hypothesis_holds}"
-        f" (residual {report.hypothesis_residual:.2e})",
-        f"  shift-identity residual:    {report.sigma_identity_residual:.2e}",
-    ]
+    labels = ("phi-null Osserman (direct)", "base Osserman (pi)", "base null Osserman (tau)")
+    verdicts = {label: "PASS" if passed else "FAIL" for label, passed in zip(labels, report.verdicts.values())}
+    lines = ["theorem equivalence report", *(f"  {label + ':':<28}{word}" for label, word in verdicts.items()),
+             f"  eigenvector hypothesis:     {report.hypothesis_holds}"
+             f" (residual {report.hypothesis_residual:.2e})",
+             f"  shift-identity residual:    {report.sigma_identity_residual:.2e}"]
     if report.agreement_required:
         lines.append(f"  agreement ({report.agreement_scope}): "
                      f"{'holds' if report.agreement_holds else 'VIOLATED'}")
@@ -208,10 +205,17 @@ def cmd_verify_theorem(args) -> int:
         # transfer domain), so it is recorded rather than treated as a bug.
         lines.append("  note: s=2 agreement violated without the eigenvector hypothesis; "
                      "recorded, not a sentinel")
+    # exit 4 names its cause: the sentinel, or verdicts that disagree under the eigenvector hypothesis
+    if not report.internal_consistency_ok:
+        lines.append(f"  internal consistency: FAILED (shift-identity residual "
+                     f"{report.sigma_identity_residual:.2e}, not below {IDENTITY_ATOL:.0e})")
+    violated = report.hypothesis_holds and not report.agreement_holds
+    if violated:
+        passed, failed = ([label for label, word in verdicts.items() if word == w] for w in ("PASS", "FAIL"))
+        lines.append(f"  engine defect: verdicts disagree under the eigenvector hypothesis "
+                     f"(PASS: {', '.join(passed)}; FAIL: {', '.join(failed)})")
     _emit(payload, "\n".join(lines), args.json)
-    # under the eigenvector hypothesis the agreement is required, and a violation is an engine defect
-    defect = not report.internal_consistency_ok or (report.hypothesis_holds and not report.agreement_holds)
-    return EXIT_SENTINEL if defect else EXIT_PASS
+    return EXIT_SENTINEL if violated or not report.internal_consistency_ok else EXIT_PASS
 
 
 def cmd_remarks(args) -> int:

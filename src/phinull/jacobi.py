@@ -167,10 +167,16 @@ def _error_free(errors: list):
     return slice(None) if len(ok) == len(errors) else ok
 
 
+def _rowwise(xs: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """xs @ M as one product per row, so a row's result does not depend on the rows stacked with it
+    (one product over the stack takes another BLAS kernel, and other round-off, as its rows grow)."""
+    return (xs[:, None, :] @ M)[:, 0]
+
+
 def _null_in_frame(g: ScalarProduct, frame: tuple, us) -> np.ndarray:
     """Per u: whether its part in the frame's span is nonzero and null against its size."""
-    a2 = (us @ g.components @ frame[0].T) ** 2
-    return (np.abs(a2 @ frame[1]) <= RANK_RTOL * a2.sum(axis=1)) & a2.any(axis=1)
+    a2 = _rowwise(_rowwise(us, g.components), frame[0].T) ** 2
+    return (np.abs((a2 * frame[1]).sum(axis=1)) <= RANK_RTOL * a2.sum(axis=1)) & a2.any(axis=1)
 
 
 def reflected_domains(g: ScalarProduct, frame: tuple, xs, null: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -180,17 +186,18 @@ def reflected_domains(g: ScalarProduct, frame: tuple, xs, null: bool = False) ->
     |a_k|, the eta-reflection ``I - 2 w (eta w)^T / <w, w>_eta`` of ``w = a + sign(a_k) e_k``
     (``<w, w>_eta = 2 eps |w_k|`` never cancels) maps e_k to -sign(a_k) a; its other columns, through
     E, span x-perp with signs eta_j (Golub & Van Loan, 5.1). A null u (``null``) has its unit timelike
-    and unit spacelike parts reflected, leaving p - 1 and q - 1 representatives of u-perp/span(u)."""
+    and unit spacelike parts reflected, leaving p - 1 and q - 1 representatives of u-perp/span(u).
+    Every product and sum runs one base at a time, so a base's domain is the same in any stack."""
     E, eta = frame
-    a = (xs @ g.components @ E.T) * eta
+    a = _rowwise(_rowwise(xs, g.components), E.T) * eta
     rows, keep, D = np.arange(len(a)), np.ones(a.shape, dtype=bool), E
     for part in (a * (eta < 0), a * (eta > 0)) if null else (a,):
-        q = (part * part) @ eta
+        q = (part * part * eta).sum(axis=1)
         w = part / np.sqrt(np.abs(q))[:, None]
         k = np.argmax(np.where(eta == np.sign(q)[:, None], np.abs(w), -1.0), axis=1)
         w[rows, k] += np.where(w[rows, k] < 0, -1.0, 1.0)
         half = np.sign(q) * np.abs(w[rows, k])  # <w, w>_eta / 2
-        D = D - (eta * w / half[:, None])[:, :, None] * (w @ E)[:, None, :]
+        D = D - (eta * w / half[:, None])[:, :, None] * (w[:, None, :] @ E)
         keep[rows, k] = False
     shape = (len(a), a.shape[1] - 1 - null)
     return D[keep].reshape(shape + (E.shape[1],)), np.broadcast_to(eta, a.shape)[keep].reshape(shape)

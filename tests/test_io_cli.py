@@ -1,5 +1,6 @@
 """Instance files and the command-line front end (exit codes, determinism)."""
 
+import dataclasses
 import io
 import json
 import struct
@@ -487,6 +488,43 @@ def test_cli_verify_theorem_exit_codes(phi_model_file, tmp_path, capsys):
     assert run(["verify-theorem", rand_n1, "--samples", "6"]) == 0
     out = capsys.readouterr().out
     assert "VIOLATED" in out and "recorded, not a sentinel" in out
+
+
+@pytest.mark.parametrize("sigma, residual", [("nan", "nan"), ("inf", "nan"), ("5", "9.71e-01")])
+def test_cli_tampered_sigma_fails_the_sentinel_and_says_so(tmp_path, capsys, sigma, residual):
+    # a non-finite sigma makes the sentinel's residual NaN, which must fail it as a finite tamper
+    # does (a fold by Python's max dropped the NaN: exit 0, residual 2.96e-16), with no numpy warning
+    path = str(tmp_path / "phi_model.json")
+    save_instance(path, generate_instance("phi_model", 2, 2))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify-theorem", path, "--tamper-sigma", sigma]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1] == (
+            f"  internal consistency: FAILED (shift-identity residual {residual}, not below 1e-09)")
+        # the JSON report is unchanged: no text line joins it on stdout
+        assert run(["verify-theorem", path, "--tamper-sigma", sigma, "--json", "-"]) == 4
+        out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["internal_consistency"] == "failed"
+
+
+def test_cli_names_the_verdict_that_disagrees_under_the_hypothesis(phi_model_file, capsys, monkeypatch):
+    # under the eigenvector hypothesis the three verdicts must agree; exit 4 says which did not
+    computed = cli.theorem_equivalence_report
+
+    def base_failed(*args, **kwargs):
+        report = computed(*args, **kwargs)
+        return dataclasses.replace(report, base=dataclasses.replace(report.base, passed=False))
+
+    monkeypatch.setattr(cli, "theorem_equivalence_report", base_failed)
+    assert run(["verify-theorem", phi_model_file, "--samples", "6"]) == 4
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  agreement (all-three): VIOLATED",
+        "  engine defect: verdicts disagree under the eigenvector hypothesis"
+        " (PASS: phi-null Osserman (direct), base null Osserman (tau); FAIL: base Osserman (pi))",
+    ]
 
 
 def test_cli_verify_theorem_rejects_s1(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Fibration models: integrability tensor, curvature transfer, theorem report."""
 
 import dataclasses
+import functools
 import importlib
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bf_form_matrix, conjugated_structure, horizontal_draw
@@ -16,10 +17,14 @@ from phinull.cli import run
 from phinull.io import dump_json, generate_instance, save_instance
 from phinull.jacobi import (
     DEFAULT_SAMPLES,
+    CausalCharacter,
     SpectralData,
     decide_constancy,
     is_phi_null_osserman_wrt,
     jacobi_covectors,
+    jacobi_stack,
+    null_jacobi_stack,
+    sample_unit_causal,
     slot4_contraction,
     spectrum,
 )
@@ -691,6 +696,103 @@ def test_sentinel_sees_a_tiny_sigma_tamper(kind, monkeypatch):
     assert clean.internal_consistency_ok and clean.sigma_identity_residual < 1e-12
     assert not report.internal_consistency_ok
     assert 1e-7 < report.sigma_identity_residual < 1e-5
+
+
+@pytest.mark.parametrize("kind", [FibrationKind.PI_FULL, FibrationKind.TAU])
+def test_a_nan_sigma_fails_the_sentinel(kind, monkeypatch):
+    # NaN compares False with everything, so a fold by Python's max keeps or drops it by where it
+    # stands; a NaN on either fibration's route must reach the residual and fail the sentinel
+    S = canonical_structure(2, 3)
+    R = phi_model_family(S, 1.0, 1.0)
+    tampered = dataclasses.replace(make_fibration(S, kind), sigma=float("nan"))
+    if kind is FibrationKind.PI_FULL:
+        report = theorem_equivalence_report(R, S, samples=6, seed=0, pi_fibration=tampered)
+    else:
+        monkeypatch.setattr(importlib.import_module("phinull.submersion"), "make_fibration",
+                            lambda S, built: tampered if built is kind else make_fibration(S, built))
+        report = theorem_equivalence_report(R, S, samples=6, seed=0)
+    assert np.isnan(report.sigma_identity_residual)
+    assert not report.internal_consistency_ok
+    assert report.to_dict()["internal_consistency"] == "failed"
+
+
+def _nan_at(values: np.ndarray, n: int) -> np.ndarray:
+    """A copy of values with entry n NaN: not the first, which Python's max would keep."""
+    out = np.array(values, dtype=float)
+    out[n] = np.nan
+    return out
+
+
+def test_a_nan_remark_residual_fails_the_identity(tmp_path, monkeypatch):
+    submersion = importlib.import_module("phinull.submersion")
+    path = str(tmp_path / "phi_model.json")
+    save_instance(path, generate_instance("phi_model", 2, 2))
+    assert run(["remarks", path, "--kind", "lorentz_sasaki_base"]) == 0
+    computed = submersion.sectional_curvatures
+    monkeypatch.setattr(submersion, "sectional_curvatures", lambda *args: _nan_at(computed(*args), 2))
+    S = canonical_structure(2, 2)
+    report = remark_sectional_conditions(phi_model_family(S, 1.0, 1.0), S, RemarkKind.LORENTZ_SASAKI_BASE,
+                                         samples=6, seed=0)
+    assert np.isnan(report.identity_residual[2]) and np.isfinite(report.identity_residual[:2]).all()
+    assert np.isnan(report.identity_residual_max) and not report.identity_passed
+    assert run(["remarks", path, "--kind", "lorentz_sasaki_base"]) == 4
+
+
+def test_a_nan_hypothesis_residual_does_not_hold(monkeypatch):
+    submersion = importlib.import_module("phinull.submersion")
+    S = canonical_structure(2, 2)
+    R = phi_model_family(S, 1.0, 1.0)
+    clean = theorem_equivalence_report(R, S, samples=6, seed=0)
+    assert clean.hypothesis_holds and clean.agreement_scope == "all-three"
+    computed = submersion._hypothesis_residuals
+    monkeypatch.setattr(submersion, "_hypothesis_residuals", lambda *args: _nan_at(computed(*args), 2))
+    report = theorem_equivalence_report(R, S, samples=6, seed=0)
+    assert np.isnan(report.hypothesis_residual)
+    assert report.to_dict()["hypothesis_flag"] is False
+    assert report.agreement_scope == "phi-null-vs-base"  # s = 2; never all-three
+
+
+STACK_SAMPLES = 32
+
+
+@functools.cache
+def _stack_case(name: str) -> tuple:
+    """The structure and tensor of a stock dim-12 instance, or phi_model on a dim-11 generic frame."""
+    if name.startswith("conjugated"):
+        S = conjugated_structure(4, 3, seed=int(name[-1]))
+        return S, phi_model_family(S, 0.5, 1.5)
+    inst = generate_instance(name, 5, 2, seed=7)
+    return inst.structure, inst.curvature
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["constant", "phi_model", "random", "conjugated-1", "conjugated-2"]),
+       st.sets(st.integers(1, STACK_SAMPLES - 1), max_size=8), st.integers(0, 2**16))
+@example("conjugated-1", set(range(1, STACK_SAMPLES)), 0)
+@example("constant", set(range(1, STACK_SAMPLES)), 0)
+def test_a_base_record_does_not_depend_on_its_stack(name, cuts, seed):
+    # every product and sum on a base's way to its record runs one base at a time, so the stack
+    # cut anywhere gives each base the record it has in the whole stack, bit for bit
+    S, R = _stack_case(name)
+    F_pi, F_tau = make_fibration(S, FibrationKind.PI_FULL), make_fibration(S, FibrationKind.TAU)
+    sphere = sample_phi_celestial(S, STACK_SAMPLES, seed)
+    us = S.xi[0] + sphere
+    timelike = sample_unit_causal(S.g, CausalCharacter.TIMELIKE, STACK_SAMPLES, seed)
+    builders = {  # each builder with the bases it is given in the deciders
+        "timelike": (lambda RX, xs: jacobi_stack(RX, S.g, xs), timelike),
+        "direct": (lambda RX, xs: jacobi_stack(RX, S.g, xs), sphere),
+        "null": (lambda RU, us: null_jacobi_stack(RU, S.g, us), us),
+        "r_star": (lambda RX, xs: r_star_stack(RX, S.g, F_pi, xs), sphere),
+        "base_null": (lambda RU, us: base_null_stack(RU, S.g, F_tau, us), us),
+    }
+    edges = [0, *sorted(cuts), STACK_SAMPLES]
+    for kind, (build, bases) in builders.items():
+        def records(rows):
+            return [record.to_dict() for record in build(slot4_contraction(R, rows), rows).records()]
+
+        whole = records(bases)
+        parts = [record for a, b in zip(edges[:-1], edges[1:]) for record in records(bases[a:b])]
+        assert parts == whole, kind
 
 
 def test_bad_sample_errors_only_that_sample():
