@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte digest of the phinull CLI over a fixed matrix of 238 commands.
+"""Byte digest of the phinull CLI over a fixed matrix of 246 commands.
 
 The commands run in-process through ``phinull.cli.run``:
 
@@ -8,12 +8,15 @@ The commands run in-process through ``phinull.cli.run``:
   e_0 + e_2n, the four ``check`` condition/kind pairs, both ``remarks`` kinds and
   ``verify-theorem``, the last three groups at sampling seeds 0, 1 and 56, all with a JSON report;
 - ``generate --family constant --n 2 --s 2 --param c=-2.5``, an instance that holds -0.0;
+- the parser: ``--help``, each subcommand's ``--help`` and one refusal, ``remarks --kind bogus``
+  (exit 2), so that a moved default or choice moves a command;
 - one command for each remaining exit code: ``verify-theorem --tamper-sigma 5`` (4), and
   ``validate`` of a phi-corrupted instance (2) and of a file that is not JSON (3).
 
-Each command is hashed over its argv, exit code, stdout and stderr (the work directory masked),
-and the bytes of the report or instance file it wrote. The digest is one SHA-256 over those
-hashes in order. Usage, from the root of a checkout::
+Each command is hashed over its argv, exit code (a ``SystemExit`` code for the parser's exits),
+stdout and stderr (the work directory masked), and the bytes of the report or instance file it
+wrote; help text is wrapped at ``COLUMNS=80`` on every machine. The digest is one SHA-256 over
+those hashes in order. Usage, from the root of a checkout::
 
     python scripts/matrix_digest.py                 # digest of ./src
     python scripts/matrix_digest.py --against REV   # ./src against REV's src/, command by command
@@ -34,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -53,6 +57,7 @@ CHECKS = (
     ("--condition", "phi-null-osserman"),
 )
 REMARK_KINDS = ("sasaki_base", "lorentz_sasaki_base")
+SUBCOMMANDS = ("validate", "generate", "check", "verify-theorem", "remarks", "spectrum")
 SHOWN_DIFFERENCES = 5
 
 
@@ -88,6 +93,9 @@ def matrix() -> list:
     negative = f"{WORK}/constant-c-2.5.json"
     commands.append((["generate", "--family", "constant", "--n", "2", "--s", "2",
                       "--param", "c=-2.5", "--out", negative], negative))
+    for argv in (["--help"], *([command, "--help"] for command in SUBCOMMANDS),
+                 ["remarks", f"{WORK}/phi_model-2-2.json", "--kind", "bogus"]):
+        commands.append((argv, None))
     reported("verify-theorem", f"{WORK}/phi_model-2-2.json", "--tamper-sigma", "5")
     reported("validate", f"{WORK}/phi-corrupted.json")
     commands.append((["validate", f"{WORK}/not-json.json"], None))
@@ -106,7 +114,10 @@ def _record(run, argv: list, writes: str | None, work: Path) -> dict:
     """Run one command; its argv, exit code and the SHA-256 of everything it put out."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run([arg.replace(WORK, str(work)) for arg in argv])
+        try:
+            code = run([arg.replace(WORK, str(work)) for arg in argv])
+        except SystemExit as exc:  # the parser's --help and refusals
+            code = exc.code
     written = Path(writes.replace(WORK, str(work))) if writes else None
     data = written.read_bytes() if written is not None and written.exists() else None
     head = [argv, code, out.getvalue().replace(str(work), WORK),
@@ -118,6 +129,7 @@ def _record(run, argv: list, writes: str | None, work: Path) -> dict:
 def _child(src: str) -> int:
     """Run the matrix on the phinull in ``src`` and print its records as JSON."""
     sys.path.insert(0, src)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal's width
     import phinull.cli
 
     if Path(phinull.cli.__file__).resolve().parents[1] != Path(src).resolve():

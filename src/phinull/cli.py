@@ -10,6 +10,10 @@ identical seeds produce byte-identical JSON.
 Exit codes: 0 success/pass, 1 condition failed, 2 validation error or an
 allocation too large, 3 I/O or parse error, 4 internal-consistency sentinel
 (engine bug or tampered shift coefficient -- never a property of the instance).
+
+Each command imports the engine modules it runs where it runs them: ``check`` and
+``spectrum`` load ``jacobi``, ``verify-theorem`` and ``remarks`` load ``submersion`` too,
+and ``validate``, ``generate`` and the parser load neither.
 """
 
 from __future__ import annotations
@@ -26,29 +30,6 @@ import numpy as np
 from . import __version__
 from .curvature import validate_curvature
 from .gff import validate_gff
-from .jacobi import (
-    DEFAULT_CONSTANCY_TOL,
-    DEFAULT_GROUPING_TOL,
-    DEFAULT_SAMPLES,
-    SpectrumError,
-    CausalCharacter,
-    is_null_osserman_wrt,
-    is_osserman_at,
-    is_phi_null_osserman_wrt,
-    jacobi,
-    null_jacobi,
-    spectrum,
-)
-from .linalg import GeometryError, causal_character
-from .submersion import (
-    IDENTITY_ATOL,
-    FibrationKind,
-    RemarkKind,
-    make_fibration,
-    remark_sectional_conditions,
-    theorem_equivalence_report,
-)
-# io loads after jacobi and submersion: io first made perfbench's theorem calls ~5% slower
 from .io import (
     FAMILY_PARAMETERS,
     InstanceParseError,
@@ -58,6 +39,8 @@ from .io import (
     load_instance,
     save_instance,
 )
+from .linalg import CausalCharacter, GeometryError, causal_character
+from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, RemarkKind
 
 EXIT_PASS = 0
 EXIT_CONDITION_FAIL = 1
@@ -153,6 +136,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .jacobi import is_null_osserman_wrt, is_osserman_at, is_phi_null_osserman_wrt
+
     inst = load_instance(args.path)
     R, S = inst.curvature, inst.structure
     if args.condition == "osserman":
@@ -178,6 +163,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    from .submersion import IDENTITY_ATOL, FibrationKind, make_fibration, theorem_equivalence_report
+
     inst = load_instance(args.path)
     R, S = inst.curvature, inst.structure
     pi_fibration = None
@@ -219,6 +206,8 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_remarks(args) -> int:
+    from .submersion import remark_sectional_conditions
+
     inst = load_instance(args.path)
     report = remark_sectional_conditions(
         inst.curvature, inst.structure, RemarkKind(args.kind), args.samples, args.seed, args.tol
@@ -236,6 +225,8 @@ def cmd_remarks(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .jacobi import SpectrumError, jacobi, null_jacobi, spectrum
+
     inst = load_instance(args.path)
     R, S = inst.curvature, inst.structure
     vec = np.array([float(v) for v in args.vector.split(",")])

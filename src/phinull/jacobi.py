@@ -66,10 +66,8 @@ from .linalg import (
     orthonormalize,
     sample_unit_sphere,
 )
+from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES
 
-DEFAULT_SAMPLES = 64
-DEFAULT_GROUPING_TOL = 1e-6
-DEFAULT_CONSTANCY_TOL = 1e-8
 REALNESS_RTOL = 1e-8
 PAIRING_RTOL = 1e-8  # explicit quotient representatives: max |g(rep, u)| against their size
 DEFINITE_RTOL = 1e-12  # an explicit domain Gram is positive definite: least eigenvalue against largest

@@ -3,12 +3,26 @@
 Validators never raise on a failed check; they return a ``ValidationReport``
 whose entries carry the residual of each named invariant. Loaders and CLI
 commands decide what to do with a failing report.
+
+The deciders' defaults and the remark kinds live here too, so that the CLI's
+parser reads them without loading ``jacobi`` or ``submersion``, which import
+them from this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
+
+DEFAULT_SAMPLES = 64
+DEFAULT_GROUPING_TOL = 1e-6
+DEFAULT_CONSTANCY_TOL = 1e-8
+
+
+class RemarkKind(Enum):
+    SASAKI_BASE = "sasaki_base"
+    LORENTZ_SASAKI_BASE = "lorentz_sasaki_base"
 
 
 @dataclass

@@ -72,9 +72,6 @@ import numpy as np
 from .curvature import CurvatureTensor, operator_apply, sectional_curvatures
 from .gff import GffStructure, sample_phi_celestial
 from .jacobi import (
-    DEFAULT_CONSTANCY_TOL,
-    DEFAULT_GROUPING_TOL,
-    DEFAULT_SAMPLES,
     DecisionReport,
     JacobiOperator,
     OperatorStack,
@@ -98,6 +95,7 @@ from .linalg import (
     SubspaceBasis,
     inner,
 )
+from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, RemarkKind
 
 IDENTITY_ATOL = 1e-9
 SPLIT_ATOL = 1e-10
@@ -115,11 +113,6 @@ class FibrationKind(Enum):
 
 
 _PI_KINDS = (FibrationKind.PI_FULL, FibrationKind.PI_PRIME)  # the complex-type bases
-
-
-class RemarkKind(Enum):
-    SASAKI_BASE = "sasaki_base"
-    LORENTZ_SASAKI_BASE = "lorentz_sasaki_base"
 
 
 @dataclass(frozen=True, eq=False)

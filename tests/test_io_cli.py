@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phinull import cli, gff
+from phinull import cli, gff, submersion
 from phinull.cli import run
 from phinull.curvature import MAX_COMPONENT, validate_curvature
 from phinull.gff import canonical_structure, validate_gff
@@ -490,35 +490,38 @@ def test_cli_verify_theorem_exit_codes(phi_model_file, tmp_path, capsys):
     assert "VIOLATED" in out and "recorded, not a sentinel" in out
 
 
-@pytest.mark.parametrize("sigma, residual", [("nan", "nan"), ("inf", "nan"), ("5", "9.71e-01")])
+@pytest.mark.parametrize("sigma, residual",
+                         [("nan", "nan"), ("inf", "nan"), ("-inf", "nan"), ("5", "9.71e-01")])
 def test_cli_tampered_sigma_fails_the_sentinel_and_says_so(tmp_path, capsys, sigma, residual):
     # a non-finite sigma makes the sentinel's residual NaN, which must fail it as a finite tamper
     # does (a fold by Python's max dropped the NaN: exit 0, residual 2.96e-16), with no numpy warning
     path = str(tmp_path / "phi_model.json")
     save_instance(path, generate_instance("phi_model", 2, 2))
+    # argparse reads a bare "-inf" as an option, so a negative value is given in the = form
+    tamper = [f"--tamper-sigma={sigma}"] if sigma.startswith("-") else ["--tamper-sigma", sigma]
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["verify-theorem", path, "--tamper-sigma", sigma]) == 4
+        assert run(["verify-theorem", path, *tamper]) == 4
         out, err = capsys.readouterr()
         assert err == ""
         assert out.splitlines()[-1] == (
             f"  internal consistency: FAILED (shift-identity residual {residual}, not below 1e-09)")
         # the JSON report is unchanged: no text line joins it on stdout
-        assert run(["verify-theorem", path, "--tamper-sigma", sigma, "--json", "-"]) == 4
+        assert run(["verify-theorem", path, *tamper, "--json", "-"]) == 4
         out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["internal_consistency"] == "failed"
 
 
 def test_cli_names_the_verdict_that_disagrees_under_the_hypothesis(phi_model_file, capsys, monkeypatch):
     # under the eigenvector hypothesis the three verdicts must agree; exit 4 says which did not
-    computed = cli.theorem_equivalence_report
+    computed = submersion.theorem_equivalence_report
 
     def base_failed(*args, **kwargs):
         report = computed(*args, **kwargs)
         return dataclasses.replace(report, base=dataclasses.replace(report.base, passed=False))
 
-    monkeypatch.setattr(cli, "theorem_equivalence_report", base_failed)
+    monkeypatch.setattr(submersion, "theorem_equivalence_report", base_failed)
     assert run(["verify-theorem", phi_model_file, "--samples", "6"]) == 4
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "  agreement (all-three): VIOLATED",
@@ -791,6 +794,45 @@ def test_cli_determinism_across_processes(phi_model_file, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(Path(target).read_bytes())
     assert outputs[0] == outputs[1]
+
+
+LOADED_MODULES = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from phinull.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = run(sys.argv[2:])
+    except SystemExit as exc:  # --help and --version
+        code = exc.code
+print(code, *sorted(name for name in sys.modules if name.startswith("phinull.")))
+"""
+
+
+def test_each_command_loads_only_the_engine_modules_it_runs(tmp_path):
+    # a fresh interpreter per command: validate, generate and the parser load no engine module,
+    # check and spectrum load jacobi, verify-theorem and remarks load jacobi and submersion
+    inst = str(tmp_path / "phi_model.json")
+    save_instance(inst, generate_instance("phi_model", 2, 2))
+    parser = {"cli", "io", "gff", "curvature", "linalg", "reports"}
+    commands = [
+        (["validate", inst], parser),
+        (["generate", "--family", "random", "--n", "2", "--s", "2", "--out", str(tmp_path / "r.json")],
+         parser),
+        (["--help"], parser),
+        (["--version"], parser),
+        (["check", inst, "--condition", "phi-null-osserman"], parser | {"jacobi"}),
+        (["spectrum", inst, "--vector", "0,0,1,0,0,0"], parser | {"jacobi"}),
+        (["verify-theorem", inst], parser | {"jacobi", "submersion"}),
+        (["remarks", inst, "--kind", "sasaki_base"], parser | {"jacobi", "submersion"}),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, modules in commands:
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, src, *argv],
+                              capture_output=True, text=True, check=False)
+        code, *loaded = proc.stdout.split()
+        assert code == "0", (argv, proc.stderr)
+        assert set(loaded) == {f"phinull.{name}" for name in modules}, argv
 
 
 def test_cli_json_to_stdout(phi_model_file, tmp_path, capsys):
