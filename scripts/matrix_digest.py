@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte digest of the phinull CLI over a fixed matrix of 246 commands.
+"""Byte digest of the phinull CLI over a fixed matrix of 258 commands.
 
 The commands run in-process through ``phinull.cli.run``:
 
@@ -11,7 +11,16 @@ The commands run in-process through ``phinull.cli.run``:
 - the parser: ``--help``, each subcommand's ``--help`` and one refusal, ``remarks --kind bogus``
   (exit 2), so that a moved default or choice moves a command;
 - one command for each remaining exit code: ``verify-theorem --tamper-sigma 5`` (4), and
-  ``validate`` of a phi-corrupted instance (2) and of a file that is not JSON (3).
+  ``validate`` of a phi-corrupted instance (2) and of a file that is not JSON (3);
+- the flags on the phi_model (2, 2) instance: timelike ``check --condition osserman
+  --grouping-tol 1e-2`` (exit 1, the multiplicity pattern differs), and ``check --condition
+  phi-null-osserman``, ``verify-theorem`` and ``remarks --kind sasaki_base`` with
+  ``--samples 8 --tol 1e-6``, plus ``--grouping-tol 1e-3`` where the subcommand takes it;
+- the phi_model (2, 2) instance in a frame that is not canonical, pushed through
+  L = I + 0.3 N with N drawn from ``numpy.random.default_rng(1)`` (g -> L^T g L,
+  phi -> L^-1 phi L, xi -> L^-1 xi, eta -> eta L, R with L on each slot), where g and phi hold
+  no exact 0 or +-1: ``validate``, the four ``check`` pairs, both ``remarks`` kinds and
+  ``verify-theorem``.
 
 Each command is hashed over its argv, exit code (a ``SystemExit`` code for the parser's exits),
 stdout and stderr (the work directory masked), and the bytes of the report or instance file it
@@ -25,8 +34,8 @@ those hashes in order. Usage, from the root of a checkout::
 worktree and only reads ``.git``). Each tree runs in a fresh interpreter. Reports print floats
 to 17 significant digits, so their bytes can follow the BLAS build: a digest compares only with
 one taken on the same machine, which is why two trees run side by side rather than against a
-committed hash. Exit status: 0 when the trees agree, 1 when a command differs (the first ones are
-named), 2 when REV cannot be unpacked or a run stops.
+committed hash. Exit status: 0 when the trees agree, 1 when a command differs (each one is
+named on a line of its own), 2 when REV cannot be unpacked or a run stops.
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ CHECKS = (
     ("--condition", "phi-null-osserman"),
 )
 REMARK_KINDS = ("sasaki_base", "lorentz_sasaki_base")
+FLAGS = ("--samples", "8", "--tol", "1e-6")
 SUBCOMMANDS = ("validate", "generate", "check", "verify-theorem", "remarks", "spectrum")
-SHOWN_DIFFERENCES = 5
 
 
 def _stop(message: str):
@@ -66,9 +75,9 @@ def _stop(message: str):
     raise SystemExit(2)
 
 
-def matrix() -> list:
-    """The commands as (argv, the file it writes or None). The last three run after
-    ``_write_bad_inputs``."""
+def matrix() -> tuple[list, int]:
+    """The commands as (argv, the file it writes or None), and the index of the first one that
+    reads a file ``_write_derived_inputs`` writes."""
     commands: list = []
 
     def reported(*argv: str) -> None:
@@ -93,21 +102,51 @@ def matrix() -> list:
     negative = f"{WORK}/constant-c-2.5.json"
     commands.append((["generate", "--family", "constant", "--n", "2", "--s", "2",
                       "--param", "c=-2.5", "--out", negative], negative))
+    phi_model = f"{WORK}/phi_model-2-2.json"
     for argv in (["--help"], *([command, "--help"] for command in SUBCOMMANDS),
-                 ["remarks", f"{WORK}/phi_model-2-2.json", "--kind", "bogus"]):
+                 ["remarks", phi_model, "--kind", "bogus"]):
         commands.append((argv, None))
-    reported("verify-theorem", f"{WORK}/phi_model-2-2.json", "--tamper-sigma", "5")
+    reported("verify-theorem", phi_model, "--tamper-sigma", "5")
+    reported("check", phi_model, *CHECKS[1], "--grouping-tol", "1e-2")
+    reported("check", phi_model, *CHECKS[3], *FLAGS, "--grouping-tol", "1e-3")
+    reported("verify-theorem", phi_model, *FLAGS, "--grouping-tol", "1e-3")
+    reported("remarks", phi_model, "--kind", REMARK_KINDS[0], *FLAGS)
+    derived = len(commands)
     reported("validate", f"{WORK}/phi-corrupted.json")
     commands.append((["validate", f"{WORK}/not-json.json"], None))
-    return commands
+    conjugated = f"{WORK}/phi_model-2-2-conjugated.json"
+    reported("validate", conjugated)
+    for check in CHECKS:
+        reported("check", conjugated, *check)
+    for kind in REMARK_KINDS:
+        reported("remarks", conjugated, "--kind", kind)
+    reported("verify-theorem", conjugated)
+    return commands, derived
 
 
-def _write_bad_inputs(work: Path) -> None:
-    """The phi_model (2, 2) instance with one entry of phi moved by 1e-6, and a file that is not JSON."""
-    data = json.loads((work / "phi_model-2-2.json").read_text(encoding="utf-8"))
-    data["structure"]["phi"][1] += 1e-6
-    (work / "phi-corrupted.json").write_text(json.dumps(data), encoding="utf-8")
+def _write_derived_inputs(work: Path) -> None:
+    """From the phi_model (2, 2) instance: a copy with one entry of phi moved by 1e-6, and the
+    instance pushed through L = I + 0.3 N (see the module docstring); and a file that is not JSON."""
+    import numpy as np
+
+    text = (work / "phi_model-2-2.json").read_text(encoding="utf-8")
+    corrupted, data = json.loads(text), json.loads(text)
+    corrupted["structure"]["phi"][1] += 1e-6
+    (work / "phi-corrupted.json").write_text(json.dumps(corrupted), encoding="utf-8")
     (work / "not-json.json").write_text("{not json", encoding="utf-8")
+
+    structure, m = data["structure"], data["structure"]["dim"]
+    L = np.eye(m) + 0.3 * np.random.default_rng(1).standard_normal((m, m))
+    Linv = np.linalg.inv(L)
+    g = np.array(structure["metric"]).reshape(m, m)
+    phi = np.array(structure["phi"]).reshape(m, m)
+    R = np.array(data["curvature"]["components"]).reshape(m, m, m, m)
+    structure["metric"] = (L.T @ g @ L).ravel().tolist()
+    structure["phi"] = (Linv @ phi @ L).ravel().tolist()
+    structure["xi"] = (Linv @ np.array(structure["xi"]).T).T.tolist()
+    structure["eta"] = (np.array(structure["eta"]) @ L).tolist()
+    data["curvature"]["components"] = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, L, L, L, L).ravel().tolist()
+    (work / "phi_model-2-2-conjugated.json").write_text(json.dumps(data), encoding="utf-8")
 
 
 def _record(run, argv: list, writes: str | None, work: Path) -> dict:
@@ -134,12 +173,12 @@ def _child(src: str) -> int:
 
     if Path(phinull.cli.__file__).resolve().parents[1] != Path(src).resolve():
         _stop(f"imported phinull from {phinull.cli.__file__}, not {src}")
-    commands = matrix()
+    commands, derived = matrix()
     with tempfile.TemporaryDirectory(prefix="matrix-digest-") as tmp:
         work = Path(tmp)
-        records = [_record(phinull.cli.run, argv, writes, work) for argv, writes in commands[:-3]]
-        _write_bad_inputs(work)
-        records += [_record(phinull.cli.run, argv, writes, work) for argv, writes in commands[-3:]]
+        records = [_record(phinull.cli.run, argv, writes, work) for argv, writes in commands[:derived]]
+        _write_derived_inputs(work)
+        records += [_record(phinull.cli.run, argv, writes, work) for argv, writes in commands[derived:]]
     json.dump(records, sys.stdout)
     return 0
 
@@ -188,8 +227,8 @@ def main(argv=None) -> int:
     if len(base) == len(mine) and not differ:
         print(f"all {len(mine)} commands byte-identical")
         return 0
-    print(f"{len(differ)} of {len(mine)} commands differ ({len(base)} against {len(mine)} run); first:")
-    for a, b in differ[:SHOWN_DIFFERENCES]:
+    print(f"{len(differ)} of {len(mine)} commands differ ({len(base)} against {len(mine)} run):")
+    for a, b in differ:
         print(f"  phinull {' '.join(b['argv'])}: exit {a['exit']} -> {b['exit']}")
     return 1
 
