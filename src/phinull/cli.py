@@ -96,6 +96,11 @@ def _emit(report_dict: dict, text: str, json_target: str | None) -> None:
 
 
 def _decision_text(report) -> str:
+    """A decision's verdict, groups and failure; a two-path phi-null decision's verdict, then each
+    path's."""
+    if hasattr(report, "direct"):
+        return "\n".join([f"phi-null-osserman: {'PASS' if report.passed else 'FAIL'}",
+                          _decision_text(report.direct), _decision_text(report.quotient)])
     lines = [f"{report.condition}: {'PASS' if report.passed else 'FAIL'}"]
     for grp in report.groups:
         lines.append(
@@ -140,26 +145,15 @@ def cmd_check(args) -> int:
 
     inst = load_instance(args.path)
     R, S = inst.curvature, inst.structure
+    common = (args.samples, args.seed, args.tol, args.grouping_tol)
     if args.condition == "osserman":
-        kind = CausalCharacter(args.causal_kind)
-        report = is_osserman_at(R, S.g, kind, args.samples, args.seed, args.tol, args.grouping_tol)
-        payload, text, passed = report.to_dict(), _decision_text(report), report.passed
+        report = is_osserman_at(R, S.g, CausalCharacter(args.causal_kind), *common)
     elif args.condition == "null-osserman":
-        report = is_null_osserman_wrt(
-            R, S.g, S.timelike_frame_vector, args.samples, args.seed, args.tol, args.grouping_tol
-        )
-        payload, text, passed = report.to_dict(), _decision_text(report), report.passed
+        report = is_null_osserman_wrt(R, S.g, S.timelike_frame_vector, *common)
     else:  # phi-null-osserman
-        report = is_phi_null_osserman_wrt(R, S, args.samples, args.seed, args.tol, args.grouping_tol)
-        payload = report.to_dict()
-        text = "\n".join([
-            f"phi-null-osserman: {'PASS' if report.passed else 'FAIL'}",
-            _decision_text(report.direct),
-            _decision_text(report.quotient),
-        ])
-        passed = report.passed
-    _emit(payload, text, args.json)
-    return EXIT_PASS if passed else EXIT_CONDITION_FAIL
+        report = is_phi_null_osserman_wrt(R, S, *common)
+    _emit(report.to_dict(), _decision_text(report), args.json)
+    return EXIT_PASS if report.passed else EXIT_CONDITION_FAIL
 
 
 def cmd_verify_theorem(args) -> int:

@@ -171,12 +171,6 @@ def _rowwise(xs: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (xs[:, None, :] @ M)[:, 0]
 
 
-def _null_in_frame(g: ScalarProduct, frame: tuple, us) -> np.ndarray:
-    """Per u: whether its part in the frame's span is nonzero and null against its size."""
-    a2 = _rowwise(_rowwise(us, g.components), frame[0].T) ** 2
-    return (np.abs((a2 * frame[1]).sum(axis=1)) <= RANK_RTOL * a2.sum(axis=1)) & a2.any(axis=1)
-
-
 def reflected_domains(g: ScalarProduct, frame: tuple, xs, null: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """g-orthonormal domains of the bases xs, and their signs, from a g-orthonormal frame (E, eta).
 
@@ -233,32 +227,34 @@ def jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray) -> OperatorSt
     return operator_stack(RX, g, zs, errors, domains, signs)
 
 
-def jacobi(R: CurvatureTensor, g: ScalarProduct, z, domain: SubspaceBasis | None = None) -> JacobiOperator:
-    """Classical Jacobi operator y -> R(y, z) z on z-perp.
+def jacobi(R: CurvatureTensor, g: ScalarProduct, z) -> JacobiOperator:
+    """Classical Jacobi operator y -> R(y, z) z on z-perp, the operator of z's one-base stack.
 
-    ``z`` must be spacelike or timelike; for a null base use
-    :func:`null_jacobi`. An explicit ``domain`` (a basis of z-perp) may be
-    supplied to compare operators of parallel bases on identical coordinates;
-    one whose rows are not g-orthogonal to z is a ValueError.
+    ``z`` must be spacelike or timelike; for a null base use :func:`null_jacobi`. The domain of a
+    multiple of z is z's own, row for row, since the reflection scales its base to unit length.
     """
     zs = np.asarray(z, dtype=float).reshape(1, -1)
-    RX = slot4_contraction(R, zs)
-    if domain is None:
-        return jacobi_stack(RX, g, zs).operator()
-    _check_pairing(g, domain.vectors, zs[0], "the domain must lie in z-perp")
-    errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
-    return operator_stack(RX, g, zs, errors, domain.vectors[None][_error_free(errors)]).operator()
+    return jacobi_stack(slot4_contraction(R, zs), g, zs).operator()
+
+
+def _null_domains(g: ScalarProduct, frame: tuple, us, errors: list, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of u-perp/span(u), and their signs, of the error-free u in us whose part in
+    the frame's span is nonzero and null against its size; each other error-free u gets a
+    GeometryError of ``message`` in ``errors``."""
+    ok = np.flatnonzero([error is None for error in errors])
+    a2 = _rowwise(_rowwise(us[ok], g.components), frame[0].T) ** 2
+    null = (np.abs((a2 * frame[1]).sum(axis=1)) <= RANK_RTOL * a2.sum(axis=1)) & a2.any(axis=1)
+    for n in ok[~null]:
+        errors[n] = GeometryError(message)
+    return reflected_domains(g, frame, us[ok[null]], null=True)
 
 
 def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per u in us, None or why it has no quotient; and the others' representatives and their signs."""
+    """Per u in us, None or why it has no quotient; and the others' representatives and their signs.
+    A u null against NULL_ATOL but not against its size has a nondegenerate u-perp."""
     errors = _causal_errors(g, us, (CausalCharacter.NULL,), "null quotient requires a null vector")
-    ok = np.array([n for n, error in enumerate(errors) if error is None], dtype=int)
-    frame = orthonormal_frame(g)
-    null = _null_in_frame(g, frame, us[ok])
-    for n in ok[~null]:  # null against NULL_ATOL, not against its size: u-perp is nondegenerate
-        errors[n] = GeometryError("restricted Gram on u-perp has kernel dimension 0, expected 1")
-    return (errors, *reflected_domains(g, frame, us[ok[null]], null=True))
+    message = "restricted Gram on u-perp has kernel dimension 0, expected 1"
+    return (errors, *_null_domains(g, orthonormal_frame(g), us, errors, message))
 
 
 def null_quotient(g: ScalarProduct, u) -> NullQuotient:
@@ -275,21 +271,15 @@ def null_quotient(g: ScalarProduct, u) -> NullQuotient:
     return null_quotient_from_representatives(g, uv, reps[0])
 
 
-def _check_pairing(g: ScalarProduct, vectors: np.ndarray, u: np.ndarray, message: str) -> None:
-    """A ValueError of ``message`` unless every row of ``vectors`` is g-orthogonal to u,
-    max |g(v, u)| against the rows' size."""
-    pairing = vectors @ g.components @ u
-    if np.abs(pairing).max() > PAIRING_RTOL * max(float(np.abs(vectors).max()), 1.0):
-        raise ValueError(message)
-
-
 def null_quotient_from_representatives(g: ScalarProduct, u, representatives) -> NullQuotient:
-    """Build a quotient from explicit representatives (each must lie in u-perp)."""
+    """Build a quotient from explicit representatives, each in u-perp: max |g(rep, u)| within
+    ``PAIRING_RTOL`` of their size."""
     uv = np.asarray(u, dtype=float).reshape(-1)
     reps = np.atleast_2d(np.asarray(representatives, dtype=float))
     if reps.shape[0] != g.dim - 2:
         raise ValueError(f"expected {g.dim - 2} representatives, got {reps.shape[0]}")
-    _check_pairing(g, reps, uv, "representatives must be orthogonal to u")
+    if np.abs(reps @ g.components @ uv).max() > PAIRING_RTOL * max(float(np.abs(reps).max()), 1.0):
+        raise ValueError("representatives must be orthogonal to u")
     basis = SubspaceBasis.from_vectors(g, reps)
     evals = np.linalg.eigvalsh(basis.gram)
     tol = RANK_RTOL * max(float(np.abs(evals).max()), 1.0)

@@ -18,9 +18,10 @@ which pointwise data cannot supply): for horizontal X, Y
 
     A_X Y = c(X, Y) V,    c(X, Y) = -g(X, phi Y),
 
-with V the sum of the vertical frame vectors (``c(X, Y) = +g(Y, phi X)`` is
-kept verbatim for the ``remark_sasaki`` kind), and ``A_X xi_a = -epsilon_a
-phi X`` for vertical frame directions. The keystone composition law is
+with V the sum of the vertical frame vectors, for every kind, and ``A_X xi_a =
+-epsilon_a phi X`` for vertical frame directions. The paper writes the
+``remark_sasaki`` rule as ``c(X, Y) = +g(Y, phi X)``, the same number, since a
+valid phi is skew-adjoint for g; a test holds the two to round-off. The keystone composition law is
 ``A_x A_x y = -sigma g(y, phi x) phi x``, sigma the vertical sign sum. The
 horizontal curvature transfer
 
@@ -78,7 +79,7 @@ from .jacobi import (
     PhiNullReport,
     _decide,
     _error_free,
-    _null_in_frame,
+    _null_domains,
     _phi_null,
     _rowwise,
     jacobi_covectors,
@@ -221,11 +222,7 @@ def oneill_A(F: FibrationModel, X, Y) -> np.ndarray:
     hpart = Yv - vpart
     scale = max(float(np.linalg.norm(Yv)), 1.0)
     if np.linalg.norm(vpart) <= HORIZONTAL_RTOL * scale:
-        if F.kind is FibrationKind.REMARK_SASAKI:
-            coeff = inner(S.g, Yv, S.phi @ Xv)
-        else:
-            coeff = -inner(S.g, Xv, S.phi @ Yv)
-        return coeff * F.vertical_sum
+        return -inner(S.g, Xv, S.phi @ Yv) * F.vertical_sum
     if np.linalg.norm(hpart) <= HORIZONTAL_RTOL * scale:
         coords = F.vertical.coordinates(S.g, Yv)
         signed = float(np.sum(coords * S.epsilon[list(F.vertical_indices)]))
@@ -246,13 +243,10 @@ def r_star_form(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x, y, z
 
 
 def _a_coefficients(F: FibrationModel, xs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with A_x d = a V and A_d x = b V for x = xs[n], d = rows[n, i], V the vertical sum."""
+    """(a, b) with A_x d = a V and A_d x = b V for x = xs[n], d = rows[n, i], V the vertical sum:
+    ``a = -g(x, phi d)``, ``b = -g(d, phi x)``."""
     P = F.structure.g.components @ F.structure.phi  # P[i, j] = g(e_i, phi e_j)
-    x_phi_d = np.einsum("nim,nm->ni", rows, _rowwise(xs, P))
-    d_phi_x = np.einsum("nim,nm->ni", rows, _rowwise(xs, P.T))
-    if F.kind is FibrationKind.REMARK_SASAKI:
-        return d_phi_x, x_phi_d
-    return -x_phi_d, -d_phi_x
+    return tuple(-np.einsum("nim,nm->ni", rows, _rowwise(xs, M)) for M in (P, P.T))
 
 
 def transfer_forms(g: ScalarProduct, F: FibrationModel, xs, domains, C) -> np.ndarray:
@@ -363,10 +357,9 @@ def base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.
     """Null Jacobi operators of the null bases u = xi_1 + x on the quotient of u-perp in H, via the
     transfer form, from RU = ``slot4_contraction(R, us)``."""
     errors = _horizontal_errors(F, us, "first argument of A")
-    for n in np.flatnonzero(~_null_in_frame(g, F.frame, us)):
-        errors[n] = GeometryError("base null quotient: restricted Gram kernel is not one-dimensional")
-    reps, signs = reflected_domains(g, F.frame, us[_error_free(errors)], null=True)
-    return operator_stack(RU, g, us, errors, reps, signs, partial(transfer_forms, g, F))
+    message = "base null quotient: restricted Gram kernel is not one-dimensional"
+    return operator_stack(RU, g, us, errors, *_null_domains(g, F.frame, us, errors, message),
+                          partial(transfer_forms, g, F))
 
 
 def base_null_osserman_check(

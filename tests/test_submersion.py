@@ -31,6 +31,7 @@ from phinull.jacobi import (
 from phinull.linalg import GeometryError, inner, nullspace
 from phinull.submersion import (
     FibrationKind,
+    _a_coefficients,
     _hypothesis_residuals,
     _sentinel_frame,
     _shift_identity_defects,
@@ -126,6 +127,29 @@ def test_A_skew_adjointness_mixed_arguments():
             lhs = inner(S.g, oneill_A(F, X, Y), W)
             rhs = -inner(S.g, Y, oneill_A(F, X, W))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("structure", [
+    canonical_structure(2, 2), canonical_structure(1, 4),
+    conjugated_structure(2, 2, seed=1), conjugated_structure(2, 2, seed=2), conjugated_structure(1, 4, seed=3),
+], ids=["canonical-2-2", "canonical-1-4", "conjugated-2-2-1", "conjugated-2-2-2", "conjugated-1-4-3"])
+def test_remark_sasaki_A_follows_the_papers_rule(structure):
+    # The paper writes A_X Y = g(Y, phi X) V for the remark_sasaki base. The engine has one rule,
+    # -g(X, phi Y) V, for every kind: the same number, since a valid phi is skew-adjoint for g.
+    S = structure
+    F = make_fibration(S, FibrationKind.REMARK_SASAKI)
+    rng = np.random.default_rng(11)
+    xs = np.array([horizontal_draw(F, rng) for _ in range(6)])
+    rows = np.array([[horizontal_draw(F, rng) for _ in range(3)] for _ in xs])
+    for x, y in zip(xs, rows[:, 0]):
+        paper = inner(S.g, y, S.phi @ x) * F.vertical_sum
+        assert np.abs(oneill_A(F, x, y) - paper).max() <= 1e-13 * max(np.abs(paper).max(), 1.0)
+    a, b = _a_coefficients(F, xs, rows)
+    d_phi_x = np.array([[inner(S.g, d, S.phi @ x) for d in ds] for x, ds in zip(xs, rows)])
+    x_phi_d = np.array([[inner(S.g, x, S.phi @ d) for d in ds] for x, ds in zip(xs, rows)])
+    scale = max(np.abs(d_phi_x).max(), 1.0)
+    assert np.abs(a - d_phi_x).max() <= 1e-13 * scale
+    assert np.abs(b - x_phi_d).max() <= 1e-13 * scale
 
 
 def test_A_output_spaces():
