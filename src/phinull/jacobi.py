@@ -237,7 +237,9 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z) -> JacobiOperator:
     return jacobi_stack(slot4_contraction(R, zs), g, zs).operator()
 
 
-def _null_domains(g: ScalarProduct, frame: tuple, us, errors: list, message: str) -> tuple[np.ndarray, np.ndarray]:
+def _null_domains(
+    g: ScalarProduct, frame: tuple, us, errors: list, message: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Representatives of u-perp/span(u), and their signs, of the error-free u in us whose part in
     the frame's span is nonzero and null against its size; each other error-free u gets a
     GeometryError of ``message`` in ``errors``."""

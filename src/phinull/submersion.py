@@ -20,10 +20,10 @@ which pointwise data cannot supply): for horizontal X, Y
 
 with V the sum of the vertical frame vectors, for every kind, and ``A_X xi_a =
 -epsilon_a phi X`` for vertical frame directions. The paper writes the
-``remark_sasaki`` rule as ``c(X, Y) = +g(Y, phi X)``, the same number, since a
-valid phi is skew-adjoint for g; a test holds the two to round-off. The keystone composition law is
-``A_x A_x y = -sigma g(y, phi x) phi x``, sigma the vertical sign sum. The
-horizontal curvature transfer
+``remark_sasaki`` rule as ``c(X, Y) = +g(Y, phi X)``: the same number, since a
+valid phi is skew-adjoint for g, and the tests hold the two to round-off. The
+keystone composition law is ``A_x A_x y = -sigma g(y, phi x) phi x``, sigma the
+vertical sign sum. The horizontal curvature transfer
 
     g(Rstar_x(y), z) = R(x, y, x, z) + 2 g(A_x y, A_x z) - g(A_y x, A_x z)
 
@@ -358,8 +358,8 @@ def base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.
     transfer form, from RU = ``slot4_contraction(R, us)``."""
     errors = _horizontal_errors(F, us, "first argument of A")
     message = "base null quotient: restricted Gram kernel is not one-dimensional"
-    return operator_stack(RU, g, us, errors, *_null_domains(g, F.frame, us, errors, message),
-                          partial(transfer_forms, g, F))
+    reps, signs = _null_domains(g, F.frame, us, errors, message)
+    return operator_stack(RU, g, us, errors, reps, signs, partial(transfer_forms, g, F))
 
 
 def base_null_osserman_check(
