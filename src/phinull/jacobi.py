@@ -11,7 +11,8 @@ Three operator constructions live here:
 
 Every operator, these and the transfer operators of ``submersion``, takes
 one path over all samples at once: bases -> domain rows D, g-orthonormal by one
-reflection per sample (``reflected_domains``) -> a curvature form -> its
+reflection per sample (``reflected_domains``; null bases through ``_null_domains``, the one
+null-quotient builder of this module and ``submersion``) -> a curvature form -> its
 symmetrization F -> ``OperatorStack.records``, whose spectra
 are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one of
 signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
@@ -70,7 +71,7 @@ from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLE
 
 REALNESS_RTOL = 1e-8
 PAIRING_RTOL = 1e-8  # explicit quotient representatives: max |g(rep, u)| against their size
-DEFINITE_RTOL = 1e-12  # an explicit domain Gram is positive definite: least eigenvalue against largest
+DEFINITE_RTOL = 1e-12  # a given quotient's Gram is positive definite: least eigenvalue against largest
 REFERENCE_ATOL = 1e-8  # the null Osserman reference z: |g(z, z) + 1|
 BOOST_WINDOW = 1.5  # T: sample_unit_causal draws rapidities uniform on [-T, T]
 
@@ -104,7 +105,7 @@ class SpectralData:
 @dataclass(frozen=True, eq=False)
 class JacobiOperator:
     """An operator on a subspace of base-perp, self-adjoint w.r.t. the domain Gram; ``signs`` are
-    those of a g-orthonormal domain, None for an explicit one."""
+    those of a g-orthonormal domain, None for the explicit one of a given quotient."""
 
     base: np.ndarray
     domain: SubspaceBasis
@@ -323,7 +324,8 @@ def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> 
     """Grouped eigenvalues of a Jacobi operator, by the eigen step of ``OperatorStack.records``.
 
     On a g-orthonormal domain the operator is eta F for symmetric F: ``eigvalsh`` if every sign is
-    positive. Only an explicit positive definite Gram = L L^T is whitened, the generalized problem
+    positive. Only an explicit Gram (signs None, as on a given quotient's representatives) is
+    whitened, when positive definite (Gram = L L^T): the generalized problem
     (Gram * matrix) v = lambda * Gram v solved as the symmetric L^-1 (Gram * matrix) L^-T (Golub &
     Van Loan, 8.7). Otherwise the plain eigenvalue problem is used and non-real eigenvalues beyond
     tolerance raise ``SpectrumError`` -- possible for spacelike bases in indefinite signature.
