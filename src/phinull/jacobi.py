@@ -16,7 +16,11 @@ null-quotient builder of this module and ``submersion``) -> a curvature form -> 
 symmetrization F -> ``OperatorStack.records``, whose spectra
 are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one of
 signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
-the grouped eigenvalues of all samples agree within a tolerance. Records and decision
+the grouped eigenvalues of all samples agree within a tolerance. Every domain is
+g-orthonormal and carries its signs: the one other way in, the given representatives of
+``null_jacobi(quotient=)``, is made g-orthonormal where it enters, by indefinite
+Gram-Schmidt, and a domain's Gram is measured only for a one-base operator
+(``OperatorStack.operator``). Records and decision
 are one step, ``_decide``, taken by every decider here and in ``submersion``: a decider
 is its draw, a contraction per stack of bases, a builder and that step. The Jacobi forms are
 ``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)``, contracted x in slot 4, then
@@ -71,7 +75,6 @@ from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLE
 
 REALNESS_RTOL = 1e-8
 PAIRING_RTOL = 1e-8  # explicit quotient representatives: max |g(rep, u)| against their size
-DEFINITE_RTOL = 1e-12  # a given quotient's Gram is positive definite: least eigenvalue against largest
 REFERENCE_ATOL = 1e-8  # the null Osserman reference z: |g(z, z) + 1|
 BOOST_WINDOW = 1.5  # T: sample_unit_causal draws rapidities uniform on [-T, T]
 
@@ -104,13 +107,13 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class JacobiOperator:
-    """An operator on a subspace of base-perp, self-adjoint w.r.t. the domain Gram; ``signs`` are
-    those of a g-orthonormal domain, None for the explicit one of a given quotient."""
+    """An operator on a g-orthonormal domain in base-perp, of the given ``signs``, self-adjoint
+    w.r.t. the domain Gram, which is measured under g so that the residual is a real check."""
 
     base: np.ndarray
     domain: SubspaceBasis
     matrix: np.ndarray
-    signs: np.ndarray | None
+    signs: np.ndarray
 
     @property
     def self_adjointness_residual(self) -> float:
@@ -196,18 +199,16 @@ def reflected_domains(g: ScalarProduct, frame: tuple, xs, null: bool = False) ->
     return D[keep].reshape(shape + (E.shape[1],)), np.broadcast_to(eta, a.shape)[keep].reshape(shape)
 
 
-def operator_stack(RX, g: ScalarProduct, bases, errors: list, domains, signs=None, form=None) -> OperatorStack:
-    """The operators of the error-free bases on their domains, from RX = ``slot4_contraction`` of
-    all the bases: with ``C = jacobi_covectors`` their forms are the Jacobi forms ``D C``, or
-    ``form(bases, D, C)``; symmetrized to F, the operators are ``signs F`` on g-orthonormal
-    domains, else solve(Gram, F). Every operator stack is assembled here."""
-    grams = domains @ g.components @ domains.transpose(0, 2, 1)
+def operator_stack(RX, bases, errors: list, domains, signs, form=None) -> OperatorStack:
+    """The operators of the error-free bases on their g-orthonormal domains of the given signs,
+    from RX = ``slot4_contraction`` of all the bases: with ``C = jacobi_covectors`` their forms
+    are the Jacobi forms ``D C``, or ``form(bases, D, C)``; symmetrized to F, the operators are
+    ``signs F``. Every operator stack is assembled here."""
     ok = _error_free(errors)
     C = jacobi_covectors(RX[ok], bases[ok], domains)
     forms = domains @ C if form is None else form(bases[ok], domains, C)
     forms = 0.5 * (forms + forms.transpose(0, 2, 1))
-    matrices = np.linalg.solve(grams, forms) if signs is None else signs[:, :, None] * forms
-    return OperatorStack(bases, errors, domains, grams, matrices, signs)
+    return OperatorStack(bases, errors, domains, signs[:, :, None] * forms, signs)
 
 
 def _causal_errors(g: ScalarProduct, bases, kinds, message: str) -> list:
@@ -225,7 +226,7 @@ def jacobi_stack(RX: np.ndarray, g: ScalarProduct, zs: np.ndarray) -> OperatorSt
     RX = ``slot4_contraction(R, zs)``; a null or zero base gets an error instead of an operator."""
     errors = _causal_errors(g, zs, _NON_NULL, _NULL_BASE)
     domains, signs = reflected_domains(g, orthonormal_frame(g), zs[_error_free(errors)])
-    return operator_stack(RX, g, zs, errors, domains, signs)
+    return operator_stack(RX, zs, errors, domains, signs)
 
 
 def jacobi(R: CurvatureTensor, g: ScalarProduct, z) -> JacobiOperator:
@@ -235,7 +236,7 @@ def jacobi(R: CurvatureTensor, g: ScalarProduct, z) -> JacobiOperator:
     multiple of z is z's own, row for row, since the reflection scales its base to unit length.
     """
     zs = np.asarray(z, dtype=float).reshape(1, -1)
-    return jacobi_stack(slot4_contraction(R, zs), g, zs).operator()
+    return jacobi_stack(slot4_contraction(R, zs), g, zs).operator(g)
 
 
 def _null_domains(
@@ -254,7 +255,7 @@ def _null_domains(
 
 def _null_quotients(g: ScalarProduct, us) -> tuple[list, np.ndarray, np.ndarray]:
     """Per u in us, None or why it has no quotient; and the others' representatives and their signs.
-    A u null against NULL_ATOL but not against its size has a nondegenerate u-perp."""
+    A u null against NULL_ATOL but not in its frame coordinates has a nondegenerate u-perp."""
     errors = _causal_errors(g, us, (CausalCharacter.NULL,), "null quotient requires a null vector")
     message = "restricted Gram on u-perp has kernel dimension 0, expected 1"
     return (errors, *_null_domains(g, orthonormal_frame(g), us, errors, message))
@@ -296,7 +297,7 @@ def null_jacobi_stack(RU: np.ndarray, g: ScalarProduct, us: np.ndarray) -> Opera
     """Null Jacobi operators x -> proj(R(x, u) u) of the bases u, each on the quotient of u-perp,
     from RU = ``slot4_contraction(R, us)``; a base that is not null, or whose restricted Gram has
     a kernel other than span(u), gets an error instead of an operator."""
-    return operator_stack(RU, g, us, *_null_quotients(g, us))
+    return operator_stack(RU, us, *_null_quotients(g, us))
 
 
 def null_jacobi(
@@ -307,53 +308,41 @@ def null_jacobi(
     The matrix is independent of the choice of representatives because
     R(x, u) u lands in u-perp and g(., u) vanishes there. A ``quotient`` must be
     one of u itself (``quotient.u`` within ``PAIRING_RTOL`` of u, relative to
-    its norm), else ValueError.
+    its norm), else ValueError. Its representatives are made g-orthonormal by
+    indefinite Gram-Schmidt (``orthonormalize``), which leaves the quotient
+    class of each and takes the same coefficients for representatives shifted
+    by multiples of u; the operator is then assembled as every other is.
     """
     us = np.asarray(u, dtype=float).reshape(1, -1)
     if quotient is None:
-        return null_jacobi_stack(slot4_contraction(R, us), g, us).operator()
+        return null_jacobi_stack(slot4_contraction(R, us), g, us).operator(g)
     if us.shape[1:] != quotient.u.shape or (
         np.linalg.norm(us[0] - quotient.u) > PAIRING_RTOL * np.linalg.norm(us[0])
     ):
         raise ValueError("u differs from the quotient's null vector")
-    us = quotient.u[None]
-    return operator_stack(slot4_contraction(R, us), g, us, [None], quotient.rep_basis.vectors[None]).operator()
+    us, domain = quotient.u[None], orthonormalize(g, quotient.rep_basis)
+    signs = np.sign(domain.gram.diagonal())
+    return operator_stack(slot4_contraction(R, us), us, [None], domain.vectors[None], signs[None]).operator(g)
 
 
 def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:
     """Grouped eigenvalues of a Jacobi operator, by the eigen step of ``OperatorStack.records``.
 
-    On a g-orthonormal domain the operator is eta F for symmetric F: ``eigvalsh`` if every sign is
-    positive. Only an explicit Gram (signs None, as on a given quotient's representatives) is
-    whitened, when positive definite (Gram = L L^T): the generalized problem
-    (Gram * matrix) v = lambda * Gram v solved as the symmetric L^-1 (Gram * matrix) L^-T (Golub &
-    Van Loan, 8.7). Otherwise the plain eigenvalue problem is used and non-real eigenvalues beyond
-    tolerance raise ``SpectrumError`` -- possible for spacelike bases in indefinite signature.
+    Every operator lives on a g-orthonormal domain of signs eta and is eta F for symmetric F:
+    ``eigvalsh`` if every sign is positive, else the plain eigenvalue problem, where non-real
+    eigenvalues beyond tolerance raise ``SpectrumError`` -- possible for spacelike bases in
+    indefinite signature.
     """
-    signs = None if op.signs is None else op.signs[None]
-    result = _spectra(op.matrix[None], op.domain.gram[None], signs, grouping_tol)[0]
+    result = _spectra(op.matrix[None], op.signs[None], grouping_tol)[0]
     if isinstance(result, SpectrumError):
         raise result
     return result
 
 
-def _whitened(grams, matrices) -> tuple[np.ndarray, np.ndarray]:
-    """On explicit Grams: L^-1 (Gram matrix) L^-T where Gram = L L^T, else the matrix; and where."""
-    evals_G = np.linalg.eigvalsh(grams)
-    definite = evals_G.min(axis=1) > DEFINITE_RTOL * np.maximum(np.abs(evals_G).max(axis=1), 1.0)
-    if definite.any():
-        A = grams[definite] @ matrices[definite]
-        L = np.linalg.cholesky(grams[definite])
-        half = np.linalg.solve(L, 0.5 * (A + A.transpose(0, 2, 1)))
-        matrices = matrices.copy()
-        matrices[definite] = np.linalg.solve(L, half.transpose(0, 2, 1))
-    return matrices, definite
-
-
-def _spectra(matrices, grams, signs, grouping_tol: float) -> list:
+def _spectra(matrices, signs, grouping_tol: float) -> list:
     """``spectrum`` of each operator: ``eigvalsh`` of the symmetric ones, those on domains of
-    positive ``signs`` or on whitened definite Grams (``signs`` None), else ``eigvals``."""
-    matrices, definite = _whitened(grams, matrices) if signs is None else (matrices, (signs > 0).all(axis=1))
+    positive ``signs``, else ``eigvals``."""
+    definite = (signs > 0).all(axis=1)
     out: list = [None] * len(matrices)
     if definite.any():
         spectra = _grouped(np.linalg.eigvalsh(matrices[definite]), grouping_tol)
@@ -428,28 +417,28 @@ class SampleRecord:
 class OperatorStack:
     """Operators of many bases, built together; ``errors[n]`` is why base n has none (or None).
 
-    The arrays stack the error-free bases' operators in order: ``matrices[j]``
-    acts on the rows of ``domains[j]``, self-adjoint w.r.t. ``grams[j]``. With ``signs``, the
-    domains are g-orthonormal with those signs, and ``matrices`` are ``signs F`` for symmetric F."""
+    The arrays stack the error-free bases' operators in order: ``matrices[j]`` acts on the rows
+    of ``domains[j]``, which are g-orthonormal with the signs ``signs[j]``, and is ``signs[j] F``
+    for a symmetric F."""
 
     bases: np.ndarray
     errors: list
     domains: np.ndarray
-    grams: np.ndarray
     matrices: np.ndarray
-    signs: np.ndarray | None = None
+    signs: np.ndarray
 
-    def operator(self) -> JacobiOperator:
-        """The operator of a one-base stack; raises the base's error if it has none."""
+    def operator(self, g: ScalarProduct) -> JacobiOperator:
+        """The operator of a one-base stack, its domain Gram measured under g; raises the base's
+        error if it has none."""
         if self.errors[0] is not None:
             raise self.errors[0]
-        domain = SubspaceBasis(vectors=self.domains[0], gram=self.grams[0])
-        signs = None if self.signs is None else self.signs[0]
-        return JacobiOperator(self.bases[0], domain, self.matrices[0], signs)
+        D = self.domains[0]
+        domain = SubspaceBasis(vectors=D, gram=D @ g.components @ D.T)
+        return JacobiOperator(self.bases[0], domain, self.matrices[0], self.signs[0])
 
     def records(self, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
         """One record per base: its spectrum, or the error that prevented it."""
-        spectra = iter(_spectra(self.matrices, self.grams, self.signs, grouping_tol))
+        spectra = iter(_spectra(self.matrices, self.signs, grouping_tol))
         results = [error or next(spectra) for error in self.errors]
         return [
             SampleRecord(base, None, str(r)) if isinstance(r, GeometryError) else SampleRecord(base, r)

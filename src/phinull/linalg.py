@@ -13,7 +13,8 @@ Conventions
 - A ``SubspaceBasis`` stores its basis vectors as the *rows* of a ``(k, m)``
   array together with the ``(k, k)`` Gram matrix of the restricted form.
 - Rank decisions use a relative tolerance (``RANK_RTOL`` times the matrix
-  max-norm); the causal-character cutoff is absolute (``NULL_ATOL``).
+  max-norm); the causal-character cutoff is relative too (``NULL_ATOL`` times
+  max |G| |x|^2), as are Gram-Schmidt pivots (``NULL_ATOL`` times their size).
 - Complements are computed from the nullspace of the Gram map via SVD, not by
   pivoted elimination, so they behave uniformly across signatures.
 """
@@ -129,10 +130,12 @@ def orthonormal_frame(g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
 
 
 def causal_characters(g: ScalarProduct, xs) -> list[CausalCharacter]:
-    """Classify each row x of xs as spacelike / timelike / null / zero under g."""
+    """Classify each row x of xs as spacelike / timelike / null / zero under g: null when
+    |g(x, x)| is within ``NULL_ATOL`` of max |G| |x|^2, so a rescaling of x keeps its character."""
     X = np.asarray(xs, dtype=float)
     q = self_products(g, X)
-    conditions = [~X.any(axis=1), np.abs(q) <= NULL_ATOL, q < 0.0]
+    null = np.abs(q) <= NULL_ATOL * np.abs(g.components).max() * (X * X).sum(axis=1)
+    conditions = [~X.any(axis=1), null, q < 0.0]
     return [CausalCharacter(kind) for kind in np.select(conditions, ["zero", "null", "timelike"], "spacelike")]
 
 

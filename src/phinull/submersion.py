@@ -268,13 +268,13 @@ def r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.nda
         if errors[n] is None and abs(q - 1.0) > UNIT_ATOL:
             errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
     domains, signs = reflected_domains(g, F.frame, xs[_error_free(errors)])
-    return operator_stack(RX, g, xs, errors, domains, signs, partial(transfer_forms, g, F))
+    return operator_stack(RX, xs, errors, domains, signs, partial(transfer_forms, g, F))
 
 
 def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> JacobiOperator:
     """Base-space Jacobi operator of a unit spacelike horizontal x, on x-perp in H."""
     xs = np.asarray(x, dtype=float).reshape(1, -1)
-    return r_star_stack(slot4_contraction(R, xs), g, F, xs).operator()
+    return r_star_stack(slot4_contraction(R, xs), g, F, xs).operator(g)
 
 
 def _sentinel_frame(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> tuple:
@@ -359,7 +359,7 @@ def base_null_stack(RU: np.ndarray, g: ScalarProduct, F: FibrationModel, us: np.
     errors = _horizontal_errors(F, us, "first argument of A")
     message = "base null quotient: restricted Gram kernel is not one-dimensional"
     reps, signs = _null_domains(g, F.frame, us, errors, message)
-    return operator_stack(RU, g, us, errors, reps, signs, partial(transfer_forms, g, F))
+    return operator_stack(RU, us, errors, reps, signs, partial(transfer_forms, g, F))
 
 
 def base_null_osserman_check(

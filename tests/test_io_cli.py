@@ -558,6 +558,16 @@ def test_cli_spectrum(phi_model_file, capsys):
     assert run(["spectrum", phi_model_file, "--vector", "1,2,oops"]) == 2
 
 
+def test_cli_spectrum_of_a_small_spacelike_vector(tmp_path, capsys):
+    # g(x, x) = 1e-12 fell under the absolute null cutoff: the vector was taken for null and
+    # refused with "kernel dimension 0"; its character is judged against its size
+    path = str(tmp_path / "constant.json")
+    assert run(["generate", "--family", "constant", "--n", "2", "--s", "2", "--out", path]) == 0
+    capsys.readouterr()
+    assert run(["spectrum", path, "--vector", "0,1e-6,0,0,0,0"]) == 0
+    assert capsys.readouterr().out == "jacobi (spacelike base): +1e-12 (x5)\n"
+
+
 def test_cli_spectrum_vector_must_be_finite_of_the_dimension(phi_model_file, capsys):
     # a NaN or inf entry reached the SVD ("did not converge"), inf with numpy warnings on stderr
     for vector in ("nan,0,0,0,0,0,1", "inf,0,0,0,0,0,1", "1,0,0,0,0,0", "1,0,0,0,0,0,0,0"):

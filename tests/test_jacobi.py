@@ -27,7 +27,6 @@ from phinull.io import generate_instance
 from phinull.jacobi import (
     BOOST_WINDOW,
     JacobiOperator,
-    OperatorStack,
     SampleRecord,
     SpectralData,
     SpectrumError,
@@ -277,11 +276,14 @@ def test_timelike_round_off_no_worse_than_per_vector_assembly():
         stack = jacobi_stack(slot4_contraction(R, bases), g, bases)
         report = decide_constancy("stacked", stack.records(), seed, 1e-8, 1e-6)
         assert report.passed, (seed, report.failure)
-        # the per-vector assembly on the same bases, diagonalized as the deciders do
-        domains = np.array([orthogonal_complement(g, [z]).vectors for z in bases])
-        matrices = np.array([_per_vector_matrix(R, g, z, D) for z, D in zip(bases, domains)])
-        grams = domains @ g.components @ domains.transpose(0, 2, 1)
-        records = OperatorStack(bases, [None] * len(bases), domains, grams, matrices).records()
+        # the per-vector assembly on the same bases, each diagonalized by scipy on its own pencil
+        records = []
+        for z in bases:
+            D = orthogonal_complement(g, [z]).vectors
+            gram = D @ g.components @ D.T
+            A = gram @ _per_vector_matrix(R, g, z, D)
+            values = scipy.linalg.eigh(0.5 * (A + A.T), gram, eigvals_only=True)
+            records.append(SampleRecord(z, SpectralData.from_values(values, 1e-6)))
         per_vector = decide_constancy("per-vector", records, seed, 1e-8, 1e-6)
         assert per_vector.passed, (seed, per_vector.failure)
         ratios.append(report.groups[0]["spread"] / per_vector.groups[0]["spread"])
@@ -396,29 +398,30 @@ def test_contraction_kernels_match_einsum(count):
 
 # -- spectra ------------------------------------------------------------------
 
-def _operator_from(matrix, gram):
-    # an explicit domain: coordinate rows carrying the given Gram, so spectrum() whitens it
+def _operator_from(matrix, signs):
+    # an operator on coordinate rows, g-orthonormal with the given signs: its Gram is diag(signs)
+    signs = np.asarray(signs, dtype=float)
     dim = matrix.shape[0] + 1
-    basis = SubspaceBasis(np.eye(dim)[: matrix.shape[0]], np.asarray(gram, dtype=float))
+    basis = SubspaceBasis(np.eye(dim)[: matrix.shape[0]], np.diag(signs))
     return JacobiOperator(
         base=np.eye(dim)[-1],
         domain=basis,
         matrix=np.asarray(matrix, dtype=float),
-        signs=None,
+        signs=signs,
     )
 
 
 def test_spectrum_scalar_matrix():
-    op = _operator_from(3.0 * np.eye(5), np.eye(5))
+    op = _operator_from(3.0 * np.eye(5), np.ones(5))
     data = spectrum(op)
     assert data.eigenvalues == (3.0,)
     assert data.multiplicities == (5,)
 
 
 def test_spectrum_grouping_contract():
-    op = _operator_from(np.diag([1.0, 1.0, 4.0]), np.eye(3))
+    op = _operator_from(np.diag([1.0, 1.0, 4.0]), np.ones(3))
     assert spectrum(op, grouping_tol=1e-6).multiplicities == (2, 1)
-    op = _operator_from(np.diag([1.0, 1.0 + 1e-9, 4.0]), np.eye(3))
+    op = _operator_from(np.diag([1.0, 1.0 + 1e-9, 4.0]), np.ones(3))
     data = spectrum(op, grouping_tol=1e-6)
     assert data.multiplicities == (2, 1)
     assert data.eigenvalues[0] == pytest.approx(1.0, abs=1e-8)
@@ -432,22 +435,22 @@ def test_spectral_data_counts_dimension():
 
 def test_spectrum_complex_eigenvalues_reported():
     # rotation-like operator, self-adjoint w.r.t. an indefinite Gram
-    op = _operator_from(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([-1.0, 1.0]))
+    op = _operator_from(np.array([[0.0, 1.0], [-1.0, 0.0]]), [-1.0, 1.0])
     assert op.self_adjointness_residual < 1e-12
     with pytest.raises(SpectrumError):
         spectrum(op)
 
 
 def test_spectrum_error_lists_eigenvalues_sorted():
-    # the same operator in reversed coordinates (matrix and Gram both conjugated): LAPACK
+    # the same operator in reversed coordinates (matrix conjugated, signs permuted): LAPACK
     # returns its eigenvalues in another order, the message must not
-    G = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
+    signs = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
     S = np.random.default_rng(2).standard_normal((5, 5))
-    M, P = np.linalg.solve(G, S + S.T), np.eye(5)[::-1]
+    M, P = signs[:, None] * (S + S.T), np.eye(5)[::-1]
     messages = []
-    for matrix, gram in ((M, G), (P @ M @ P.T, P @ G @ P.T)):
+    for matrix, eta in ((M, signs), (P @ M @ P.T, P @ signs)):
         with pytest.raises(SpectrumError) as info:
-            spectrum(_operator_from(matrix, gram))
+            spectrum(_operator_from(matrix, eta))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
@@ -458,14 +461,14 @@ def test_spectrum_error_message_is_one_line_with_every_eigenvalue(monkeypatch):
     matrix = np.zeros((12, 12))
     matrix[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
     matrix[2:, 2:] = np.diag(np.arange(1.0, 11.0))
-    gram = np.diag([-1.0] + [1.0] * 11)
+    signs = [-1.0] + [1.0] * 11
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.array2string called")
 
     monkeypatch.setattr(np, "array2string", refuse)
     with pytest.raises(SpectrumError) as info:
-        spectrum(_operator_from(matrix, gram))
+        spectrum(_operator_from(matrix, signs))
     message = str(info.value)
     assert "\n" not in message
     listed = message.split("eigenvalues = [", 1)[1]
@@ -556,26 +559,67 @@ def test_spectrum_reconstruction_residual():
     assert np.abs(recon - op.matrix).max() < 1e-8
 
 
-def test_spectrum_whitening_matches_scipy_on_definite_pencils():
-    rng = np.random.default_rng(12)
-    for k in (1, 3, 7, 11):
-        for _ in range(10):
-            L = np.eye(k) + 0.4 * rng.standard_normal((k, k))
-            gram = L @ L.T
-            sym = rng.standard_normal((k, k))
-            op = _operator_from(np.linalg.solve(gram, sym + sym.T), gram)
-            A = gram @ op.matrix
-            expected = scipy.linalg.eigh(0.5 * (A + A.T), gram, eigvals_only=True)
-            data = spectrum(op, grouping_tol=0.0)
-            values = np.repeat(data.eigenvalues, data.multiplicities)
-            assert np.abs(values - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
-
-
 def _spectrum_or_error(op):
     try:
         return spectrum(op), None
     except SpectrumError as exc:
         return None, str(exc)
+
+
+def _skewed_quotient(g, u, seed):
+    """The quotient of u through the representatives K reps + t u: K a random mix of a basis of
+    the quotient, conditioned at most 4 (an orthogonal matrix, its columns scaled by 1/2 to 2),
+    and t a random shift along u."""
+    rng = np.random.default_rng(seed)
+    reps = null_quotient(g, u).rep_basis.vectors
+    Q, _ = np.linalg.qr(rng.standard_normal((len(reps), len(reps))))
+    K = Q * rng.uniform(0.5, 2.0, len(reps))
+    return null_quotient_from_representatives(g, u, K @ reps + rng.uniform(-2.0, 2.0) * u)
+
+
+def _pencil(R, g, q):
+    """The quotient's explicit pencil: the form R(r_i, u, r_j, u) and the Gram of its representatives."""
+    reps = q.rep_basis.vectors
+    return bf_form_matrix(R.components, reps, q.u), reps @ g.components @ reps.T
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_null_jacobi_on_skewed_representatives_matches_scipy_and_the_stack(seed):
+    # a given quotient is made g-orthonormal where it enters; on a Lorentzian frame that is not
+    # canonical its spectrum is scipy's on the explicit definite pencil, and the stack path's
+    S = conjugated_structure(5, 2, seed=seed + 1)
+    R = random_algebraic_curvature(S.g, seed=seed)
+    for u in sample_null_vectors(S.g, 4, seed=seed):
+        q = _skewed_quotient(S.g, u, seed)
+        assert q.gbar_positive_definite
+        oracle = scipy.linalg.eigh(*_pencil(R, S.g, q), eigvals_only=True)
+        for op in (null_jacobi(R, S.g, u, quotient=q), null_jacobi(R, S.g, u)):
+            assert (op.signs > 0).all()
+            data = spectrum(op, grouping_tol=0.0)
+            values = np.repeat(data.eigenvalues, data.multiplicities)
+            assert np.abs(values - oracle).max() < 1e-10 * max(1.0, np.abs(oracle).max())
+
+
+def test_null_jacobi_on_skewed_indefinite_representatives_fails_as_the_stack_does():
+    # signature (2, 2): the quotient is indefinite, and its spectrum is real or not by the
+    # tensor; both routes give the same spectrum, scipy's on the explicit pencil, or the same error
+    g = ScalarProduct.diagonal([-1.0, -1.0, 1.0, 1.0])
+    u = np.array([1.0, 0.0, 1.0, 0.0])
+    real = []
+    for seed in range(12):
+        R = random_algebraic_curvature(g, seed=seed)
+        q = _skewed_quotient(g, u, seed)
+        assert q.gbar_signature == (1, 1)
+        skewed, error = _spectrum_or_error(null_jacobi(R, g, u, quotient=q))
+        stacked, stack_error = _spectrum_or_error(null_jacobi(R, g, u))
+        assert error == stack_error, seed
+        real.append(error is None)
+        if error is None:
+            oracle = np.sort(scipy.linalg.eigvals(*_pencil(R, g, q)).real)
+            for data in (skewed, stacked):
+                values = np.repeat(data.eigenvalues, data.multiplicities)
+                assert np.abs(values - oracle).max() < 1e-10 * max(1.0, np.abs(oracle).max()), seed
+    assert any(real) and not all(real)
 
 
 @pytest.mark.parametrize("family", ["constant", "phi_model", "random"])

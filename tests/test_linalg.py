@@ -94,7 +94,7 @@ def test_causal_character_positive_rescaling_invariance():
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = rng.standard_normal(4)
-        t = float(rng.uniform(0.1, 10.0))
+        t = float(10.0 ** rng.uniform(-8.0, 8.0))  # log-uniform on [1e-8, 1e8]
         assert causal_character(g, x) is causal_character(g, t * x)
 
 

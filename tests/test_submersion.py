@@ -656,13 +656,15 @@ def test_stacked_base_operators_match_per_vector_assembly(conjugated):
             assert stack.errors == [None] * len(xs)
             oracle = _oracle_forms(R, F, stack.bases, stack.domains)
             oracle = 0.5 * (oracle + oracle.transpose(0, 2, 1))
-            for base, D, gram, matrix, B in zip(stack.bases, stack.domains, stack.grams, stack.matrices, oracle):
-                # the domain: horizontal, g-orthogonal to the base, of full rank
+            rows = zip(stack.bases, stack.domains, stack.signs, stack.matrices, oracle)
+            for base, D, signs, matrix, B in rows:
+                # the domain: horizontal, g-orthogonal to the base, of full rank, g-orthonormal
+                # with its signs, so the operator is signs * B
                 assert np.abs(vertical_part(F, D)).max() < 1e-10
                 assert np.abs(D @ S.g.components @ base).max() < 1e-10
                 assert np.linalg.matrix_rank(D) == D.shape[0]
-                assert np.array_equal(gram, D @ S.g.components @ D.T)
-                assert np.abs(matrix - np.linalg.solve(gram, B)).max() < 1e-10, (name, F.kind)
+                assert np.abs(D @ S.g.components @ D.T - np.diag(signs)).max() < 1e-12
+                assert np.abs(matrix - signs[:, None] * B).max() < 1e-10, (name, F.kind)
 
 
 def _oracle_base_domain(G, H, base, null):

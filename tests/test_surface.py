@@ -6,9 +6,11 @@ and ``SpectralData.from_values``, and of ``OperatorStack.records``, which carrie
 grouping tolerance to the spectra.
 
 The four operator-stack builders take the slot-4 contraction of their bases first, and none has
-a twin that takes the curvature tensor.
+a twin that takes the curvature tensor. Every operator lives on g-orthonormal domain rows with
+their signs: the one assembly, ``operator_stack``, takes no metric, and no stack stores a Gram.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -92,5 +94,13 @@ def test_operator_stacks_are_built_from_the_contraction_only():
                     stack_builders.add(f"{prefix}.{attr}")
     assert stack_builders == set(BUILDERS)
     assert "domains" not in inspect.signature(modules["jacobi"].jacobi_stack).parameters
+    # one domain representation: g-orthonormal rows and their signs, no metric or Gram beside them
+    jacobi = modules["jacobi"]
+    assembly = inspect.signature(jacobi.operator_stack).parameters
+    assert "g" not in assembly and "ScalarProduct" not in {p.annotation for p in assembly.values()}
+    fields = [field.name for field in dataclasses.fields(jacobi.OperatorStack)]
+    assert fields == ["bases", "errors", "domains", "matrices", "signs"]
+    for function in (jacobi._spectra, jacobi.operator_stack):
+        assert inspect.signature(function).parameters["signs"].default is inspect.Parameter.empty, function
     report = modules["submersion"].theorem_equivalence_report
     assert "tau_fibration" not in inspect.signature(report).parameters
