@@ -18,8 +18,8 @@ are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one 
 signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
 the grouped eigenvalues of all samples agree within a tolerance. Every domain is
 g-orthonormal and carries its signs: the one other way in, the given representatives of
-``null_jacobi(quotient=)``, is made g-orthonormal where it enters, by indefinite
-Gram-Schmidt, and a domain's Gram is measured only for a one-base operator
+``null_jacobi(quotient=)``, is made g-orthonormal where it enters, by their coordinates in
+u's own quotient frame, and a domain's Gram is measured only for a one-base operator
 (``OperatorStack.operator``). Records and decision
 are one step, ``_decide``, taken by every decider here and in ``submersion``: a decider
 is its draw, a contraction per stack of bases, a builder and that step. The Jacobi forms are
@@ -308,10 +308,10 @@ def null_jacobi(
     The matrix is independent of the choice of representatives because
     R(x, u) u lands in u-perp and g(., u) vanishes there. A ``quotient`` must be
     one of u itself (``quotient.u`` within ``PAIRING_RTOL`` of u, relative to
-    its norm), else ValueError. Its representatives are made g-orthonormal by
-    indefinite Gram-Schmidt (``orthonormalize``), which leaves the quotient
-    class of each and takes the same coefficients for representatives shifted
-    by multiples of u; the operator is then assembled as every other is.
+    its norm), else ValueError. Its representatives are made g-orthonormal where
+    they enter: with ``reps = K D0`` modulo u, D0 the frame of u's own quotient of
+    signs eta (so ``gbar = K eta K^T``, of any signature), the domain is ``K^-1 reps``;
+    a shift of the representatives along u leaves K as it is.
     """
     us = np.asarray(u, dtype=float).reshape(1, -1)
     if quotient is None:
@@ -320,9 +320,10 @@ def null_jacobi(
         np.linalg.norm(us[0] - quotient.u) > PAIRING_RTOL * np.linalg.norm(us[0])
     ):
         raise ValueError("u differs from the quotient's null vector")
-    us, domain = quotient.u[None], orthonormalize(g, quotient.rep_basis)
-    signs = np.sign(domain.gram.diagonal())
-    return operator_stack(slot4_contraction(R, us), us, [None], domain.vectors[None], signs[None]).operator(g)
+    us, reps = quotient.u[None], quotient.rep_basis.vectors
+    errors, frames, signs = _null_quotients(g, us)
+    K = reps @ g.components @ frames.transpose(0, 2, 1) * signs[:, None]
+    return operator_stack(slot4_contraction(R, us), us, errors, np.linalg.solve(K, reps), signs).operator(g)
 
 
 def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:

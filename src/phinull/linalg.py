@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,11 @@ class ScalarProduct:
     def is_lorentzian(self) -> bool:
         return self.signature[1] == 1
 
+    @cached_property
+    def max_norm(self) -> float:
+        """max |G|, the scale of the causal-character and pivot cutoffs, taken once per metric."""
+        return float(np.abs(self.components).max())
+
 
 def inner(g: ScalarProduct, x, y) -> float:
     """Evaluate g(x, y).
@@ -134,7 +140,7 @@ def causal_characters(g: ScalarProduct, xs) -> list[CausalCharacter]:
     |g(x, x)| is within ``NULL_ATOL`` of max |G| |x|^2, so a rescaling of x keeps its character."""
     X = np.asarray(xs, dtype=float)
     q = self_products(g, X)
-    null = np.abs(q) <= NULL_ATOL * np.abs(g.components).max() * (X * X).sum(axis=1)
+    null = np.abs(q) <= NULL_ATOL * g.max_norm * (X * X).sum(axis=1)
     conditions = [~X.any(axis=1), null, q < 0.0]
     return [CausalCharacter(kind) for kind in np.select(conditions, ["zero", "null", "timelike"], "spacelike")]
 
@@ -224,7 +230,7 @@ def orthonormalize(g: ScalarProduct, basis: SubspaceBasis) -> SubspaceBasis:
     """
     out: list[np.ndarray] = []
     signs: list[float] = []
-    gmax = max(float(np.abs(g.components).max()), 1.0)
+    gmax = max(g.max_norm, 1.0)
     for row in basis.vectors:
         v = row.astype(float).copy()
         for u, sign in zip(out, signs):

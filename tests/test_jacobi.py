@@ -602,23 +602,26 @@ def test_null_jacobi_on_skewed_representatives_matches_scipy_and_the_stack(seed)
 
 def test_null_jacobi_on_skewed_indefinite_representatives_fails_as_the_stack_does():
     # signature (2, 2): the quotient is indefinite, and its spectrum is real or not by the
-    # tensor; both routes give the same spectrum, scipy's on the explicit pencil, or the same error
+    # tensor; both routes give the same spectrum, scipy's on the explicit pencil, or the same error.
+    # The hyperbolic pair has two null representatives, gbar = [[0, -2], [-2, 0]]: no pivot of
+    # Gram-Schmidt in their order survives, yet the quotient is nondegenerate
     g = ScalarProduct.diagonal([-1.0, -1.0, 1.0, 1.0])
     u = np.array([1.0, 0.0, 1.0, 0.0])
+    hyperbolic = null_quotient_from_representatives(g, u, [[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, -1.0]])
     real = []
     for seed in range(12):
         R = random_algebraic_curvature(g, seed=seed)
-        q = _skewed_quotient(g, u, seed)
-        assert q.gbar_signature == (1, 1)
-        skewed, error = _spectrum_or_error(null_jacobi(R, g, u, quotient=q))
         stacked, stack_error = _spectrum_or_error(null_jacobi(R, g, u))
-        assert error == stack_error, seed
-        real.append(error is None)
-        if error is None:
-            oracle = np.sort(scipy.linalg.eigvals(*_pencil(R, g, q)).real)
-            for data in (skewed, stacked):
-                values = np.repeat(data.eigenvalues, data.multiplicities)
-                assert np.abs(values - oracle).max() < 1e-10 * max(1.0, np.abs(oracle).max()), seed
+        real.append(stack_error is None)
+        for q in (_skewed_quotient(g, u, seed), hyperbolic):
+            assert q.gbar_signature == (1, 1)
+            skewed, error = _spectrum_or_error(null_jacobi(R, g, u, quotient=q))
+            assert error == stack_error, seed
+            if error is None:
+                oracle = np.sort(scipy.linalg.eigvals(*_pencil(R, g, q)).real)
+                for data in (skewed, stacked):
+                    values = np.repeat(data.eigenvalues, data.multiplicities)
+                    assert np.abs(values - oracle).max() < 1e-10 * max(1.0, np.abs(oracle).max()), seed
     assert any(real) and not all(real)
 
 
