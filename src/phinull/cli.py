@@ -226,15 +226,14 @@ def cmd_spectrum(args) -> int:
     vec = np.array([float(v) for v in args.vector.split(",")])
     if vec.shape != (S.dim,) or not np.isfinite(vec).all():
         raise ValueError(f"--vector must hold {S.dim} finite numbers, got {args.vector!r}")
-    kind = causal_character(S.g, vec)
-    if kind is CausalCharacter.ZERO:
-        raise InstanceValidationError("cannot take the spectrum at the zero vector")
-    if kind is CausalCharacter.NULL:
-        op = null_jacobi(R, S.g, vec)
-        operator = "null-jacobi (quotient)"
-    else:
-        op = jacobi(R, S.g, vec)
-        operator = f"jacobi ({kind.value} base)"
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below, on one line
+        if not sys.float_info.min <= (norm_sq := float(vec @ vec)) < np.inf:  # the zero vector too
+            raise ValueError(f"--vector has |x|^2 = {norm_sq:.3e}, not a positive finite normal float")
+        kind = causal_character(S.g, vec)
+        op = (null_jacobi if kind is CausalCharacter.NULL else jacobi)(R, S.g, vec)
+    operator = "null-jacobi (quotient)" if kind is CausalCharacter.NULL else f"jacobi ({kind.value} base)"
+    if not np.isfinite(op.matrix).all():
+        raise ValueError(f"the {operator} operator at --vector has a non-finite entry")
     try:
         data = spectrum(op, args.grouping_tol)
     except SpectrumError as exc:  # under --json -, stdout holds a JSON document or nothing

@@ -31,7 +31,9 @@ those bases is built from it (``jacobi_covectors``). ``operator_stack`` is the o
 assembly from a contraction to operators (C, the form ``D C`` or one built from C,
 then F); each operator-stack builder is its per-base checks and one call to it, and
 takes the contraction first, so a decider that shares its bases with another, as
-the theorem report's do, contracts them once.
+the theorem report's do, contracts them once. Its last step, ``_assembled`` (symmetrize,
+then sign), is also how the theorem report's pi base stack, built on the sentinel's
+domains, covectors and forms, becomes operators.
 Each contraction is a stack of BLAS products, one per sample. Under OpenBLAS
 (0.3.31, 2 cores) these per-sample products ran on one thread at every
 dimension measured, 11 to 24; one product over the whole stack goes threaded
@@ -207,6 +209,12 @@ def operator_stack(RX, bases, errors: list, domains, signs, form=None) -> Operat
     ok = _error_free(errors)
     C = jacobi_covectors(RX[ok], bases[ok], domains)
     forms = domains @ C if form is None else form(bases[ok], domains, C)
+    return _assembled(bases, errors, domains, forms, signs)
+
+
+def _assembled(bases, errors: list, domains, forms, signs) -> OperatorStack:
+    """The last step of ``operator_stack``: the forms of the error-free bases, symmetrized to F,
+    become the operators ``signs F``."""
     forms = 0.5 * (forms + forms.transpose(0, 2, 1))
     return OperatorStack(bases, errors, domains, signs[:, :, None] * forms, signs)
 

@@ -135,14 +135,20 @@ def orthonormal_frame(g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
     return (evecs / np.sqrt(np.abs(evals))).T, np.sign(evals)
 
 
+_CHARACTERS = tuple(CausalCharacter)  # by code: 0 spacelike, 1 timelike, 2 null, 3 zero
+
+
 def causal_characters(g: ScalarProduct, xs) -> list[CausalCharacter]:
     """Classify each row x of xs as spacelike / timelike / null / zero under g: null when
-    |g(x, x)| is within ``NULL_ATOL`` of max |G| |x|^2, so a rescaling of x keeps its character."""
+    |g(x, x)| is within ``NULL_ATOL`` of max |G| |x|^2, so a rescaling of x keeps its character.
+    Each row is judged scaled by the power of two that puts its largest |entry| in [0.5, 1), an
+    exact scaling, so that neither g(x, x) nor |x|^2 overflows or underflows."""
     X = np.asarray(xs, dtype=float)
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1))[1][:, None])
     q = self_products(g, X)
     null = np.abs(q) <= NULL_ATOL * g.max_norm * (X * X).sum(axis=1)
-    conditions = [~X.any(axis=1), null, q < 0.0]
-    return [CausalCharacter(kind) for kind in np.select(conditions, ["zero", "null", "timelike"], "spacelike")]
+    codes = np.select([~X.any(axis=1), null, q < 0.0], [3, 2, 1], 0)
+    return [_CHARACTERS[code] for code in codes.tolist()]
 
 
 def causal_character(g: ScalarProduct, x) -> CausalCharacter:
@@ -228,22 +234,20 @@ def orthonormalize(g: ScalarProduct, basis: SubspaceBasis) -> SubspaceBasis:
     No pivoting is attempted: a null leading vector is an error even when the
     span itself is nondegenerate.
     """
-    out: list[np.ndarray] = []
-    signs: list[float] = []
-    gmax = max(g.max_norm, 1.0)
+    G, gmax = g.components, max(g.max_norm, 1.0)
+    accepted: list[tuple] = []  # (u, G u, the sign of g(u, u)) per accepted vector
     for row in basis.vectors:
         v = row.astype(float).copy()
-        for u, sign in zip(out, signs):
-            v -= sign * inner(g, v, u) * u
-        q = inner(g, v, v)
-        scale = gmax * max(float(v @ v), 1.0)
-        if abs(q) <= NULL_ATOL * scale:
+        for u, Gu, sign in accepted:  # inner(g, v, u): its two products in its order
+            v -= sign * (0.5 * (float(v @ Gu) + float(u @ (G @ v)))) * u
+        q = float(v @ (G @ v))  # inner(g, v, v)
+        if abs(q) <= NULL_ATOL * (gmax * max(float(v @ v), 1.0)):
             raise DegenerateSubspaceError(
-                f"degenerate pivot at position {len(out)}: |g(v,v)| = {abs(q):.3e}"
+                f"degenerate pivot at position {len(accepted)}: |g(v,v)| = {abs(q):.3e}"
             )
-        out.append(v / np.sqrt(abs(q)))
-        signs.append(1.0 if q > 0.0 else -1.0)
-    return SubspaceBasis.from_vectors(g, np.array(out))
+        u = v / np.sqrt(abs(q))
+        accepted.append((u, G @ u, 1.0 if q > 0.0 else -1.0))
+    return SubspaceBasis.from_vectors(g, np.array([u for u, _, _ in accepted]))
 
 
 def sample_unit_sphere(

@@ -60,6 +60,14 @@ the rank-one term with the fibration's recorded sigma. A violation means a
 bug (or a tampered sigma), never a property of the instance. V (orthonormal:
 no Gram is solved), the covectors on V and the right side's pieces are built
 once per report; only a, b, g(V, V) and sigma are the fibration's.
+
+For the pi kinds the horizontal space is Im(phi) and its frame is
+``GffStructure.image_frame`` itself, so the pi Rstar stack of a report is
+built on the sentinel's pieces: its domains are V, its covectors are C and its
+forms are the pi transfer forms that the sentinel's left side reads, bit for
+bit what ``r_star_stack`` would compute, handed to ``operator_stack``'s last
+step (``jacobi._assembled``). The pi horizontal check runs once, as the
+sentinel's.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ from .jacobi import (
     JacobiOperator,
     OperatorStack,
     PhiNullReport,
+    _assembled,
     _decide,
     _error_free,
     _null_domains,
@@ -142,21 +151,17 @@ def make_fibration(S: GffStructure, kind: FibrationKind) -> FibrationModel:
     elif S.s < 2:
         raise ValueError(f"{kind.value} requires s >= 2, got s = {S.s}")
 
-    image = S.image_frame
-    if kind in (FibrationKind.PI_FULL, FibrationKind.PI_PRIME):
-        horizontal_rows = image.vectors
-        vertical_indices = tuple(range(S.s))
-        sigma = float(S.s - 2) if kind is FibrationKind.PI_FULL else -1.0
+    # each kind's horizontal basis, its vertical frame vectors and their sign sum sigma
+    if kind in _PI_KINDS:  # Im(phi)'s frame itself, so that its stacks share the sentinel's V
+        horizontal = S.image_frame
+        vertical_indices, sigma = tuple(range(S.s)), float(S.s - 2) if kind is FibrationKind.PI_FULL else -1.0
     elif kind is FibrationKind.TAU:
-        horizontal_rows = np.vstack([image.vectors, S.xi[0]])
-        vertical_indices = tuple(range(1, S.s))
-        sigma = float(S.s - 1)
+        horizontal = SubspaceBasis.from_vectors(S.g, np.vstack([S.image_frame.vectors, S.xi[0]]))
+        vertical_indices, sigma = tuple(range(1, S.s)), float(S.s - 1)
     else:  # REMARK_SASAKI
-        horizontal_rows = np.vstack([image.vectors, S.xi[S.s - 1]])
-        vertical_indices = tuple(range(S.s - 1))
-        sigma = float(S.s - 3)
+        horizontal = SubspaceBasis.from_vectors(S.g, np.vstack([S.image_frame.vectors, S.xi[S.s - 1]]))
+        vertical_indices, sigma = tuple(range(S.s - 1)), float(S.s - 3)
 
-    horizontal = SubspaceBasis.from_vectors(S.g, horizontal_rows)
     vertical = SubspaceBasis.from_vectors(S.g, S.xi[list(vertical_indices)])
 
     cross = horizontal.vectors @ S.g.components @ vertical.vectors.T
@@ -191,20 +196,17 @@ def vertical_part(F: FibrationModel, X) -> np.ndarray:
 def _horizontal_errors(F: FibrationModel, xs: np.ndarray, what: str) -> list:
     """Per row of ``xs``: a GeometryError if it leaks into the vertical space, else None."""
     leaks = np.linalg.norm(vertical_part(F, xs), axis=-1)
-    scales = np.maximum(np.linalg.norm(xs, axis=-1), 1.0)
-    return [
-        GeometryError(f"{what} must be horizontal: vertical component {leak:.3e}")
-        if leak > HORIZONTAL_RTOL * scale else None
-        for leak, scale in zip(leaks, scales)
-    ]
+    errors: list = [None] * len(xs)
+    for n in np.flatnonzero(leaks > HORIZONTAL_RTOL * np.maximum(np.linalg.norm(xs, axis=-1), 1.0)):
+        errors[n] = GeometryError(f"{what} must be horizontal: vertical component {leaks[n]:.3e}")
+    return errors
 
 
 def _require_horizontal(F: FibrationModel, X, what: str) -> np.ndarray:
     """X (a vector, or rows of vectors) once all of it is checked horizontal."""
     Xv = np.asarray(X, dtype=float)
-    for error in _horizontal_errors(F, np.atleast_2d(Xv), what):
-        if error is not None:
-            raise error
+    for error in filter(None, _horizontal_errors(F, np.atleast_2d(Xv), what)):  # the first one
+        raise error
     return Xv
 
 
@@ -260,13 +262,18 @@ def transfer_forms(g: ScalarProduct, F: FibrationModel, xs, domains, C) -> np.nd
     return domains @ C + (v @ g.components @ v) * a[:, :, None] * (2.0 * a - b)[:, None, :]
 
 
+def _unit_errors(g: ScalarProduct, xs: np.ndarray, errors: list) -> list:
+    """``errors`` with a CausalCharacterError for each base not unit spacelike that has none yet."""
+    q = np.einsum("nm,mk,nk->n", xs, g.components, xs)
+    for n in np.flatnonzero(np.abs(q - 1.0) > UNIT_ATOL):
+        errors[n] = errors[n] or CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q[n]:.6e}")
+    return errors
+
+
 def r_star_stack(RX: np.ndarray, g: ScalarProduct, F: FibrationModel, xs: np.ndarray) -> OperatorStack:
     """Base-space Jacobi operators of unit spacelike horizontal bases, each on x-perp in H, from
     RX = ``slot4_contraction(R, xs)``."""
-    errors = _horizontal_errors(F, xs, "base of Rstar")
-    for n, q in enumerate(np.einsum("nm,mk,nk->n", xs, g.components, xs)):
-        if errors[n] is None and abs(q - 1.0) > UNIT_ATOL:
-            errors[n] = CausalCharacterError(f"Rstar base must be unit spacelike: g(x,x) = {q:.6e}")
+    errors = _unit_errors(g, xs, _horizontal_errors(F, xs, "base of Rstar"))
     domains, signs = reflected_domains(g, F.frame, xs[_error_free(errors)])
     return operator_stack(RX, xs, errors, domains, signs, partial(transfer_forms, g, F))
 
@@ -279,22 +286,27 @@ def r_star(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x) -> Jacobi
 
 def _sentinel_frame(RX: np.ndarray, S: GffStructure, xs: np.ndarray) -> tuple:
     """What the sentinel shares between fibrations on the bases xs, from their slot-4 contraction
-    RX: V = x-perp in Im(phi), g-orthonormal, ``C = jacobi_covectors`` on V, and the right side's
-    R_x raised through g^-1 and rank-one term ``g(., phi x) phi x``, both in V-coordinates g(v_k, .)."""
-    V, _ = reflected_domains(S.g, (S.image_frame.vectors, np.ones(S.image_frame.dim)), xs)
+    RX: V = x-perp in Im(phi), g-orthonormal, with its signs (all +1), ``C = jacobi_covectors`` on
+    V, and the right side's R_x raised through g^-1 and rank-one term ``g(., phi x) phi x``, both in
+    V-coordinates g(v_k, .). On a pi kind's frame, Im(phi)'s, V and C are its Rstar stack's too."""
+    V, signs = reflected_domains(S.g, (S.image_frame.vectors, np.ones(S.image_frame.dim)), xs)
     C = jacobi_covectors(RX, xs, V)
     VG = V @ S.g.components
     raised = VG @ np.linalg.solve(S.g.components, C)
     weights = np.einsum("nkm,nm->nk", VG, xs @ S.phi.T)  # g(v_k, phi x)
-    return V, C, raised, weights[:, :, None] * weights[:, None, :]
+    return V, signs, C, raised, weights[:, :, None] * weights[:, None, :]
 
 
 def _shift_identity_defects(g: ScalarProduct, F: FibrationModel, xs: np.ndarray, frame: tuple) -> tuple:
     """The defects proj_V Rstar|_V - proj_V R_x|_V - 3 sigma g(., phi x) phi x in V-coordinates,
-    and the scales of the right sides. Only a, b, g(V, V) and sigma are the fibration's."""
-    _require_horizontal(F, xs, "first argument of A")
-    V, C, raised, rank_one = frame
-    lhs = transfer_forms(g, F, xs, V, C)
+    and the scales of the right sides, on horizontal bases xs. Only a, b, g(V, V) and sigma are the
+    fibration's."""
+    return _defects(F, transfer_forms(g, F, xs, frame[0], frame[2]), frame)
+
+
+def _defects(F: FibrationModel, lhs: np.ndarray, frame: tuple) -> tuple:
+    """``_shift_identity_defects`` from F's transfer forms ``lhs`` on the sentinel's V."""
+    raised, rank_one = frame[3:]
     scales = np.maximum(np.abs(raised).max(axis=(1, 2)), max(1.0, abs(3.0 * F.sigma)))
     return lhs - raised - 3.0 * F.sigma * rank_one, scales
 
@@ -501,7 +513,13 @@ def theorem_equivalence_report(
     actual g(V, V) of the vertical sum, against R_x = R(., x) x raised
     through g^-1 plus ``3 sigma g(., phi x) phi x`` with the fibration's
     sigma. Their largest scaled difference over all samples and both projections
-    must stay below ``IDENTITY_ATOL``; a NaN one fails.
+    must stay below ``IDENTITY_ATOL``; a NaN one fails. A sample off either projection's
+    horizontal space stops the report with the sentinel's GeometryError.
+
+    Each per-sample piece is computed once: the sphere and its slot-4 contraction feed the
+    direct stack, the hypothesis residual and one x-perp frame, whose V, C and pi transfer forms
+    are both the pi base stack (on the unit bases; a base that is not unit gets its error) and
+    the pi side of the sentinel; the null bases xi_1 + x get the other contraction.
     """
     if S.s < 2:
         raise ValueError(f"theorem report requires s >= 2, got s = {S.s}")
@@ -517,16 +535,23 @@ def theorem_equivalence_report(
     RX = slot4_contraction(R, sphere)
     hyp_residual = float(_hypothesis_residuals(RX, S, sphere).max())
     direct = jacobi_stack(RX, g, sphere)
-    base = _base(F_pi, r_star_stack(RX, g, F_pi, sphere), seed, tol, grouping_tol)
+    # One x-perp frame for the pi stack and the sentinel. Both horizontal checks run first, once
+    # each; V, C and the pi transfer forms are then the Rstar stack's domains, covectors and forms,
+    # which ``operator_stack``'s last step assembles on the unit bases.
+    for F in (F_pi, F_tau):
+        _require_horizontal(F, sphere, "first argument of A")
     frame = _sentinel_frame(RX, S, sphere)
     del RX
-    scaled = []
+    V, signs, C = frame[:3]
+    lhs = transfer_forms(g, F_pi, sphere, V, C)
+    errors = _unit_errors(g, sphere, [None] * len(sphere))
+    ok = _error_free(errors)
+    base = _base(F_pi, _assembled(sphere, errors, V[ok], lhs[ok], signs[ok]), seed, tol, grouping_tol)
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite sigma gives NaN, not a warning
-        for F in (F_pi, F_tau):
-            defects, scales = _shift_identity_defects(g, F, sphere, frame)
-            scaled.append(np.abs(defects).max(axis=(1, 2)) / scales)
+        pairs = (_defects(F_pi, lhs, frame), _shift_identity_defects(g, F_tau, sphere, frame))
+        scaled = [np.abs(defects).max(axis=(1, 2)) / scales for defects, scales in pairs]
     sigma_residual = float(np.max(scaled))  # keeps a NaN, which fails the sentinel; Python's max drops it
-    del frame
+    del frame, lhs
 
     us = S.timelike_frame_vector + sphere
     RU = slot4_contraction(R, us)

@@ -12,7 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from phinull.gff import GffStructure, canonical_structure
-from phinull.linalg import CausalCharacter, CausalCharacterError, ScalarProduct
+from phinull.linalg import (
+    NULL_ATOL,
+    CausalCharacter,
+    CausalCharacterError,
+    DegenerateSubspaceError,
+    ScalarProduct,
+    SubspaceBasis,
+    inner,
+    self_products,
+)
 
 
 def conjugated_structure(n: int, s: int, seed: int, scale: float = 0.3) -> GffStructure:
@@ -124,3 +133,36 @@ def expected_multiset(values, expected: dict, tol: float = 1e-8) -> bool:
     target = np.sort(np.concatenate([[v] * k for v, k in expected.items()]))
     values = np.asarray(values, dtype=float)
     return values.shape == target.shape and bool(np.abs(values - target).max() < tol)
+
+
+def orthonormalize_loop(g: ScalarProduct, basis: SubspaceBasis) -> SubspaceBasis:
+    """Indefinite Gram-Schmidt one ``inner`` call at a time, in the given order: the reference
+    that ``linalg.orthonormalize``, which forms each G u once, must match bit for bit, pivots,
+    signs and error messages included."""
+    out: list[np.ndarray] = []
+    signs: list[float] = []
+    gmax = max(g.max_norm, 1.0)
+    for row in basis.vectors:
+        v = row.astype(float).copy()
+        for u, sign in zip(out, signs):
+            v -= sign * inner(g, v, u) * u
+        q = inner(g, v, v)
+        scale = gmax * max(float(v @ v), 1.0)
+        if abs(q) <= NULL_ATOL * scale:
+            raise DegenerateSubspaceError(
+                f"degenerate pivot at position {len(out)}: |g(v,v)| = {abs(q):.3e}"
+            )
+        out.append(v / np.sqrt(abs(q)))
+        signs.append(1.0 if q > 0.0 else -1.0)
+    return SubspaceBasis.from_vectors(g, np.array(out))
+
+
+def causal_characters_loop(g: ScalarProduct, xs) -> list[CausalCharacter]:
+    """Each row's causal character looked up by its enum value, one row at a time, on the rows as
+    given: the reference that ``linalg.causal_characters`` (integer codes, rows scaled by powers
+    of two) must match member for member wherever nothing overflows or underflows."""
+    X = np.asarray(xs, dtype=float)
+    q = self_products(g, X)
+    null = np.abs(q) <= NULL_ATOL * g.max_norm * (X * X).sum(axis=1)
+    conditions = [~X.any(axis=1), null, q < 0.0]
+    return [CausalCharacter(kind) for kind in np.select(conditions, ["zero", "null", "timelike"], "spacelike")]

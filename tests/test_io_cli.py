@@ -568,6 +568,42 @@ def test_cli_spectrum_of_a_small_spacelike_vector(tmp_path, capsys):
     assert capsys.readouterr().out == "jacobi (spacelike base): +1e-12 (x5)\n"
 
 
+@pytest.mark.parametrize("vector, norm_sq", [
+    ("0,1e200,0,0,0,0", "inf"), ("1e200,0,0,0,1e200,0", "inf"),  # spacelike and null
+    ("0,1e-200,0,0,0,0", "0.000e+00"), ("1e-200,0,0,0,1e-200,0", "0.000e+00"),
+    ("0,1e-160,0,0,0,0", "1.000e-320"),  # subnormal: its spectrum had lost digits
+    ("0,0,0,0,0,0", "0.000e+00"),
+])
+def test_cli_spectrum_refuses_a_vector_whose_square_is_not_a_normal_float(tmp_path, capsys, vector, norm_sq):
+    # 1e200 printed numpy RuntimeWarnings, then "Eigenvalues did not converge"; 1e-200 was taken
+    # for null ("kernel dimension 0"); 1e-160 printed +9.999888672e-321 (x5)
+    path = str(tmp_path / "constant.json")
+    assert run(["generate", "--family", "constant", "--n", "2", "--s", "2", "--out", path]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", path, "--vector", vector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: --vector has |x|^2 = {norm_sq}, not a positive finite normal float\n"
+
+
+def test_cli_spectrum_refuses_an_operator_that_overflows(tmp_path, capsys):
+    # |x|^2 = 1e308 is finite, the Jacobi operator's symmetrization is not
+    path = str(tmp_path / "constant.json")
+    assert run(["generate", "--family", "constant", "--n", "2", "--s", "2", "--out", path]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", path, "--vector", "1e154,0,0,0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("validation error: the jacobi (spacelike base) operator at --vector "
+                                "has a non-finite entry\n")
+        for vector, line in (("0,1e150,0,0,0,0", "+1e+300 (x5)"), ("0,1e-9,0,0,0,0", "+1e-18 (x5)")):
+            assert run(["spectrum", path, "--vector", vector]) == 0
+            assert capsys.readouterr().out == f"jacobi (spacelike base): {line}\n"
+
+
 def test_cli_spectrum_vector_must_be_finite_of_the_dimension(phi_model_file, capsys):
     # a NaN or inf entry reached the SVD ("did not converge"), inf with numpy warnings on stderr
     for vector in ("nan,0,0,0,0,0,1", "inf,0,0,0,0,0,1", "1,0,0,0,0,0", "1,0,0,0,0,0,0,0"):

@@ -1,8 +1,12 @@
 """Indefinite linear algebra: inner products, causal types, complements, frames."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from helpers import causal_characters_loop, conjugated_structure, orthonormalize_loop
+from phinull.gff import canonical_structure, sample_phi_celestial
 from phinull.linalg import (
     CausalCharacter,
     DegenerateSubspaceError,
@@ -205,3 +209,79 @@ def test_sample_unit_sphere_determinism_and_constraints():
         assert abs(inner(g, p, p) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         sample_unit_sphere(g, frame, 0, seed=1)
+
+
+SHAPES = ((2, 2), (4, 3), (5, 2))
+INDEFINITE = ScalarProduct.diagonal([-1.0, -1.0, 1.0, 1.0])
+
+
+def _reference_structures():
+    """Stock structures, and conjugated ones at seeds 0-5: g and phi with no exact 0 or +-1."""
+    yield from (canonical_structure(n, s) for n, s in SHAPES)
+    yield from (conjugated_structure(n, s, seed) for n, s in SHAPES for seed in range(6))
+
+
+def _reference_bases():
+    """(g, basis): Im(phi)'s columns and the celestial complement of xi_1 of each reference
+    structure, as ``GffStructure.image_frame`` and the celestial samplers pass them to Gram-Schmidt,
+    then bases of mixed signs under diag(-1, -1, 1, 1)."""
+    for S in _reference_structures():
+        yield S.g, SubspaceBasis.from_vectors(S.g, np.linalg.svd(S.phi)[0][:, : 2 * S.n].T)
+        yield S.g, orthogonal_complement(S.g, [S.timelike_frame_vector])
+    yield INDEFINITE, SubspaceBasis.from_vectors(INDEFINITE, np.eye(4)[::-1])
+    yield INDEFINITE, orthogonal_complement(INDEFINITE, [[1.0, 0.0, 0.5, 0.0]])
+    yield INDEFINITE, orthogonal_complement(INDEFINITE, [[0.0, 0.3, 1.0, 0.2]])
+
+
+def _gram_schmidt(fn, g, basis):
+    """fn's rows and Gram, or the message of the DegenerateSubspaceError it raised."""
+    try:
+        out = fn(g, basis)
+    except DegenerateSubspaceError as exc:
+        return str(exc)
+    return out.vectors, out.gram
+
+
+def test_orthonormalize_matches_the_per_inner_reference_bit_for_bit():
+    count = 0
+    for g, basis in _reference_bases():
+        found, expected = (_gram_schmidt(fn, g, basis) for fn in (orthonormalize, orthonormalize_loop))
+        assert not isinstance(expected, str)
+        assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+        count += 1
+    assert count == 2 * 21 + 3
+    # degenerate pivots: a null leading vector, and one null only after the first is projected out
+    g = ScalarProduct.diagonal([-1.0, 1.0, 1.0])
+    for rows, position in (([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0), ([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], 1)):
+        basis = SubspaceBasis.from_vectors(g, rows)
+        found, expected = (_gram_schmidt(fn, g, basis) for fn in (orthonormalize, orthonormalize_loop))
+        assert found == expected and expected.startswith(f"degenerate pivot at position {position}:")
+
+
+def test_causal_characters_match_the_per_element_reference():
+    rng = np.random.default_rng(5)
+    cases = []
+    for S in _reference_structures():
+        sphere = sample_phi_celestial(S, 8, 0)
+        rows = [np.zeros((1, S.dim)), S.xi, sphere, S.timelike_frame_vector + sphere, rng.standard_normal((8, S.dim))]
+        cases.append((S.g, np.vstack(rows)))
+    cases.append((INDEFINITE, np.vstack([np.zeros(4), np.eye(4), [[1.0, 0.0, 1.0, 0.0], [0.6, 0.8, 0.0, 1.0]],
+                                         rng.standard_normal((8, 4))])))
+    for g, rows in cases:
+        kinds = set(causal_characters_loop(g, rows))
+        assert kinds == set(CausalCharacter), kinds  # zero, null, timelike and spacelike rows
+        for t in (1.0, 1e-8, 1e8, *10.0 ** rng.uniform(-8.0, 8.0, 5)):
+            found, expected = causal_characters(g, t * rows), causal_characters_loop(g, t * rows)
+            assert len(found) == len(expected) and all(a is b for a, b in zip(found, expected)), t
+
+
+def test_causal_characters_of_vectors_whose_square_overflows_or_underflows():
+    # g(x, x) and |x|^2 overflowed to inf (numpy warnings) or underflowed to 0, and 1e-200 e_1 was
+    # taken for null; each row is judged scaled by a power of two
+    g = canonical_structure(2, 2).g  # e_4 is the timelike axis
+    rows = [[0, 1e200, 0, 0, 0, 0], [0, 1e-200, 0, 0, 0, 0], [0, 1e-160, 0, 0, 0, 0],
+            [1e200, 0, 0, 0, 1e200, 0], [1e-200, 0, 0, 0, 1e-200, 0], [0, 0, 0, 0, 1e-200, 0]]
+    kinds = [CausalCharacter.SPACELIKE] * 3 + [CausalCharacter.NULL] * 2 + [CausalCharacter.TIMELIKE]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert causal_characters(g, rows) == kinds

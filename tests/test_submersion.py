@@ -452,10 +452,14 @@ def test_theorem_shares_pieces_without_changing_a_bit(family, n, s, seed):
     assert report.sigma_identity_residual == sentinel
 
 
+# verify-theorem: one x-perp frame and one covector stack on the sphere for the pi stack and the
+# sentinel, beside the direct stack's, the two null stacks' and the hypothesis residual's covectors
 @pytest.mark.parametrize("argv, expected", [
-    (["verify-theorem"], {"sphere": 1, "frame": 1, "slot4": 2, "ambient": 2}),
-    (["check", "--condition", "phi-null-osserman"], {"sphere": 1, "frame": 1, "slot4": 2, "ambient": 2}),
-    (["remarks", "--kind", "lorentz_sasaki_base"], {"sphere": 1, "frame": 1, "slot4": 1, "ambient": 0}),
+    (["verify-theorem"], {"sphere": 1, "frame": 1, "slot4": 2, "ambient": 2, "domains": 4, "covectors": 5}),
+    (["check", "--condition", "phi-null-osserman"],
+     {"sphere": 1, "frame": 1, "slot4": 2, "ambient": 2, "domains": 2, "covectors": 2}),
+    (["remarks", "--kind", "lorentz_sasaki_base"],
+     {"sphere": 1, "frame": 1, "slot4": 1, "ambient": 0, "domains": 0, "covectors": 1}),
 ], ids=["verify-theorem", "check-phi-null", "remarks"])
 def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, argv, expected):
     import phinull.gff as gff
@@ -465,7 +469,7 @@ def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, a
 
     path = str(tmp_path / "instance.json")
     save_instance(path, generate_instance("phi_model", 2, 2))
-    counts = {"sphere": 0, "frame": 0, "slot4": 0, "ambient": 0}
+    counts = {"sphere": 0, "frame": 0, "slot4": 0, "ambient": 0, "domains": 0, "covectors": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -476,9 +480,11 @@ def test_one_sphere_one_frame_one_contraction_per_stack(tmp_path, monkeypatch, a
     monkeypatch.setattr(gff, "sample_unit_sphere", counted("sphere", gff.sample_unit_sphere))
     frame = gff.GffStructure.image_frame  # the cached property; its func builds the frame
     monkeypatch.setattr(frame, "func", counted("frame", frame.func))
-    slot4 = counted("slot4", jacobi_module.slot4_contraction)
-    for module in (jacobi_module, submersion_module):  # every module that looks it up
-        monkeypatch.setattr(module, "slot4_contraction", slot4)
+    for key, name in (("slot4", "slot4_contraction"), ("domains", "reflected_domains"),
+                      ("covectors", "jacobi_covectors")):
+        wrapped = counted(key, getattr(jacobi_module, name))
+        for module in (jacobi_module, submersion_module):  # every module that looks it up
+            monkeypatch.setattr(module, name, wrapped)
     # one ambient frame per stack on the whole space: the direct and the quotient stack
     ambient = counted("ambient", jacobi_module.orthonormal_frame)
     monkeypatch.setattr(jacobi_module, "orthonormal_frame", ambient)
@@ -740,6 +746,25 @@ def test_a_nan_sigma_fails_the_sentinel(kind, monkeypatch):
     assert np.isnan(report.sigma_identity_residual)
     assert not report.internal_consistency_ok
     assert report.to_dict()["internal_consistency"] == "failed"
+
+
+@pytest.mark.parametrize("frame_vector", [0, 1])
+def test_a_vertical_leak_in_the_sphere_makes_the_sentinel_raise(monkeypatch, frame_vector):
+    # the pi horizontal check runs once, before the shared x-perp frame is built; a sample off
+    # the horizontal space of either fibration still stops the report with the sentinel's message
+    submersion = importlib.import_module("phinull.submersion")
+    S = canonical_structure(2, 3)
+    drawn = submersion.sample_phi_celestial
+
+    def leaky(S, count, seed):
+        xs = drawn(S, count, seed).copy()
+        xs[3] += 0.5 * S.xi[frame_vector]
+        return xs
+
+    monkeypatch.setattr(submersion, "sample_phi_celestial", leaky)
+    message = "first argument of A must be horizontal: vertical component 5.000e-01"
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        theorem_equivalence_report(phi_model_family(S, 1.0, 1.0), S, samples=6, seed=0)
 
 
 def _nan_at(values: np.ndarray, n: int) -> np.ndarray:
