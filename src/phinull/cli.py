@@ -86,12 +86,15 @@ def _add_json_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit(report_dict: dict, text: str, json_target: str | None) -> None:
+    """The report to stdout (``-``), or the text to stdout and the report to a file. The report
+    is serialized before the file is opened, so a failed serialization leaves the file as it was."""
     if json_target == "-":
         sys.stdout.write(dump_json(report_dict))
         return
     if json_target is not None:
+        report = dump_json(report_dict)
         with open(json_target, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(report_dict))
+            fh.write(report)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 

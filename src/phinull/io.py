@@ -50,7 +50,7 @@ from .curvature import (
 )
 from .gff import VALIDATE_ATOL, GffStructure, canonical_structure, validate_gff
 from .linalg import GeometryError, ScalarProduct
-from .reports import ValidationReport
+from .reports import Table, ValidationReport
 
 # the stock families of ``generate_instance``, with their parameters
 FAMILY_PARAMETERS = {"constant": ("c",), "phi_model": ("a", "b"), "random": ("scale",)}
@@ -324,12 +324,12 @@ def _layout(cache_key: tuple) -> tuple:
 
 
 def _write(data, indent: str, out: list, floats: tuple) -> None:
-    """Append ``json.dumps(data, indent=2, sort_keys=True, default=np.ndarray.tolist)``, nested
-    at ``indent``, to ``out``.
+    """Append ``json.dumps(data, indent=2, sort_keys=True, default=lambda o: o.tolist())``,
+    nested at ``indent``, to ``out``.
 
     A float or a flat list of exact floats leaves a placeholder in ``out`` and its (position,
-    values, separator) in ``floats[0]``, a non-empty 1-D float64 array in ``floats[1]``, for
-    ``_fill_floats`` to write.
+    values, separator) in ``floats[0]``, a non-empty 1-D float64 array in ``floats[1]``, and a
+    ``Table`` its position and ``_table_layout`` in ``floats[2]``, for ``_fill_floats`` to write.
     """
     if type(data) is float:
         out.append(None)
@@ -363,25 +363,102 @@ def _write(data, indent: str, out: list, floats: tuple) -> None:
             floats[1].append((len(out) - 2, data, ",\n" + inner))
         else:
             _write(np.ndarray.tolist(data), indent, out, floats)
+    elif type(data) is Table:
+        out.append(None)
+        floats[2].append((len(out) - 1, _table_layout(data, indent)))
     else:
         out.append(_encode(data))  # any other scalar, [] or {}
 
 
+def _row_layout(template, indent: str, layout: tuple) -> None:
+    """Extend ``layout`` = (texts, numeric, columns, others) by a ``Table`` row of ``template`` at
+    ``indent``. Fixed text extends ``texts[-1]``; each slot is one flag in ``numeric`` and opens
+    the next fixed text. A float64 column gives a number slot per value of its row (``columns``
+    gets it as 2-D), any other column one slot of each row's text (``others``)."""
+    texts, numeric, columns, others = layout
+    if isinstance(template, dict) and template:
+        cache_key = (tuple(template), indent)
+        pairs, inner, close = _layouts.get(cache_key) or _layout(cache_key)
+        for key, head in pairs:
+            texts[-1] += head
+            _row_layout(template[key], inner, layout)
+        texts[-1] += close
+    elif not isinstance(template, np.ndarray):
+        texts[-1] += _dumps(template, indent)  # a constant
+    elif template.dtype == np.float64 and (template.ndim == 1 or template.ndim == 2 and template.shape[1]):
+        inner = indent + "  "
+        columns.append(template[:, None] if template.ndim == 1 else template)
+        texts[-1] += "[\n" + inner if template.ndim == 2 else ""
+        for k in range(columns[-1].shape[1]):
+            texts[-1] += ",\n" + inner if k else ""
+            numeric.append(True)
+            texts.append("")
+        texts[-1] += "\n" + indent + "]" if template.ndim == 2 else ""
+    else:
+        others.append(np.array([_dumps(v, indent) if isinstance(v, (list, dict)) else _encode(v)
+                                for v in template.tolist()], dtype=object))
+        numeric.append(False)
+        texts.append("")
+
+
+def _table_layout(table: Table, indent: str) -> tuple:
+    """What ``_table_text`` needs to write ``table`` at ``indent``: per block its rows, its row's
+    fixed texts (an object array, the first led by the separator of a row that is not the first),
+    the slots between them that take numbers and those that take the block's other texts, and
+    those texts; and every number of the table, block by block and row by row, in one array."""
+    inner = indent + "  "
+    blocks, numbers = [], []
+    for rows, template in table.blocks:
+        texts, numeric, columns, others = layout = ([",\n" + inner], [], [], [])
+        _row_layout(template, inner, layout)
+        numeric = np.array(numeric, dtype=bool)
+        if columns:
+            numbers.append(np.concatenate(columns, axis=1).ravel())
+        # a row's cells: fixed texts at the even places, slots at the odd ones
+        blocks.append((rows, np.array(texts, dtype=object), 1 + 2 * np.flatnonzero(numeric),
+                       1 + 2 * np.flatnonzero(~numeric), others))
+    return table.size, indent, blocks, np.concatenate([*numbers, np.empty(0)])
+
+
+def _table_text(layout: tuple, strings: np.ndarray) -> str:
+    """The text of a table from its ``_table_layout`` and the texts of its numbers, in order: per
+    block one object array of cells, a row's fixed texts with its slots between them, each row's
+    cells joined once and the rows once."""
+    size, indent, blocks, _ = layout
+    if not size:
+        return "[]"
+    lines: list = [None] * size
+    used = 0
+    for rows, texts, number_cells, text_cells, others in blocks:
+        cells = np.empty((len(rows), 2 * len(texts) - 1), dtype=object)
+        cells[:, 0::2] = texts
+        count = len(rows) * len(number_cells)
+        cells[:, number_cells] = strings[used:used + count].reshape(len(rows), len(number_cells))
+        used += count
+        if others:
+            cells[:, text_cells] = np.stack(others, axis=1)
+        for n, row in zip(rows.tolist(), cells.tolist()):
+            lines[n] = "".join(row)
+    lines[0] = "[\n" + lines[0][2:]  # the first row has no separator before it
+    return "".join(lines) + "\n" + indent + "]"
+
+
 def _fill_floats(out: list, floats: tuple) -> None:
-    """Write the floats ``_write`` left as placeholders, each distinct magnitude converted once.
+    """Write the floats ``_write`` left as placeholders, each distinct magnitude converted once,
+    and the tables, whose numbers are among them.
 
     Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text. A
     negative value is ``"-"`` and the text of its magnitude, as ``float.__repr__`` writes it
     (``-0.0``, ``-Infinity``); a NaN is ``NaN`` whatever its sign bit.
     """
     entries = floats[0] + floats[1]
-    if not entries:
+    if not entries and not floats[2]:
         return
-    # the Python floats in one pass over their lists, then the arrays after them
+    # the Python floats in one pass over their lists, then the arrays, then the tables' numbers
     lists = [data for _, data, _ in floats[0]]
     values = np.concatenate([np.fromiter(
         itertools.chain.from_iterable(lists), dtype=np.float64, count=sum(map(len, lists)),
-    ), *(data for _, data, _ in floats[1])])
+    ), *(data for _, data, _ in floats[1]), *(layout[3] for _, layout in floats[2])])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     # abs clears the sign bit; a magnitude is converted as its negative pattern where it has one
     magnitudes, of_bits = np.unique(np.abs(bits.view(np.float64)).view(np.int64), return_inverse=True)
@@ -391,37 +468,50 @@ def _fill_floats(out: list, floats: tuple) -> None:
     # the positive pattern of such a magnitude: that text without the "-" (a NaN has no sign)
     positive = ~negative & (magnitudes[of_bits] < 0) & ~np.isnan(bits.view(np.float64))
     texts[positive] = [text[1:] for text in texts[positive]]
-    strings = texts[inverse].tolist()
+    strings = texts[inverse]
     start = 0
     for pos, data, sep in entries:
         stop = start + len(data)
-        out[pos] = sep.join(strings[start:stop])
+        out[pos] = sep.join(strings[start:stop].tolist())
         start = stop
+    for pos, layout in floats[2]:
+        stop = start + len(layout[3])
+        out[pos] = _table_text(layout, strings[start:stop])
+        start = stop
+
+
+def _dumps(data, indent: str = "", end: str = "") -> str:
+    """``data`` written by ``_write`` at ``indent``, then ``end``."""
+    out: list[str] = []
+    floats: tuple = ([], [], [])
+    _write(data, indent, out, floats)
+    _fill_floats(out, floats)  # its temporaries are freed before the join
+    out.append(end)
+    return "".join(out)
 
 
 def dump_json(data: dict) -> str:
     """Canonical serialization of a report or an instance file.
 
     The contract is byte for byte ``json.dumps(data, indent=2, sort_keys=True,
-    default=np.ndarray.tolist) + "\\n"``: sorted keys, a two-space indent,
+    default=lambda o: o.tolist()) + "\\n"``: sorted keys, a two-space indent,
     ``","`` and ``": "`` as separators, ASCII escapes, a trailing newline, and
-    a numpy array written as its ``tolist()``. ``json`` drops to its
-    pure-Python encoder whenever ``indent`` is set, so the layout is written
-    here. Most numbers are floats, in flat lists, in 1-D float64 arrays (taken
-    as they are, with no Python list in between) or alone, and most of them
-    repeat within a document: they are written last, with one float-to-text
-    conversion per distinct float magnitude in the whole document, all in one
-    pass of a C encoder built at import. Flat lists of ints are joined from
-    ``str``, other scalars go through the same encoder one by one, and keys
-    through the C quoting function, once per layout of a dict of ``str`` keys
-    (a bounded cache). Pieces are joined once, at the end.
+    a numpy array or a ``reports.Table`` written as its ``tolist()``. ``json``
+    drops to its pure-Python encoder whenever ``indent`` is set, so the layout
+    is written here. Most numbers are floats, in flat lists, in 1-D float64
+    arrays (taken as they are, with no Python list in between), in tables or
+    alone, and most of them repeat within a document: they are written last,
+    with one float-to-text conversion per distinct float magnitude in the whole
+    document, all in one pass of a C encoder built at import. A table is
+    written in one pass, with no row dict built: the fixed text of a row is
+    laid out once per block, the texts of every row's values are placed
+    between its fixed texts as cells of one object array per block, and each
+    row's cells are joined once, then the rows. Flat lists of ints
+    are joined from ``str``, other scalars go through the same encoder one by
+    one, and keys through the C quoting function, once per layout of a dict of
+    ``str`` keys (a bounded cache). Pieces are joined once, at the end.
     """
-    out: list[str] = []
-    floats: tuple = ([], [])
-    _write(data, "", out, floats)
-    _fill_floats(out, floats)  # its temporaries are freed before the join
-    out.append("\n")
-    return "".join(out)
+    return _dumps(data, end="\n")
 
 
 def save_instance(path: str | Path, inst: InstanceFile) -> None:

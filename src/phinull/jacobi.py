@@ -13,14 +13,14 @@ Every operator, these and the transfer operators of ``submersion``, takes
 one path over all samples at once: bases -> domain rows D, g-orthonormal by one
 reflection per sample (``reflected_domains``; null bases through ``_null_domains``, the one
 null-quotient builder of this module and ``submersion``) -> a curvature form -> its
-symmetrization F -> ``OperatorStack.records``, whose spectra
+symmetrization F -> ``OperatorStack._table``, whose spectra
 are ``eigvalsh(F)`` on a positive definite domain and ``eigvals(eta F)`` on one of
 signs eta, no Gram solved or factored -> ``decide_constancy``, which passes iff
 the grouped eigenvalues of all samples agree within a tolerance. Every domain is
 g-orthonormal and carries its signs: the one other way in, the given representatives of
 ``null_jacobi(quotient=)``, is made g-orthonormal where it enters, by their coordinates in
 u's own quotient frame, and a domain's Gram is measured only for a one-base operator
-(``OperatorStack.operator``). Records and decision
+(``OperatorStack.operator``). Spectra and decision
 are one step, ``_decide``, taken by every decider here and in ``submersion``: a decider
 is its draw, a contraction per stack of bases, a builder and that step. The Jacobi forms are
 ``D C`` with ``C[n, a, k] = R(e_a, x, d_k, x)``, contracted x in slot 4, then
@@ -43,7 +43,12 @@ Spectra are taken for the whole stack at once. The sorted eigenvalues are one
 array; one ``np.diff`` along it splits every row into groups, and the rows that
 share a split pattern get their group means together, ``np.add.reduce`` along
 each row being ``np.mean``'s sum bit for bit. ``SpectralData.from_values`` is
-the same grouping for a single row.
+the same grouping for a single row. A stack's spectra stay arrays up to the
+report bytes: one ``reports.Table`` (``_spectra_table``) holds the bases, each
+pattern's group means and each error string, ``decide_constancy`` reduces over
+it, the reports carry it as it is and ``io.dump_json`` writes it in one pass.
+``OperatorStack.records`` and ``DecisionReport.records`` are views of it, one
+``SampleRecord`` per base, built on access.
 
 Operator-argument ordering: the Jacobi operator of z applied to y is fixed as
 R(y, z) z, the curvature operator with pair (y, z) acting on z. With the
@@ -73,7 +78,7 @@ from .linalg import (
     orthonormalize,
     sample_unit_sphere,
 )
-from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES
+from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, Table
 
 REALNESS_RTOL = 1e-8
 PAIRING_RTOL = 1e-8  # explicit quotient representatives: max |g(rep, u)| against their size
@@ -94,7 +99,8 @@ class SpectralData:
 
     @classmethod
     def from_values(cls, values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> "SpectralData":
-        return _grouped(np.asarray(values, dtype=float).reshape(1, -1), grouping_tol)[0]
+        _, multiplicities, means = _grouped(np.asarray(values, dtype=float).reshape(1, -1), grouping_tol)[0]
+        return cls(tuple(means[0].tolist()), multiplicities)
 
     @property
     def dimension(self) -> int:
@@ -335,46 +341,44 @@ def null_jacobi(
 
 
 def spectrum(op: JacobiOperator, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralData:
-    """Grouped eigenvalues of a Jacobi operator, by the eigen step of ``OperatorStack.records``.
+    """Grouped eigenvalues of a Jacobi operator, by the eigen step of ``OperatorStack._table``.
 
     Every operator lives on a g-orthonormal domain of signs eta and is eta F for symmetric F:
     ``eigvalsh`` if every sign is positive, else the plain eigenvalue problem, where non-real
     eigenvalues beyond tolerance raise ``SpectrumError`` -- possible for spacelike bases in
     indefinite signature.
     """
-    result = _spectra(op.matrix[None], op.signs[None], grouping_tol)[0]
-    if isinstance(result, SpectrumError):
-        raise result
-    return result
+    values, unreal = _spectra(op.matrix[None], op.signs[None])
+    if unreal[0] is not None:
+        raise SpectrumError(unreal[0])
+    return SpectralData.from_values(values[0], grouping_tol)
 
 
-def _spectra(matrices, signs, grouping_tol: float) -> list:
-    """``spectrum`` of each operator: ``eigvalsh`` of the symmetric ones, those on domains of
-    positive ``signs``, else ``eigvals``."""
+def _spectra(matrices, signs) -> tuple[np.ndarray, list]:
+    """The eigenvalues of each operator, a row each, and per operator None or why they are not
+    real: ``eigvalsh`` of the symmetric ones, those on domains of positive ``signs``, else the
+    real parts of ``eigvals``."""
     definite = (signs > 0).all(axis=1)
-    out: list = [None] * len(matrices)
+    values = np.empty(matrices.shape[:2])
+    unreal: list = [None] * len(matrices)
     if definite.any():
-        spectra = _grouped(np.linalg.eigvalsh(matrices[definite]), grouping_tol)
-        for n, data in zip(np.flatnonzero(definite).tolist(), spectra):
-            out[n] = data
+        values[definite] = np.linalg.eigvalsh(matrices[definite])
     if not definite.all():
         rows = np.flatnonzero(~definite)
-        values = np.linalg.eigvals(matrices[~definite])
-        max_imag = np.abs(values.imag).max(axis=1)
-        unreal = max_imag > REALNESS_RTOL * np.maximum(np.abs(values).max(axis=1), 1.0)
-        for n, vals, imag in zip(rows[unreal], values[unreal], max_imag[unreal]):
+        found = np.linalg.eigvals(matrices[~definite])
+        max_imag = np.abs(found.imag).max(axis=1)
+        bad = max_imag > REALNESS_RTOL * np.maximum(np.abs(found).max(axis=1), 1.0)
+        for n, vals, imag in zip(rows[bad].tolist(), found[bad], max_imag[bad]):
             listed = ", ".join(f"{v:.6g}" for v in np.sort_complex(vals).tolist())
-            out[n] = SpectrumError(
-                f"non-real eigenvalues on an indefinite domain: max |imag| = {imag:.3e}; "
-                f"eigenvalues = [{listed}]"
-            )
-        for n, data in zip(rows[~unreal].tolist(), _grouped(values[~unreal].real, grouping_tol)):
-            out[n] = data
-    return out
+            unreal[n] = (f"non-real eigenvalues on an indefinite domain: max |imag| = {imag:.3e}; "
+                         f"eigenvalues = [{listed}]")
+        values[~definite] = found.real
+    return values, unreal
 
 
-def _grouped(values: np.ndarray, grouping_tol: float) -> list[SpectralData]:
-    """SpectralData of each row of a stack of eigenvalues, sorted and grouped as one array.
+def _grouped(values: np.ndarray, grouping_tol: float) -> list[tuple]:
+    """(rows, multiplicities, group means) per split pattern of a stack of eigenvalues, each row
+    sorted and grouped as one array.
 
     A value joins its left neighbour's group when within grouping_tol of it (a NaN gap splits).
     Rows that share a split pattern get their group means together: ``np.add.reduce`` along a
@@ -386,7 +390,7 @@ def _grouped(values: np.ndarray, grouping_tol: float) -> list[SpectralData]:
     patterns: dict = {}  # the rows of each split pattern
     for n in range(len(vals)):
         patterns.setdefault(raw[n * width:(n + 1) * width], []).append(n)
-    out: list = [None] * len(vals)
+    out = []
     for rows in patterns.values():
         pattern = split[rows[0]]
         edges = np.flatnonzero(np.concatenate(([True], pattern, [True])))[: vals.shape[1] + 1].tolist()
@@ -395,10 +399,27 @@ def _grouped(values: np.ndarray, grouping_tol: float) -> list[SpectralData]:
         means = np.empty((len(rows), len(groups)))
         for j, (a, b) in enumerate(groups):
             means[:, j] = np.add.reduce(block[:, a:b], axis=1) / (b - a)
-        multiplicities = tuple(b - a for a, b in groups)
-        for n, row in zip(rows, means.tolist()):
-            out[n] = SpectralData(tuple(row), multiplicities)
+        out.append((np.array(rows), tuple(b - a for a, b in groups), means))
     return out
+
+
+def _spectra_table(bases, errors: list, values, grouping_tol: float) -> Table:
+    """The per-sample spectra of a stack as one ``Table``: per base its row of ``bases`` and
+    either the error string ``errors[n]`` or, grouped by ``_grouped``, the next row of ``values``.
+
+    One block per multiplicity pattern, ``{"base", "spectrum": {"eigenvalues", "multiplicities"}}``
+    with a constant pattern, and one block of the errors, ``{"base", "error"}``."""
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    ok = np.flatnonzero(~failed)
+    blocks = [
+        (ok[rows], {"base": bases[ok[rows]], "spectrum": {"eigenvalues": means, "multiplicities": pattern}})
+        for rows, pattern, means in _grouped(values, grouping_tol)
+    ]
+    if failed.any():
+        rows = np.flatnonzero(failed)
+        messages = np.array([errors[n] for n in rows.tolist()], dtype=object)
+        blocks.append((rows, {"base": bases[rows], "error": messages}))
+    return Table(len(errors), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -446,37 +467,60 @@ class OperatorStack:
         return JacobiOperator(self.bases[0], domain, self.matrices[0], self.signs[0])
 
     def records(self, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
-        """One record per base: its spectrum, or the error that prevented it."""
-        spectra = iter(_spectra(self.matrices, self.signs, grouping_tol))
-        results = [error or next(spectra) for error in self.errors]
-        return [
-            SampleRecord(base, None, str(r)) if isinstance(r, GeometryError) else SampleRecord(base, r)
-            for base, r in zip(self.bases, results)
-        ]
+        """One record per base: its spectrum, or the error that prevented it; a view of ``_table``."""
+        return _records(self._table(grouping_tol))
+
+    def _table(self, grouping_tol: float) -> Table:
+        """The spectra of all the bases as one ``Table`` (``_spectra_table``): a base's error, or
+        the error of its operator's eigenvalues, or its grouped eigenvalues."""
+        values, unreal = _spectra(self.matrices, self.signs)
+        pending = iter(unreal)
+        errors = [next(pending) if error is None else str(error) for error in self.errors]
+        real = [message is None for message in unreal]
+        return _spectra_table(self.bases, errors, values[real], grouping_tol)
+
+
+def _records(table: Table) -> list[SampleRecord]:
+    """The rows of a ``_spectra_table`` as records."""
+    out: list = [None] * len(table)
+    for rows, row in table.blocks:
+        if "error" in row:
+            for n, base, error in zip(rows.tolist(), row["base"], row["error"].tolist()):
+                out[n] = SampleRecord(base, None, error)
+        else:
+            pattern = row["spectrum"]["multiplicities"]
+            for n, base, means in zip(rows.tolist(), row["base"], row["spectrum"]["eigenvalues"].tolist()):
+                out[n] = SampleRecord(base, SpectralData(tuple(means), pattern))
+    return out
 
 
 @dataclass
 class DecisionReport:
-    """Outcome of a spectral-constancy decision over a sampled sphere."""
+    """Outcome of a spectral-constancy decision over a sampled sphere; ``spectra`` is the
+    ``_spectra_table`` of its samples."""
 
     condition: str
     passed: bool
     seed: int
     tol: float
     grouping_tol: float
-    records: list[SampleRecord] = field(default_factory=list)
+    spectra: Table
     groups: list[dict] = field(default_factory=list)
     failure: str | None = None
     notes: dict = field(default_factory=dict)
+
+    @property
+    def records(self) -> list[SampleRecord]:
+        return _records(self.spectra)
 
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
             "passed": self.passed,
-            "samples": len(self.records),
+            "samples": len(self.spectra),
             "seeds": {"sampling": self.seed},
             "tolerances": {"constancy": self.tol, "grouping": self.grouping_tol},
-            "per_sample_spectra": [r.to_dict() for r in self.records],
+            "per_sample_spectra": self.spectra,
             "groups": self.groups,
             "failure": self.failure,
             "notes": self.notes,
@@ -485,7 +529,7 @@ class DecisionReport:
 
 def decide_constancy(
     condition: str,
-    records: list[SampleRecord],
+    spectra: Table,
     seed: int,
     tol: float,
     grouping_tol: float,
@@ -493,22 +537,25 @@ def decide_constancy(
 ) -> DecisionReport:
     """Pass iff all sampled spectra exist, share one group pattern, and agree within tol: every
     group's spread, max - min of its means over the samples, is below tol (a NaN spread or tol fails).
-    Fewer than 2 samples is a ValueError: one spectrum has nothing to be constant against."""
-    if len(records) < 2:
-        raise ValueError(f"a constancy decision needs at least 2 samples, got {len(records)}")
-    report = DecisionReport(condition, False, seed, tol, grouping_tol, records, notes=notes or {})
-    bad = next((i for i, rec in enumerate(records) if rec.error is not None), None)
-    if bad is not None:
-        report.failure = f"sample {bad}: {records[bad].error}"
+    ``spectra`` is a ``_spectra_table``, one block per pattern. Fewer than 2 samples is a
+    ValueError: one spectrum has nothing to be constant against."""
+    if len(spectra) < 2:
+        raise ValueError(f"a constancy decision needs at least 2 samples, got {len(spectra)}")
+    report = DecisionReport(condition, False, seed, tol, grouping_tol, spectra, notes=notes or {})
+    # the blocks by their first row: the first error block, else row 0's pattern, leads
+    blocks = sorted(spectra.blocks, key=lambda block: ("error" not in block[1], block[0][0]))
+    (rows, first), *others = blocks
+    if "error" in first:
+        report.failure = f"sample {rows[0]}: {first['error'][0]}"
         return report
-    pattern = records[0].spectrum.multiplicities
-    bad = next((i for i, rec in enumerate(records) if rec.spectrum.multiplicities != pattern), None)
-    if bad is not None:
+    pattern = first["spectrum"]["multiplicities"]
+    if others:
+        rows, other = others[0]
         report.failure = (
-            f"multiplicity pattern differs at sample {bad}: {records[bad].spectrum.multiplicities} vs {pattern}"
+            f"multiplicity pattern differs at sample {rows[0]}: {other['spectrum']['multiplicities']} vs {pattern}"
         )
         return report
-    means = np.array([rec.spectrum.eigenvalues for rec in records])  # (samples, groups)
+    means = first["spectrum"]["eigenvalues"]  # (samples, groups), the rows in order
     lo, hi = means.min(axis=0), means.max(axis=0)  # a NaN mean makes a NaN spread
     spreads = hi - lo
     report.groups = [
@@ -563,11 +610,11 @@ def sample_null_vectors(g: ScalarProduct, count: int, seed: int) -> np.ndarray:
 def _decide(
     condition: str, stack: OperatorStack, seed: int, tol: float, grouping_tol: float, notes=None, names=None
 ) -> DecisionReport:
-    """The one decision step of every decider: the stack's records, each naming its base or, with
-    ``names``, the point of ``names`` in its place, judged by ``decide_constancy``."""
+    """The one decision step of every decider: the stack's spectra table, each row naming its base
+    or, with ``names``, the point of ``names`` in its place, judged by ``decide_constancy``."""
     if names is not None:
         stack = replace(stack, bases=names)
-    return decide_constancy(condition, stack.records(grouping_tol), seed, tol, grouping_tol, notes)
+    return decide_constancy(condition, stack._table(grouping_tol), seed, tol, grouping_tol, notes)
 
 
 def is_osserman_at(

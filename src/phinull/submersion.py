@@ -105,7 +105,7 @@ from .linalg import (
     SubspaceBasis,
     inner,
 )
-from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, RemarkKind
+from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, RemarkKind, Table
 
 IDENTITY_ATOL = 1e-9
 SPLIT_ATOL = 1e-10
@@ -458,10 +458,10 @@ class TheoremReport:
             "verdicts": self.verdicts,
             "hypothesis_flag": self.hypothesis_holds,
             "per_sample_spectra": {
-                "phi_null_direct": [r.to_dict() for r in self.phi_null.direct.records],
-                "phi_null_quotient": [r.to_dict() for r in self.phi_null.quotient.records],
-                "base_osserman": [r.to_dict() for r in self.base.records],
-                "base_null_osserman": [r.to_dict() for r in self.base_null.records],
+                "phi_null_direct": self.phi_null.direct.spectra,
+                "phi_null_quotient": self.phi_null.quotient.spectra,
+                "base_osserman": self.base.spectra,
+                "base_null_osserman": self.base_null.spectra,
             },
             "residual_maxima": {
                 "hypothesis": self.hypothesis_residual,
@@ -479,7 +479,7 @@ class TheoremReport:
                 "holds": self.agreement_holds,
             },
             "sigma": {"pi_full": self.base.notes["sigma"], "tau": self.base_null.notes["sigma"]},
-            "samples": len(self.base.records),
+            "samples": len(self.base.spectra),
             "s": self.s,
             "internal_consistency": "ok" if self.internal_consistency_ok else "failed",
         }
@@ -593,6 +593,7 @@ class RemarkReport:
         columns = {"base": self.bases, "phi_sectional": self.phi_sectional,
                    "base_sectional": self.base_sectional, "a_norm_sq": self.a_norm_sq,
                    "identity_residual": self.identity_residual, "necessary_ok": self.necessary_ok}
+        samples = len(self.bases)
         return {
             "kind": self.kind.value,
             "fibration": self.fibration_kind.value,
@@ -602,7 +603,7 @@ class RemarkReport:
             "necessary_condition_all": self.necessary_all,
             "tolerances": {"identity": IDENTITY_ATOL, "necessary": self.tol},
             "seeds": {"sampling": self.seed},
-            "per_sample": [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))],
+            "per_sample": Table(samples, ((np.arange(samples), columns),)),
         }
 
 

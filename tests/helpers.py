@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from phinull.gff import GffStructure, canonical_structure
+from phinull.jacobi import REALNESS_RTOL, SampleRecord, SpectralData
 from phinull.linalg import (
     NULL_ATOL,
     CausalCharacter,
@@ -120,6 +121,81 @@ def spectral_groups_loop(values, grouping_tol: float) -> tuple[tuple, tuple]:
         else:
             groups.append([float(v)])
     return tuple(float(np.mean(grp)) for grp in groups), tuple(len(grp) for grp in groups)
+
+
+def records_loop(stack, grouping_tol: float) -> list[SampleRecord]:
+    """The records of an operator stack one base at a time, each operator's eigenvalues taken on
+    its own and grouped by ``spectral_groups_loop``: the reference that the stack's spectra table
+    (``OperatorStack._table``, one eigen call per kind of domain and one grouping per stack) must
+    match row for row, bit for bit, error strings included."""
+    operators = zip(stack.matrices, stack.signs)
+    out = []
+    for base, error in zip(stack.bases, stack.errors):
+        if error is not None:
+            out.append(SampleRecord(base, None, str(error)))
+            continue
+        matrix, signs = next(operators)
+        if (signs > 0).all():
+            values = np.linalg.eigvalsh(matrix)
+        else:
+            values = np.linalg.eigvals(matrix)
+            imag = np.abs(values.imag).max()
+            if imag > REALNESS_RTOL * max(np.abs(values).max(), 1.0):
+                listed = ", ".join(f"{v:.6g}" for v in np.sort_complex(values).tolist())
+                out.append(SampleRecord(base, None, f"non-real eigenvalues on an indefinite domain: "
+                                                    f"max |imag| = {imag:.3e}; eigenvalues = [{listed}]"))
+                continue
+            values = values.real
+        out.append(SampleRecord(base, SpectralData(*spectral_groups_loop(values, grouping_tol))))
+    return out
+
+
+def decide_constancy_loop(records: list[SampleRecord], tol: float) -> dict:
+    """The constancy decision on a list of records, one record at a time: passed, groups and
+    failure as ``jacobi.decide_constancy`` gives them on the same spectra as a table, and the
+    rows of its report as ``SampleRecord.to_dict`` writes them."""
+    out = {"passed": False, "groups": [], "failure": None, "rows": [rec.to_dict() for rec in records]}
+    bad = next((i for i, rec in enumerate(records) if rec.error is not None), None)
+    if bad is not None:
+        out["failure"] = f"sample {bad}: {records[bad].error}"
+        return out
+    pattern = records[0].spectrum.multiplicities
+    bad = next((i for i, rec in enumerate(records) if rec.spectrum.multiplicities != pattern), None)
+    if bad is not None:
+        out["failure"] = (
+            f"multiplicity pattern differs at sample {bad}: {records[bad].spectrum.multiplicities} vs {pattern}"
+        )
+        return out
+    means = np.array([rec.spectrum.eigenvalues for rec in records])
+    lo, hi = means.min(axis=0), means.max(axis=0)
+    spreads = hi - lo
+    out["groups"] = [
+        {"eigenvalue": value, "multiplicity": multiplicity, "min": a, "max": b, "spread": b - a}
+        for value, multiplicity, a, b in zip(means[0].tolist(), pattern, lo.tolist(), hi.tolist())
+    ]
+    gi = int(np.argmax(spreads))
+    if not spreads[gi] < tol:
+        out["failure"] = f"group {gi} eigenvalue spread {spreads[gi]:.3e} >= tol {tol:.1e}"
+        return out
+    out["passed"] = True
+    return out
+
+
+def exact(value):
+    """``value`` with every float as its hex text and every array as its dtype, shape and bytes,
+    so that ``==`` on the results compares bit for bit (and a NaN equals itself)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(exact(item) for item in value)
+    if isinstance(value, SampleRecord):
+        return (exact(value.base), value.error, value.spectrum and exact(
+            (value.spectrum.eigenvalues, value.spectrum.multiplicities)))
+    return value
 
 
 def horizontal_draw(F, rng: np.random.Generator) -> np.ndarray:

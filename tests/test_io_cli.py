@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phinull import cli, gff, submersion
+from phinull import cli, gff, jacobi, reports, submersion
 from phinull.cli import run
 from phinull.curvature import MAX_COMPONENT, validate_curvature
 from phinull.gff import canonical_structure, validate_gff
@@ -33,6 +33,8 @@ from phinull.io import (
     structure_from_dict,
     structure_to_dict,
 )
+from phinull.jacobi import _spectra_table
+from phinull.reports import Table
 from phinull.submersion import theorem_equivalence_report
 
 
@@ -697,6 +699,52 @@ def test_cli_json_may_not_name_the_input(phi_model_file, tmp_path, capsys, argv)
     assert Path(phi_model_file).read_bytes() == original
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["check", "--condition", "phi-null-osserman", "--samples", "4"],
+    ["verify-theorem", "--samples", "4"],
+    ["remarks", "--kind", "sasaki_base", "--samples", "4"],
+    ["spectrum", "--vector", "1,0,0,0,0,0,0"],
+])
+def test_cli_a_failed_serialization_leaves_the_json_target_as_it_was(phi_model_file, tmp_path, capsys,
+                                                                      monkeypatch, argv):
+    # the target was opened, and so emptied, before the report was serialized
+    def fail(data):
+        raise MemoryError("no room for the report")
+
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"earlier": "report"}\n')
+    monkeypatch.setattr(cli, "dump_json", fail)
+    assert run([argv[0], phi_model_file, *argv[1:], "--json", str(report)]) == 2
+    assert capsys.readouterr().err == "validation error: no room for the report\n"
+    assert report.read_bytes() == b'{"earlier": "report"}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--condition", "osserman"],
+    ["check", "--condition", "null-osserman"],
+    ["check", "--condition", "phi-null-osserman"],
+    ["verify-theorem"],
+    ["remarks", "--kind", "lorentz_sasaki_base"],
+])
+def test_cli_builds_no_record_and_no_row_dict(tmp_path, capsys, monkeypatch, argv):
+    # the per-sample spectra go from the eigen step to the report bytes as arrays: no SampleRecord,
+    # no records view and no row dict of a table is built on the CLI path
+    path = str(tmp_path / "random.json")
+    save_instance(path, generate_instance("random", 2, 2, seed=5))  # error rows in some stacks
+    expected = run([argv[0], path, *argv[1:], "--json", str(tmp_path / "before.json")])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the CLI path")
+
+    for owner, name in ((jacobi.SampleRecord, "__init__"), (jacobi, "_records"), (reports.Table, "tolist"),
+                        (reports, "_rows")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run([argv[0], path, *argv[1:], "--json", str(tmp_path / "after.json")]) == expected
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    capsys.readouterr()
+
+
 def _asymmetric_metric_file(tmp_path, tilt: float) -> str:
     data = instance_to_dict(generate_instance("phi_model", 2, 2))
     metric = data["structure"]["metric"]  # 6x6 flat: entries 1 and 6 are g[0][1] and g[1][0]
@@ -924,13 +972,13 @@ def test_cli_failed_spectrum_without_json_to_stdout(tmp_path, capsys):
 # -- canonical JSON -------------------------------------------------------------
 
 def _assert_canonical(text: str, data) -> None:
-    """``text`` is ``json.dumps(data, indent=2, sort_keys=True, default=np.ndarray.tolist)``
-    plus a newline.
+    """``text`` is ``json.dumps(data, indent=2, sort_keys=True, default=lambda o: o.tolist())``
+    plus a newline: a numpy array or a ``reports.Table`` is written as its ``tolist()``.
 
     A mismatch is reported at its first differing line: a full text diff of
     a dim-12 instance file takes minutes.
     """
-    want = json.dumps(data, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    want = json.dumps(data, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
     if text != want:
         got_lines, want_lines = text.split("\n"), want.split("\n")
         k = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
@@ -1006,6 +1054,94 @@ def test_dump_json_on_dim12_theorem_reports(family):
     inst = generate_instance(family, 5, 2, seed=4)
     data = theorem_equivalence_report(inst.curvature, inst.structure, 64, 0).to_dict()
     _assert_canonical(dump_json(data), data)
+
+
+# -- tables: per-sample rows written in one pass ---------------------------------
+
+# NaN (with a sign bit and a payload), +-0.0, +-inf, subnormals, and values close enough to group
+_cells = st.sampled_from([
+    float("nan"), _NEGATIVE_NAN, 0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324,
+    2.2e-308, 1.0, 1.0 + 1e-9, 1.5, -1.5, 0.1,
+]) | st.floats()
+_messages = st.text(st.sampled_from(list('"\\\n\t \u00e9\u221e\u2028\U0001f600')) | st.characters(), max_size=12)
+
+
+def _float_array(draw, shape) -> np.ndarray:
+    values = draw(st.lists(_cells, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def _spectra_tables(draw) -> Table:
+    """A table of the deciders' shape: error rows and spectra rows of mixed multiplicity patterns."""
+    size, m, d = draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    errors = draw(st.lists(st.none() | _messages, min_size=size, max_size=size))
+    ok = errors.count(None)
+    tol = draw(st.sampled_from([1e-6, 0.5, 2.0]))
+    return _spectra_table(_float_array(draw, (size, m)), errors, _float_array(draw, (ok, d)), tol)
+
+
+@st.composite
+def _template(draw, rows: int, depth: int = 0) -> dict:
+    template = {}
+    for key in draw(st.lists(_text, min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["numbers", "number", "bool", "text", "constant"]
+                                    + (["nested"] if depth < 2 else [])))
+        if kind == "numbers":
+            template[key] = _float_array(draw, (rows, draw(st.integers(0, 3))))
+        elif kind == "number":
+            template[key] = _float_array(draw, (rows,))
+        elif kind == "bool":
+            template[key] = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+        elif kind == "text":
+            template[key] = np.array(draw(st.lists(_messages, min_size=rows, max_size=rows)) + [None],
+                                     dtype=object)[:rows]
+        elif kind == "constant":
+            template[key] = draw(st.sampled_from([(1, 2), (3,), (), "c", 7, None, 0.5, [1.5, -0.0], {}]))
+        else:
+            template[key] = draw(_template(rows, depth + 1))
+    return template
+
+
+@st.composite
+def _column_tables(draw) -> Table:
+    """A table of any row shapes: its rows dealt to one to three blocks, each of its own template."""
+    size = draw(st.integers(0, 5))
+    owner = np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)), dtype=np.intp)
+    blocks = []
+    for b in np.unique(owner).tolist():
+        rows = np.flatnonzero(owner == b)
+        blocks.append((rows, draw(_template(len(rows)))))
+    return Table(size, tuple(blocks))
+
+
+_tables = _spectra_tables() | _column_tables()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables, _tables, _tables)
+def test_dump_json_writes_tables_as_json_dumps_of_their_rows(top, direct, quotient):
+    # a table alone, then tables nested at three depths: a decision's beside the theorem's dict of
+    # four, and in a list, as the reports hold them
+    _assert_canonical(dump_json(top), top)
+    tree = {
+        "decision": {"per_sample_spectra": top, "samples": len(top), "failure": None},
+        "theorem": {"per_sample_spectra": {"phi_null_direct": direct, "phi_null_quotient": quotient,
+                                           "base_osserman": top, "base_null_osserman": direct}},
+        "listed": [quotient, {"deeper": [direct, 0.1]}],
+    }
+    _assert_canonical(dump_json(tree), tree)
+    assert [len(row) for row in top.tolist()] == [len(row) for row in json.loads(dump_json(top))]
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_dump_json_of_empty_and_one_row_tables(size):
+    spectra = _spectra_table(np.zeros((size, 2)), ["a \"quoted\" \\ \u00e9"] * size, np.empty((0, 3)), 1e-6)
+    columns = Table(size, ((np.arange(size), {"base": np.full((size, 2), -0.0), "ok": np.ones(size, bool)}),))
+    for table in (spectra, columns, Table(0, ())):
+        _assert_canonical(dump_json(table), table)
+        _assert_canonical(dump_json({"per_sample": table}), {"per_sample": table})
+    assert dump_json(Table(0, ())) == "[]\n"
 
 
 @pytest.mark.parametrize("tree", [

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -10,16 +11,25 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bf_form_matrix, conjugated_structure, horizontal_draw
+from helpers import (
+    bf_form_matrix,
+    conjugated_structure,
+    decide_constancy_loop,
+    exact,
+    horizontal_draw,
+    records_loop,
+)
 from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
 from phinull.gff import canonical_structure, sample_phi_celestial
 from phinull.cli import run
 from phinull.io import dump_json, generate_instance, save_instance
 from phinull.jacobi import (
+    DEFAULT_GROUPING_TOL,
     DEFAULT_SAMPLES,
     CausalCharacter,
     SpectralData,
     decide_constancy,
+    is_null_osserman_wrt,
     is_phi_null_osserman_wrt,
     jacobi_covectors,
     jacobi_stack,
@@ -838,12 +848,84 @@ def test_a_base_record_does_not_depend_on_its_stack(name, cuts, seed):
     }
     edges = [0, *sorted(cuts), STACK_SAMPLES]
     for kind, (build, bases) in builders.items():
-        def records(rows):
-            return [record.to_dict() for record in build(slot4_contraction(R, rows), rows).records()]
+        def rows(xs):
+            return build(slot4_contraction(R, xs), xs)._table(DEFAULT_GROUPING_TOL).tolist()
 
-        whole = records(bases)
-        parts = [record for a, b in zip(edges[:-1], edges[1:]) for record in records(bases[a:b])]
-        assert parts == whole, kind
+        whole = rows(bases)
+        parts = [row for a, b in zip(edges[:-1], edges[1:]) for row in rows(bases[a:b])]
+        assert exact(parts) == exact(whole), kind
+
+
+def _assert_the_table_is_the_loop(stack, grouping_tol: float = DEFAULT_GROUPING_TOL, tol: float = 1e-8) -> None:
+    """The stack's spectra table, its decision and its records view against the records built one
+    base at a time and judged one record at a time (``helpers.records_loop``), bit for bit."""
+    records = records_loop(stack, grouping_tol)
+    want = decide_constancy_loop(records, tol)
+    table = stack._table(grouping_tol)
+    got = decide_constancy("c", table, 0, tol, grouping_tol)
+    assert exact((got.passed, got.groups, got.failure)) == exact((want["passed"], want["groups"], want["failure"]))
+    assert exact(table.tolist()) == exact(want["rows"])
+    assert exact(got.records) == exact(records) == exact(stack.records(grouping_tol))
+    assert json.loads(dump_json(got.to_dict()))["per_sample_spectra"] == json.loads(json.dumps(want["rows"]))
+
+
+@pytest.mark.parametrize("family, n, s", [(family, n, s) for family in ("constant", "phi_model", "random")
+                                          for n, s in ((2, 2), (4, 3), (5, 2))])
+def test_every_builders_table_is_the_per_record_path(family, n, s):
+    inst = generate_instance(family, n, s, seed=7)
+    R, S = inst.curvature, inst.structure
+    F_pi, F_tau = make_fibration(S, FibrationKind.PI_FULL), make_fibration(S, FibrationKind.TAU)
+    sphere = sample_phi_celestial(S, DEFAULT_SAMPLES, 0)
+    us = S.xi[0] + sphere
+    spacelike, timelike = (sample_unit_causal(S.g, kind, DEFAULT_SAMPLES, 0)
+                           for kind in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE))
+    celestial = np.array([rec.base for rec in is_null_osserman_wrt(R, S.g, S.xi[0], samples=16).records])
+    null = S.xi[0] + celestial
+    mixed = np.vstack([spacelike[:8], timelike[:8]])[np.random.default_rng(0).permutation(16)]
+    stacks = [
+        jacobi_stack(slot4_contraction(R, spacelike), S.g, spacelike),
+        jacobi_stack(slot4_contraction(R, timelike), S.g, timelike),
+        jacobi_stack(slot4_contraction(R, sphere), S.g, sphere),
+        jacobi_stack(slot4_contraction(R, mixed), S.g, mixed),  # definite and indefinite domains
+        null_jacobi_stack(slot4_contraction(R, us), S.g, us),
+        null_jacobi_stack(slot4_contraction(R, null), S.g, null),
+        r_star_stack(slot4_contraction(R, sphere), S.g, F_pi, sphere),
+        base_null_stack(slot4_contraction(R, us), S.g, F_tau, us),
+    ]
+    for stack in stacks:
+        _assert_the_table_is_the_loop(stack)
+    # the theorem report's four decisions, the pi one on the sentinel's frame, are those stacks'
+    report = theorem_equivalence_report(R, S, seed=0)
+    for decision, k in ((report.phi_null.direct, 2), (report.base, 6), (report.base_null, 7)):
+        assert exact(decision.records) == exact(records_loop(stacks[k], DEFAULT_GROUPING_TOL))
+    quotient = dataclasses.replace(stacks[4], bases=sphere)  # its records name their sphere points
+    assert exact(report.phi_null.quotient.records) == exact(records_loop(quotient, DEFAULT_GROUPING_TOL))
+
+
+def test_tables_with_error_rows_and_mixed_patterns_are_the_per_record_path():
+    S = canonical_structure(2, 2)
+    R = phi_model_family(S, 1.0, 1.0)
+    xs = sample_phi_celestial(S, 5, seed=0)
+    F_pi, F_tau = make_fibration(S, FibrationKind.PI_FULL), make_fibration(S, FibrationKind.TAU)
+    bad = xs.copy()
+    bad[1] *= 2.0  # not unit
+    bad[3] += 0.5 * S.xi[1]  # leaks into the vertical space
+    _assert_the_table_is_the_loop(r_star_stack(slot4_contraction(R, bad), S.g, F_pi, bad))
+    us = S.xi[0] + xs
+    us[2] = S.xi[0] + 2.0 * xs[2]  # not null
+    us[4] += S.xi[1]  # not horizontal
+    _assert_the_table_is_the_loop(base_null_stack(slot4_contraction(R, us), S.g, F_tau, us))
+    # the timelike phi_model stack at grouping tolerance 1e-2: patterns (4, 1) and (5,) in one table
+    inst = generate_instance("phi_model", 2, 2)
+    timelike = sample_unit_causal(inst.structure.g, CausalCharacter.TIMELIKE, DEFAULT_SAMPLES, 0)
+    stack = jacobi_stack(slot4_contraction(inst.curvature, timelike), inst.structure.g, timelike)
+    patterns = {block["spectrum"]["multiplicities"] for _, block in stack._table(1e-2).blocks}
+    assert patterns == {(4, 1), (5,)}
+    _assert_the_table_is_the_loop(stack, grouping_tol=1e-2)
+    # null, zero and non-null bases among good ones: every row an error, or none
+    bases = np.vstack([xs[:2], us[:1], np.zeros((1, S.dim)), xs[2:]])
+    _assert_the_table_is_the_loop(jacobi_stack(slot4_contraction(R, bases), S.g, bases))
+    _assert_the_table_is_the_loop(null_jacobi_stack(slot4_contraction(R, xs), S.g, xs))
 
 
 def test_bad_sample_errors_only_that_sample():
@@ -862,7 +944,8 @@ def test_bad_sample_errors_only_that_sample():
         assert records[n].error is None
         assert records[n].spectrum.multiplicities == single.multiplicities
         assert records[n].spectrum.eigenvalues == pytest.approx(single.eigenvalues, abs=1e-12)
-    decision = decide_constancy("base-osserman[pi_full]", records, 0, 1e-8, 1e-6)
+    table = r_star_stack(slot4_contraction(R, bad), S.g, F_pi, bad)._table(1e-6)
+    decision = decide_constancy("base-osserman[pi_full]", table, 0, 1e-8, 1e-6)
     assert decision.failure == f"sample 1: {records[1].error}"
 
     F_tau = make_fibration(S, FibrationKind.TAU)
