@@ -10,7 +10,10 @@ a single point: a tensor ``phi`` with ``phi^3 + phi = 0``, frame vectors
 The Lorentzian case requires exactly one timelike frame vector, which is
 normalized to be ``xi[0]``. The module also provides the celestial-sphere
 samplers and the shift maps between the null congruence of the timelike frame
-vector and its celestial sphere (``psi``/``psi_inverse``).
+vector and its celestial sphere (``psi``/``psi_inverse``). The engine's deciders
+draw and shift through the same two private expressions as the public names:
+``_celestial`` is the one draw of a celestial sphere and ``_shift`` the one map
+x -> z + x onto the null congruence, each batched over rows.
 
 The covectors ``eta`` are stored explicitly rather than being derived from
 ``g`` and ``xi``; the compatibility equation interlocks all five pieces, so
@@ -196,10 +199,22 @@ def sample_phi_celestial(S: GffStructure, count: int, seed: int) -> np.ndarray:
 def sample_celestial(S: GffStructure, count: int, seed: int) -> np.ndarray:
     """Uniform sample of the full celestial sphere of the timelike frame vector, as rows."""
     _require_lorentzian(S)
-    frame = orthonormalize(S.g, orthogonal_complement(S.g, [S.timelike_frame_vector]))
-    points = sample_unit_sphere(S.g, frame, count, seed)
+    points = _celestial(S.g, S.timelike_frame_vector, count, seed)
     _check_sample(S, points, in_image=False)
     return points
+
+
+def _celestial(g: ScalarProduct, z: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """The one draw of the celestial sphere of a unit timelike z: uniform unit vectors of z-perp,
+    through the g-orthonormalized complement of z. Outside Lorentzian signature z-perp is not
+    spacelike and the sphere sampler's frame check refuses it."""
+    return sample_unit_sphere(g, orthonormalize(g, orthogonal_complement(g, [z])), count, seed)
+
+
+def _shift(z: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The shift psi^-1 of the unit timelike z, x -> z + x for every row x of xs: the celestial
+    sphere of z onto its null congruence."""
+    return z + xs
 
 
 def _check_sample(S: GffStructure, points: np.ndarray, in_image: bool) -> None:
@@ -246,4 +261,4 @@ def psi_inverse(S: GffStructure, x) -> np.ndarray:
     zp = inner(S.g, xv, S.timelike_frame_vector)
     if abs(zp) > NULL_ATOL:
         raise CausalCharacterError(f"psi_inverse requires g(x, xi_1) = 0: got {zp:.3e}")
-    return S.timelike_frame_vector + xv
+    return _shift(S.timelike_frame_vector, xv[None])[0]

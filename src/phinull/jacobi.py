@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curvature import CurvatureTensor
-from .gff import GffStructure, sample_phi_celestial
+from .gff import GffStructure, _celestial, _shift, sample_phi_celestial
 from .linalg import (
     RANK_RTOL,
     CausalCharacter,
@@ -73,10 +73,7 @@ from .linalg import (
     SubspaceBasis,
     causal_characters,
     inner,
-    orthogonal_complement,
     orthonormal_frame,
-    orthonormalize,
-    sample_unit_sphere,
 )
 from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, Table
 
@@ -597,14 +594,14 @@ def sample_unit_causal(g: ScalarProduct, kind: CausalCharacter, count: int, seed
 
 
 def sample_null_vectors(g: ScalarProduct, count: int, seed: int) -> np.ndarray:
-    """Generic null vectors in a Lorentzian space, at random scales."""
+    """Generic null vectors in a Lorentzian space, at random scales: ``scales (z + x)`` with z the
+    timelike row of ``orthonormal_frame(g)``, x the deciders' draw of its celestial sphere and the
+    scales uniform on [0.5, 2]."""
     if not g.is_lorentzian:
         raise CausalCharacterError(f"null sampling implemented for Lorentzian g, got {g.signature}")
-    frame, signs = orthonormal_frame(g)
-    timelike, spacelike = frame[signs < 0], frame[signs > 0]
-    sphere = sample_unit_sphere(g, SubspaceBasis.from_vectors(g, spacelike), count, seed)
+    z = orthonormal_frame(g)[0][0]  # the timelike row comes first
     scales = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=count)
-    return scales[:, None] * (sphere + timelike[0])
+    return scales[:, None] * _shift(z, _celestial(g, z, count, seed))
 
 
 def _decide(
@@ -649,8 +646,8 @@ def is_null_osserman_wrt(
     zv = np.asarray(z, dtype=float).reshape(-1)
     if abs(inner(g, zv, zv) + 1.0) > REFERENCE_ATOL:
         raise CausalCharacterError("null Osserman reference vector must be unit timelike")
-    sphere = sample_unit_sphere(g, orthonormalize(g, orthogonal_complement(g, [zv])), samples, seed)
-    us = zv + sphere
+    sphere = _celestial(g, zv, samples, seed)
+    us = _shift(zv, sphere)
     stack = null_jacobi_stack(slot4_contraction(R, us), g, us)
     return _decide("null-osserman", stack, seed, tol, grouping_tol, {"reference": zv.tolist()}, sphere)
 
@@ -694,7 +691,7 @@ def is_phi_null_osserman_wrt(
 ) -> PhiNullReport:
     """Phi-null Osserman decision w.r.t. the timelike frame vector of S."""
     sphere = sample_phi_celestial(S, samples, seed)
-    us = S.timelike_frame_vector + sphere
+    us = _shift(S.timelike_frame_vector, sphere)
     quotient = null_jacobi_stack(slot4_contraction(R, us), S.g, us)
     direct = jacobi_stack(slot4_contraction(R, sphere), S.g, sphere)
     return _phi_null(quotient, direct, sphere, seed, tol, grouping_tol)

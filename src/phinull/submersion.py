@@ -42,11 +42,16 @@ stack of samples at once, its first term as ``D C`` from
 builders of ``jacobi``) check their bases and pass ``transfer_forms``, bound to
 their fibration, to ``jacobi.operator_stack``, the one assembly of every
 operator; the shift-identity sentinel and the remark identity are read off the
-same form. ``oneill_A`` and ``r_star_form`` stay as the per-vector definitions
-it is tested against.
+same form. The per-vector names run these routes on one row: ``oneill_A`` takes
+the coefficient of a horizontal Y from ``_a_coefficients`` (only its vertical
+branch, ``A_X xi_a = -epsilon_a phi X``, is its own), ``r_star_form`` is one
+entry of ``transfer_forms`` on a one-row contraction, and ``r_star`` and
+``shift_identity_residual`` build one-row stacks and frames. A test of a
+per-vector name is thus a test of the code the CLI runs.
 
 A theorem report samples one phi-celestial sphere and contracts curvature
-with two stacks of bases only: the sphere and the null bases xi_1 + x. Each
+with two stacks of bases only: the sphere and the null bases xi_1 + x (the
+shift ``gff._shift``, which ``psi_inverse`` takes too). Each
 public decider is its draw, the slot-4 contraction of its bases, a builder and
 the decision the report takes on the same stack (``_base``, ``jacobi._phi_null``,
 each ending in ``jacobi._decide``, where each report name is written once), so a
@@ -79,7 +84,7 @@ from functools import partial
 import numpy as np
 
 from .curvature import CurvatureTensor, operator_apply, sectional_curvatures
-from .gff import GffStructure, sample_phi_celestial
+from .gff import GffStructure, _shift, sample_phi_celestial
 from .jacobi import (
     DecisionReport,
     JacobiOperator,
@@ -213,18 +218,18 @@ def _require_horizontal(F: FibrationModel, X, what: str) -> np.ndarray:
 def oneill_A(F: FibrationModel, X, Y) -> np.ndarray:
     """The integrability tensor A_X Y in closed form, one pair of vectors at a time.
 
-    ``X`` must be horizontal; ``Y`` may be horizontal (result is vertical) or
-    vertical (result is horizontal, ``-epsilon_a phi X`` extended linearly).
-    The batched transfer form is checked against this definition.
+    ``X`` must be horizontal; ``Y`` may be horizontal (result is vertical: ``c(X, Y) V``, the
+    coefficient a one-row ``_a_coefficients``, the rule the transfer forms use) or vertical (result
+    is horizontal, ``-epsilon_a phi X`` extended linearly).
     """
     S = F.structure
-    Xv = _require_horizontal(F, X, "first argument of A")
+    Xv = _require_horizontal(F, X, "first argument of A").reshape(-1)
     Yv = np.asarray(Y, dtype=float).reshape(-1)
     vpart = vertical_part(F, Yv)
     hpart = Yv - vpart
     scale = max(float(np.linalg.norm(Yv)), 1.0)
     if np.linalg.norm(vpart) <= HORIZONTAL_RTOL * scale:
-        return -inner(S.g, Xv, S.phi @ Yv) * F.vertical_sum
+        return _a_coefficients(F, Xv[None], Yv[None, None])[0][0, 0] * F.vertical_sum
     if np.linalg.norm(hpart) <= HORIZONTAL_RTOL * scale:
         coords = F.vertical.coordinates(S.g, Yv)
         signed = float(np.sum(coords * S.epsilon[list(F.vertical_indices)]))
@@ -233,15 +238,12 @@ def oneill_A(F: FibrationModel, X, Y) -> np.ndarray:
 
 
 def r_star_form(R: CurvatureTensor, g: ScalarProduct, F: FibrationModel, x, y, z) -> float:
-    """The transferred curvature pairing g(Rstar_x(y), z) for horizontal x, y, z, per vector."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    zv = np.asarray(z, dtype=float).reshape(-1)
-    value = R.value(xv, yv, xv, zv)
-    a_xy = oneill_A(F, xv, yv)
-    a_xz = oneill_A(F, xv, zv)
-    a_yx = oneill_A(F, yv, xv)
-    return value + 2.0 * inner(g, a_xy, a_xz) - inner(g, a_yx, a_xz)
+    """The transferred curvature pairing g(Rstar_x(y), z) for horizontal x, y, z: entry (0, 1) of
+    the one-row ``transfer_forms`` on the domain rows (z, y)."""
+    xs = _require_horizontal(F, np.reshape(x, (1, -1)), "first argument of A")
+    rows = _require_horizontal(F, np.array([z, y], dtype=float), "second argument of A")[None]
+    C = jacobi_covectors(slot4_contraction(R, xs), xs, rows)
+    return float(transfer_forms(g, F, xs, rows, C)[0, 0, 1])
 
 
 def _a_coefficients(F: FibrationModel, xs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +394,7 @@ def base_null_osserman_check(
     """
     if F.kind is not FibrationKind.TAU:
         raise ValueError(f"base null Osserman check applies to the tau kind, got {F.kind.value}")
-    us = F.structure.xi[0] + sample_phi_celestial(S, samples, seed)
+    us = _shift(F.structure.timelike_frame_vector, sample_phi_celestial(S, samples, seed))
     return _base(F, base_null_stack(slot4_contraction(R, us), S.g, F, us), seed, tol, grouping_tol)
 
 
@@ -553,7 +555,7 @@ def theorem_equivalence_report(
     sigma_residual = float(np.max(scaled))  # keeps a NaN, which fails the sentinel; Python's max drops it
     del frame, lhs
 
-    us = S.timelike_frame_vector + sphere
+    us = _shift(S.timelike_frame_vector, sphere)
     RU = slot4_contraction(R, us)
     phi_null = _phi_null(null_jacobi_stack(RU, g, us), direct, sphere, seed, tol, grouping_tol)
     base_null = _base(F_tau, base_null_stack(RU, g, F_tau, us), seed, tol, grouping_tol)

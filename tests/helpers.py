@@ -49,6 +49,17 @@ def bf_form_matrix(Rcomp: np.ndarray, basis: np.ndarray, z: np.ndarray) -> np.nd
     return np.einsum("abcd,ia,b,jc,d->ij", Rcomp, basis, z, basis, z)
 
 
+def bf_transfer_form(Rcomp: np.ndarray, G: np.ndarray, phi: np.ndarray, V: np.ndarray, x: np.ndarray,
+                     D: np.ndarray) -> np.ndarray:
+    """B[i, j] = g(Rstar_x(d_j), d_i) = R(x, d_j, x, d_i) + 2 g(A_x d_j, A_x d_i) - g(A_d_j x, A_x d_i)
+    on the rows d of D, contracted directly from components, with O'Neill's A_X Y = c(X, Y) V,
+    c(X, Y) = -g(X, phi Y), written out from G, phi and the vertical sum V."""
+    a = -np.einsum("a,ab,bc,ic->i", x, G, phi, D)  # c(x, d_i)
+    b = -np.einsum("ia,ab,bc,c->i", D, G, phi, x)  # c(d_i, x)
+    jacobi_form = np.einsum("abcd,a,jb,c,id->ij", Rcomp, x, D, x, D)  # R(x, d_j, x, d_i)
+    return jacobi_form + (V @ G @ V) * (2.0 * np.outer(a, a) - np.outer(a, b))
+
+
 def bf_perp_basis(G: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Rows spanning {y : y . G z = 0} via raw SVD."""
     row = (G @ z)[None, :]

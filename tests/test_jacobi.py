@@ -22,7 +22,7 @@ from phinull.curvature import (
     phi_model_family,
     random_algebraic_curvature,
 )
-from phinull.gff import canonical_structure, sample_phi_celestial
+from phinull.gff import canonical_structure, sample_celestial, sample_phi_celestial
 from phinull.io import generate_instance
 from phinull.jacobi import (
     BOOST_WINDOW,
@@ -809,6 +809,33 @@ def test_null_osserman_fails_for_phi_model_off_image():
     assert np.abs(spec_out).max() < 1e-10
     report = is_null_osserman_wrt(R, S.g, z, samples=32, seed=1)
     assert not report.passed
+
+
+@pytest.mark.parametrize("structure", [canonical_structure(2, 2), conjugated_structure(2, 3, seed=4)],
+                         ids=["canonical-2-2", "conjugated-2-3"])
+def test_null_osserman_names_its_samples_with_the_celestial_points(structure):
+    # one celestial draw: the decider's records name exactly the points of sample_celestial
+    S = structure
+    R = random_algebraic_curvature(S.g, seed=3)
+    for count, seed in ((8, 0), (16, 5)):
+        names = np.array([rec.base for rec in is_null_osserman_wrt(R, S.g, S.xi[0], count, seed).records])
+        assert np.array_equal(names, sample_celestial(S, count, seed))
+
+
+@pytest.mark.parametrize("g", [ScalarProduct.minkowski(5), canonical_structure(2, 3).g,
+                               conjugated_structure(4, 3, seed=1).g],
+                         ids=["minkowski-5", "canonical-2-3", "conjugated-4-3"])
+def test_null_vectors_are_null_scaled_and_seeded(g):
+    us = sample_null_vectors(g, 64, seed=8)
+    G = g.components
+    q = np.einsum("ni,ij,nj->n", us, G, us)
+    assert (np.abs(q) <= 1e-12 * np.abs(G).max() * (us * us).sum(axis=1)).all()
+    assert causal_characters(g, us) == [CausalCharacter.NULL] * 64
+    # u = s (z + x) with z the frame's unit timelike row and x in z-perp: g(u, z) = -s
+    scales = -(us @ G @ orthonormal_frame(g)[0][0])
+    assert ((scales >= 0.5 - 1e-12) & (scales <= 2.0 + 1e-12)).all()
+    assert np.array_equal(us, sample_null_vectors(g, 64, seed=8))
+    assert not np.array_equal(us, sample_null_vectors(g, 64, seed=9))
 
 
 def test_null_osserman_requires_unit_timelike_reference():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     bf_form_matrix,
+    bf_transfer_form,
     conjugated_structure,
     decide_constancy_loop,
     exact,
@@ -635,12 +636,16 @@ def _families(S):
     }
 
 
+def _vertical_sum(F):
+    """V, the sum of the fibration's vertical frame vectors, from the structure's xi."""
+    return F.structure.xi[list(F.vertical_indices)].sum(axis=0)
+
+
 def _oracle_forms(R, F, xs, domains):
-    """B[n, i, j] = r_star_form(x_n, d_j, d_i), one vector pair at a time."""
-    return np.array([
-        [[r_star_form(R, F.structure.g, F, x, dj, di) for dj in D] for di in D]
-        for x, D in zip(xs, domains)
-    ])
+    """B[n, i, j] = g(Rstar_x(d_j), d_i) for x = xs[n], by the brute-force ``bf_transfer_form``."""
+    S = F.structure
+    return np.array([bf_transfer_form(R.components, S.g.components, S.phi, _vertical_sum(F), x, D)
+                     for x, D in zip(xs, domains)])
 
 
 @pytest.mark.parametrize("conjugated", [False, True])
@@ -657,6 +662,11 @@ def test_transfer_forms_match_per_vector_oracle(conjugated):
             oracle = _oracle_forms(R, F, xs, domains)
             scale = max(1.0, float(np.abs(oracle).max()))
             assert np.abs(batched - oracle).max() < 1e-12 * scale, (name, kind)
+            # the per-vector names are one-row calls of these routes, held to the oracles too
+            for x, (z, y, _), B in zip(xs, domains, oracle):
+                assert abs(r_star_form(R, S.g, F, x, y, z) - B[0, 1]) < 1e-12 * scale, (name, kind)
+                A = -(x @ S.g.components @ S.phi @ z) * _vertical_sum(F)
+                assert np.abs(oneill_A(F, x, z) - A).max() <= 1e-13 * max(np.abs(A).max(), 1.0), kind
 
 
 @pytest.mark.parametrize("conjugated", [False, True])

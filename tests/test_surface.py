@@ -104,3 +104,27 @@ def test_operator_stacks_are_built_from_the_contraction_only():
         assert inspect.signature(function).parameters["signs"].default is inspect.Parameter.empty, function
     report = modules["submersion"].theorem_equivalence_report
     assert "tau_fibration" not in inspect.signature(report).parameters
+
+
+# the per-vector names the acceptance criteria import, each a one-row call of an engine route
+CRITERIA_NAMES = {
+    "submersion.oneill_A": ["F", "X", "Y"],
+    "submersion.r_star_form": ["R", "g", "F", "x", "y", "z"],
+    "submersion.r_star": ["R", "g", "F", "x"],
+    "submersion.shift_identity_residual": ["R", "S", "F", "x", "y"],
+    "jacobi.null_quotient": ["g", "u"],
+    "jacobi.null_quotient_from_representatives": ["g", "u", "representatives"],
+    "jacobi.sample_null_vectors": ["g", "count", "seed"],
+    "gff.sample_celestial": ["S", "count", "seed"],
+    "gff.psi": ["S", "u"],
+    "gff.psi_inverse": ["S", "x"],
+}
+
+
+def test_the_names_the_criteria_import_keep_their_parameter_lists():
+    functions = dict(_public_callables())
+    for name, parameters in CRITERIA_NAMES.items():
+        found = inspect.signature(functions[name]).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in found] == [
+            (p, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty) for p in parameters
+        ], name
