@@ -31,7 +31,6 @@ swapping rows of xi/eta/epsilon if the file stores it elsewhere.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -327,9 +326,9 @@ def _write(data, indent: str, out: list, floats: tuple) -> None:
     """Append ``json.dumps(data, indent=2, sort_keys=True, default=lambda o: o.tolist())``,
     nested at ``indent``, to ``out``.
 
-    A float or a flat list of exact floats leaves a placeholder in ``out`` and its (position,
-    values, separator) in ``floats[0]``, a non-empty 1-D float64 array in ``floats[1]``, and a
-    ``Table`` its position and ``_table_layout`` in ``floats[2]``, for ``_fill_floats`` to write.
+    A float leaves a placeholder in ``out`` and its (position, (value,), "") in ``floats[0]``; a
+    non-empty 1-D float64 array its (position, values, separator) in ``floats[1]``, and a ``Table``
+    its (position, numbers, ``_table_layout``) there too, for ``_fill_floats`` to write.
     """
     if type(data) is float:
         out.append(None)
@@ -344,14 +343,6 @@ def _write(data, indent: str, out: list, floats: tuple) -> None:
     elif isinstance(data, (list, tuple)) and data:
         inner = indent + "  "
         sep = ",\n" + inner
-        types = set(map(type, data))
-        if types == {float}:
-            out += ["[\n" + inner, None, "\n" + indent + "]"]
-            floats[0].append((len(out) - 2, data, sep))
-            return
-        if types == {int}:  # ``json`` writes an int as ``int.__repr__``, which is ``str``
-            out += ["[\n" + inner, sep.join(map(str, data)), "\n" + indent + "]"]
-            return
         for k, item in enumerate(data):
             out.append(sep if k else "[\n" + inner)
             _write(item, inner, out, floats)
@@ -365,7 +356,7 @@ def _write(data, indent: str, out: list, floats: tuple) -> None:
             _write(np.ndarray.tolist(data), indent, out, floats)
     elif type(data) is Table:
         out.append(None)
-        floats[2].append((len(out) - 1, _table_layout(data, indent)))
+        floats[1].append((len(out) - 1, *_table_layout(data, indent)))
     else:
         out.append(_encode(data))  # any other scalar, [] or {}
 
@@ -402,10 +393,10 @@ def _row_layout(template, indent: str, layout: tuple) -> None:
 
 
 def _table_layout(table: Table, indent: str) -> tuple:
-    """What ``_table_text`` needs to write ``table`` at ``indent``: per block its rows, its row's
-    fixed texts (an object array, the first led by the separator of a row that is not the first),
-    the slots between them that take numbers and those that take the block's other texts, and
-    those texts; and every number of the table, block by block and row by row, in one array."""
+    """Every number of ``table``, block by block and row by row, in one array; and what
+    ``_table_text`` needs to write it at ``indent``: per block its rows, its row's fixed texts (an
+    object array, the first led by the separator of a row that is not the first), the slots
+    between them that take numbers and those that take the block's other texts, and those texts."""
     inner = indent + "  "
     blocks, numbers = [], []
     for rows, template in table.blocks:
@@ -417,14 +408,14 @@ def _table_layout(table: Table, indent: str) -> tuple:
         # a row's cells: fixed texts at the even places, slots at the odd ones
         blocks.append((rows, np.array(texts, dtype=object), 1 + 2 * np.flatnonzero(numeric),
                        1 + 2 * np.flatnonzero(~numeric), others))
-    return table.size, indent, blocks, np.concatenate([*numbers, np.empty(0)])
+    return np.concatenate([*numbers, np.empty(0)]), (table.size, indent, blocks)
 
 
 def _table_text(layout: tuple, strings: np.ndarray) -> str:
     """The text of a table from its ``_table_layout`` and the texts of its numbers, in order: per
     block one object array of cells, a row's fixed texts with its slots between them, each row's
     cells joined once and the rows once."""
-    size, indent, blocks, _ = layout
+    size, indent, blocks = layout
     if not size:
         return "[]"
     lines: list = [None] * size
@@ -444,21 +435,19 @@ def _table_text(layout: tuple, strings: np.ndarray) -> str:
 
 
 def _fill_floats(out: list, floats: tuple) -> None:
-    """Write the floats ``_write`` left as placeholders, each distinct magnitude converted once,
-    and the tables, whose numbers are among them.
+    """Write the floats, arrays and tables ``_write`` left as placeholders, each distinct
+    magnitude among their numbers converted once.
 
     Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text. A
     negative value is ``"-"`` and the text of its magnitude, as ``float.__repr__`` writes it
     (``-0.0``, ``-Infinity``); a NaN is ``NaN`` whatever its sign bit.
     """
     entries = floats[0] + floats[1]
-    if not entries and not floats[2]:
+    if not entries:
         return
-    # the Python floats in one pass over their lists, then the arrays, then the tables' numbers
-    lists = [data for _, data, _ in floats[0]]
-    values = np.concatenate([np.fromiter(
-        itertools.chain.from_iterable(lists), dtype=np.float64, count=sum(map(len, lists)),
-    ), *(data for _, data, _ in floats[1]), *(layout[3] for _, layout in floats[2])])
+    # the Python floats in one pass, then the arrays' and the tables' numbers
+    values = np.concatenate([np.fromiter((value for _, (value,), _ in floats[0]), np.float64, len(floats[0])),
+                             *(data for _, data, _ in floats[1])])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     # abs clears the sign bit; a magnitude is converted as its negative pattern where it has one
     magnitudes, of_bits = np.unique(np.abs(bits.view(np.float64)).view(np.int64), return_inverse=True)
@@ -470,20 +459,16 @@ def _fill_floats(out: list, floats: tuple) -> None:
     texts[positive] = [text[1:] for text in texts[positive]]
     strings = texts[inverse]
     start = 0
-    for pos, data, sep in entries:
+    for pos, data, sep in entries:  # sep: the separator of a float or an array, a table's layout
         stop = start + len(data)
-        out[pos] = sep.join(strings[start:stop].tolist())
-        start = stop
-    for pos, layout in floats[2]:
-        stop = start + len(layout[3])
-        out[pos] = _table_text(layout, strings[start:stop])
+        out[pos] = sep.join(strings[start:stop].tolist()) if type(sep) is str else _table_text(sep, strings[start:stop])
         start = stop
 
 
 def _dumps(data, indent: str = "", end: str = "") -> str:
     """``data`` written by ``_write`` at ``indent``, then ``end``."""
     out: list[str] = []
-    floats: tuple = ([], [], [])
+    floats: tuple = ([], [])
     _write(data, indent, out, floats)
     _fill_floats(out, floats)  # its temporaries are freed before the join
     out.append(end)
@@ -498,18 +483,19 @@ def dump_json(data: dict) -> str:
     ``","`` and ``": "`` as separators, ASCII escapes, a trailing newline, and
     a numpy array or a ``reports.Table`` written as its ``tolist()``. ``json``
     drops to its pure-Python encoder whenever ``indent`` is set, so the layout
-    is written here. Most numbers are floats, in flat lists, in 1-D float64
-    arrays (taken as they are, with no Python list in between), in tables or
-    alone, and most of them repeat within a document: they are written last,
-    with one float-to-text conversion per distinct float magnitude in the whole
+    is written here. Most numbers are floats, in 1-D float64 arrays (taken as
+    they are, with no Python list in between), in tables or alone, and most of
+    them repeat within a document: they are written last, with one
+    float-to-text conversion per distinct float magnitude in the whole
     document, all in one pass of a C encoder built at import. A table is
     written in one pass, with no row dict built: the fixed text of a row is
     laid out once per block, the texts of every row's values are placed
     between its fixed texts as cells of one object array per block, and each
-    row's cells are joined once, then the rows. Flat lists of ints
-    are joined from ``str``, other scalars go through the same encoder one by
-    one, and keys through the C quoting function, once per layout of a dict of
-    ``str`` keys (a bounded cache). Pieces are joined once, at the end.
+    row's cells are joined once, then the rows. A list is written item by
+    item (a float in it is a float alone), other scalars go through the same
+    encoder one by one, and keys through the C quoting function, once per
+    layout of a dict of ``str`` keys (a bounded cache). Pieces are joined once,
+    at the end.
     """
     return _dumps(data, end="\n")
 

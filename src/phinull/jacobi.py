@@ -382,7 +382,8 @@ def _grouped(values: np.ndarray, grouping_tol: float) -> list[tuple]:
     row is ``np.mean``'s sum, in order from 0.0 below 8 values and pairwise from 8.
     """
     vals = np.sort(values, axis=1)
-    split = ~(np.diff(vals, axis=1) <= grouping_tol)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap
+        split = ~(np.diff(vals, axis=1) <= grouping_tol)
     raw, width = split.tobytes(), split.shape[1]
     patterns: dict = {}  # the rows of each split pattern
     for n in range(len(vals)):

@@ -357,6 +357,8 @@ def base_osserman_check(
     """Pointwise Osserman condition of the complex-type base, through the transfer operator."""
     if F.kind not in _PI_KINDS:
         raise ValueError(f"base Osserman check applies to pi_full/pi_prime, got {F.kind.value}")
+    if F.structure is not S:
+        raise ValueError("base Osserman check needs a fibration of its own structure")
     sphere = sample_phi_celestial(S, samples, seed)
     return _base(F, r_star_stack(slot4_contraction(R, sphere), S.g, F, sphere), seed, tol, grouping_tol)
 
@@ -394,6 +396,8 @@ def base_null_osserman_check(
     """
     if F.kind is not FibrationKind.TAU:
         raise ValueError(f"base null Osserman check applies to the tau kind, got {F.kind.value}")
+    if F.structure is not S:
+        raise ValueError("base null Osserman check needs a fibration of its own structure")
     us = _shift(F.structure.timelike_frame_vector, sample_phi_celestial(S, samples, seed))
     return _base(F, base_null_stack(slot4_contraction(R, us), S.g, F, us), seed, tol, grouping_tol)
 

@@ -146,10 +146,14 @@ def test_psi_round_trips_on_sphere_points():
 
 def test_psi_rejects_wrong_normalization():
     S = canonical_structure(1, 1)
-    with pytest.raises(CausalCharacterError):
-        psi(S, 2.0 * S.xi[0] + np.eye(3)[0])  # g(u, xi_1) = -2
-    with pytest.raises(CausalCharacterError):
+    with pytest.raises(CausalCharacterError, match="null vector"):
+        psi(S, 2.0 * S.xi[0] + np.eye(3)[0])  # not null
+    with pytest.raises(CausalCharacterError, match=r"g\(u, xi_1\) = -1"):
+        psi(S, 2.0 * (S.xi[0] + np.eye(3)[0]))  # null, g(u, xi_1) = -2
+    with pytest.raises(CausalCharacterError, match="unit vector"):
         psi_inverse(S, 2.0 * np.eye(3)[0])  # not unit
+    with pytest.raises(CausalCharacterError, match=r"g\(x, xi_1\) = 0"):
+        psi_inverse(S, np.sqrt(2.0) * np.eye(3)[0] + S.xi[0])  # unit, g(x, xi_1) = -1
 
 
 def test_phi_null_restriction_of_psi():

@@ -1018,13 +1018,13 @@ _arrays = st.one_of(
 _trees = st.recursive(
     _numbers | _text | _arrays | st.lists(_numbers, max_size=8)
     | st.lists(_pooled, min_size=1, max_size=8)
-    | st.lists(st.integers(), min_size=1, max_size=8)  # all-int lists are joined from str
+    | st.lists(st.integers(), min_size=1, max_size=8)  # ints of any size, as int.__repr__ writes them
     | st.lists(st.sampled_from([1, 1.0, True]) | _pooled, min_size=1, max_size=6),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
         st.dictionaries(_text, kids, max_size=4),
-        # a number first, then anything: the writer's flat-list path must say no
+        # a number first, then anything: a list of mixed items
         st.builds(lambda head, rest: [head, *rest], _numbers, st.lists(kids, max_size=3)),
     ),
     max_leaves=24,
@@ -1081,11 +1081,16 @@ def _spectra_tables(draw) -> Table:
     return _spectra_table(_float_array(draw, (size, m)), errors, _float_array(draw, (ok, d)), tol)
 
 
+# the list or dict of one row's object cell, floats inside
+_cell_objects = st.lists(_cells, max_size=3) | st.dictionaries(_text, _cells | st.lists(_cells, max_size=2),
+                                                               max_size=3)
+
+
 @st.composite
 def _template(draw, rows: int, depth: int = 0) -> dict:
     template = {}
     for key in draw(st.lists(_text, min_size=1, max_size=4, unique=True)):
-        kind = draw(st.sampled_from(["numbers", "number", "bool", "text", "constant"]
+        kind = draw(st.sampled_from(["numbers", "number", "bool", "ints", "bools", "text", "objects", "constant"]
                                     + (["nested"] if depth < 2 else [])))
         if kind == "numbers":
             template[key] = _float_array(draw, (rows, draw(st.integers(0, 3))))
@@ -1093,6 +1098,15 @@ def _template(draw, rows: int, depth: int = 0) -> dict:
             template[key] = _float_array(draw, (rows,))
         elif kind == "bool":
             template[key] = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+        elif kind in ("ints", "bools"):  # 2-D: a list per row
+            width = draw(st.integers(0, 3))
+            values = st.integers(-2**63, 2**63 - 1) if kind == "ints" else st.booleans()
+            template[key] = np.array(draw(st.lists(values, min_size=rows * width, max_size=rows * width)),
+                                     dtype=np.int64 if kind == "ints" else bool).reshape(rows, width)
+        elif kind == "objects":
+            template[key] = np.empty(rows, dtype=object)
+            for n, value in enumerate(draw(st.lists(_cell_objects, min_size=rows, max_size=rows))):
+                template[key][n] = value
         elif kind == "text":
             template[key] = np.array(draw(st.lists(_messages, min_size=rows, max_size=rows)) + [None],
                                      dtype=object)[:rows]

@@ -1,5 +1,7 @@
 """Jacobi operators, null quotients, spectra, and the condition deciders."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -157,6 +159,18 @@ def test_representative_shift_leaves_everything_unchanged():
     m0 = null_jacobi(R, g, u, quotient=q).matrix
     m1 = null_jacobi(R, g, u, quotient=shifted).matrix
     assert np.abs(m1 - m0).max() < 1e-10
+
+
+def test_representatives_are_refused_unless_they_span_the_quotient():
+    g = ScalarProduct.minkowski(4)
+    u = np.array([1.0, 0.0, 1.0, 0.0])
+    e = np.eye(4)
+    with pytest.raises(ValueError, match="expected 2 representatives, got 1"):
+        null_quotient_from_representatives(g, u, e[1:2])
+    with pytest.raises(ValueError, match="orthogonal to u"):
+        null_quotient_from_representatives(g, u, [e[1], e[0]])  # g(e_0, u) = -1
+    with pytest.raises(ValueError, match="degenerate modulo span"):
+        null_quotient_from_representatives(g, u, [e[1], u])  # u is orthogonal to u, and zero in the quotient
 
 
 def _phi_null_pair():
@@ -550,6 +564,25 @@ def test_stacked_grouping_matches_one_value_at_a_time(stack):
             assert pattern == multiplicities
             assert [v.hex() for v in eigenvalues] == [v.hex() for v in means]
             assert all(type(v) is float for v in SpectralData.from_values(row, GROUPING_TOL).eigenvalues)
+
+
+def test_grouping_rows_with_infinities_raises_no_warning():
+    # inf - inf is a NaN gap, which splits a group as any NaN gap does, with no numpy warning; the
+    # loop reference and a bare np.diff do warn
+    stack = np.array([[np.inf, np.inf, 1.0, 1.0], [-np.inf, -np.inf, np.inf, np.inf],
+                      [2.0, np.inf, -np.inf, 2.0], [3.0, 3.0, np.inf, np.inf], [0.0, 0.5, 1.0, 1.5]])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        np.diff(np.sort(stack, axis=1), axis=1)
+    with np.errstate(invalid="ignore"):
+        expected = [spectral_groups_loop(row, 0.6) for row in stack]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patterns = _grouped(stack, 0.6)
+    assert sorted(n for rows, _, _ in patterns for n in rows.tolist()) == list(range(len(stack)))
+    assert len(patterns) == 4  # rows 0 and 3 share (2, 1, 1)
+    for rows, pattern, block in patterns:
+        for n, means in zip(rows.tolist(), block.tolist()):
+            assert (tuple(means), pattern) == expected[n]
 
 
 @pytest.mark.xfail(strict=True, reason="chained grouping (ROADMAP, defects reproduced): a value joins its "

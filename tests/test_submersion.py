@@ -545,6 +545,16 @@ def test_theorem_refuses_fibrations_of_another_structure():
         theorem_equivalence_report(R, S, samples=4, pi_fibration=make_fibration(other, FibrationKind.PI_FULL))
 
 
+@pytest.mark.parametrize("check, kind", [(base_osserman_check, FibrationKind.PI_FULL),
+                                         (base_null_osserman_check, FibrationKind.TAU)])
+def test_base_deciders_refuse_fibrations_of_another_structure(check, kind):
+    # refused, not judged: its per-sample errors would read as a failed verdict on the instance
+    S = canonical_structure(2, 3)
+    F = make_fibration(conjugated_structure(2, 3, seed=5), kind)
+    with pytest.raises(ValueError, match="fibration of its own structure"):
+        check(phi_model_family(S, 1.0, 1.0), S, F, samples=4)
+
+
 def test_theorem_requires_s_at_least_two():
     S = canonical_structure(2, 1)
     with pytest.raises(ValueError):
