@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gff import GffStructure
+from .gff import VALIDATE_ATOL, GffStructure
 from .linalg import DegenerateSubspaceError, ScalarProduct, self_products
 from .reports import ValidationReport
 
-VALIDATE_ATOL = 1e-10
 PLANE_RTOL = 1e-9
 # The engine squares sums of up to m^3 products of a component with four vector entries: below 1.5e6
 # components at m <= 24 and vector norms <= 3.2 (the boost window); 1e8 keeps each square finite.

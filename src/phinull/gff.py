@@ -217,19 +217,21 @@ def _shift(z: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return z + xs
 
 
-def _check_sample(S: GffStructure, points: np.ndarray, in_image: bool) -> None:
-    """Verify the defining constraints of sphere points x: g(x, x) = 1, g(x, z) = 0, and
-    eta(x) = 0 for Im(phi) points.
+def _validated_bound(S: GffStructure, points: np.ndarray) -> np.ndarray:
+    """Per row x of ``points``, VALIDATE_ATOL (1 + |x|_1 + |phi x|_1)^2: the bound of a constraint at x
+    that combines validated identities, such as g(z, z) = -1, g(x, z) = 0 and eta(x) = 0 (through
+    x = -phi(phi x) on Im(phi)). Each identity M is good to VALIDATE_ATOL per entry, so a^T M b to
+    VALIDATE_ATOL |a|_1 |b|_1, and the coefficients are those of a frame vector (1), of x and of phi x."""
+    return VALIDATE_ATOL * (1.0 + np.abs(points).sum(axis=1) + np.abs(points @ S.phi.T).sum(axis=1)) ** 2
 
-    They hold only as well as the validated identities they combine (g(z, z) = -1, g(x, z) = 0,
-    eta(x) = 0 through x = -phi(phi x) on Im(phi)), each good to VALIDATE_ATOL per entry. A
-    contraction a^T M b of such an identity M is at most VALIDATE_ATOL |a|_1 |b|_1, so each point
-    is judged against VALIDATE_ATOL (1 + |x|_1 + |phi x|_1)^2: the coefficients of z, x and phi x.
-    """
+
+def _check_sample(S: GffStructure, points: np.ndarray, in_image: bool) -> None:
+    """Verify the defining constraints of sphere points x, each within ``_validated_bound``:
+    g(x, x) = 1, g(x, z) = 0, and eta(x) = 0 for Im(phi) points."""
     z = S.timelike_frame_vector
     q = np.einsum("nm,mk,nk->n", points, S.g.components, points)
     zp = points @ S.g.components @ z
-    tol = VALIDATE_ATOL * (1.0 + np.abs(points).sum(axis=1) + np.abs(points @ S.phi.T).sum(axis=1)) ** 2
+    tol = _validated_bound(S, points)
     ok = (np.abs(q - 1.0) <= tol) & (np.abs(zp) <= tol)
     if in_image:
         ok &= np.abs(points @ S.eta.T).max(axis=1) <= tol

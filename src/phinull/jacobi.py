@@ -65,7 +65,9 @@ import numpy as np
 from .curvature import CurvatureTensor
 from .gff import GffStructure, _celestial, _shift, sample_phi_celestial
 from .linalg import (
+    MEMBERSHIP_RTOL,
     RANK_RTOL,
+    UNIT_ATOL,
     CausalCharacter,
     CausalCharacterError,
     GeometryError,
@@ -78,8 +80,6 @@ from .linalg import (
 from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, Table
 
 REALNESS_RTOL = 1e-8
-PAIRING_RTOL = 1e-8  # explicit quotient representatives: max |g(rep, u)| against their size
-REFERENCE_ATOL = 1e-8  # the null Osserman reference z: |g(z, z) + 1|
 BOOST_WINDOW = 1.5  # T: sample_unit_causal draws rapidities uniform on [-T, T]
 
 
@@ -288,12 +288,12 @@ def null_quotient(g: ScalarProduct, u) -> NullQuotient:
 
 def null_quotient_from_representatives(g: ScalarProduct, u, representatives) -> NullQuotient:
     """Build a quotient from explicit representatives, each in u-perp: max |g(rep, u)| within
-    ``PAIRING_RTOL`` of their size."""
+    ``MEMBERSHIP_RTOL`` of their size."""
     uv = np.asarray(u, dtype=float).reshape(-1)
     reps = np.atleast_2d(np.asarray(representatives, dtype=float))
     if reps.shape[0] != g.dim - 2:
         raise ValueError(f"expected {g.dim - 2} representatives, got {reps.shape[0]}")
-    if np.abs(reps @ g.components @ uv).max() > PAIRING_RTOL * max(float(np.abs(reps).max()), 1.0):
+    if np.abs(reps @ g.components @ uv).max() > MEMBERSHIP_RTOL * max(float(np.abs(reps).max()), 1.0):
         raise ValueError("representatives must be orthogonal to u")
     basis = SubspaceBasis.from_vectors(g, reps)
     evals = np.linalg.eigvalsh(basis.gram)
@@ -318,7 +318,7 @@ def null_jacobi(
 
     The matrix is independent of the choice of representatives because
     R(x, u) u lands in u-perp and g(., u) vanishes there. A ``quotient`` must be
-    one of u itself (``quotient.u`` within ``PAIRING_RTOL`` of u, relative to
+    one of u itself (``quotient.u`` within ``MEMBERSHIP_RTOL`` of u, relative to
     its norm), else ValueError. Its representatives are made g-orthonormal where
     they enter: with ``reps = K D0`` modulo u, D0 the frame of u's own quotient of
     signs eta (so ``gbar = K eta K^T``, of any signature), the domain is ``K^-1 reps``;
@@ -328,7 +328,7 @@ def null_jacobi(
     if quotient is None:
         return null_jacobi_stack(slot4_contraction(R, us), g, us).operator(g)
     if us.shape[1:] != quotient.u.shape or (
-        np.linalg.norm(us[0] - quotient.u) > PAIRING_RTOL * np.linalg.norm(us[0])
+        np.linalg.norm(us[0] - quotient.u) > MEMBERSHIP_RTOL * np.linalg.norm(us[0])
     ):
         raise ValueError("u differs from the quotient's null vector")
     us, reps = quotient.u[None], quotient.rep_basis.vectors
@@ -645,7 +645,7 @@ def is_null_osserman_wrt(
     (the inverse of the congruence-to-sphere shift map); each record names its x.
     """
     zv = np.asarray(z, dtype=float).reshape(-1)
-    if abs(inner(g, zv, zv) + 1.0) > REFERENCE_ATOL:
+    if abs(inner(g, zv, zv) + 1.0) > UNIT_ATOL:
         raise CausalCharacterError("null Osserman reference vector must be unit timelike")
     sphere = _celestial(g, zv, samples, seed)
     us = _shift(zv, sphere)

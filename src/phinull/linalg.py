@@ -30,6 +30,8 @@ import numpy as np
 RANK_RTOL = 1e-9
 NULL_ATOL = 1e-10
 ORTHONORMAL_ATOL = 1e-10
+UNIT_ATOL = 1e-8  # a unit vector: |g(x, x) - 1|, or |g(x, x) + 1| if timelike
+MEMBERSHIP_RTOL = 1e-8  # a vector in a subspace: its part off the subspace against max(|x|, 1)
 
 
 class GeometryError(Exception):
@@ -265,7 +267,7 @@ def sample_unit_sphere(
     if count < 1:
         raise ValueError("count must be >= 1")
     k = frame.dim
-    if not np.allclose(frame.gram, np.eye(k), atol=ORTHONORMAL_ATOL):
+    if not np.abs(frame.gram - np.eye(k)).max(initial=0.0) <= ORTHONORMAL_ATOL:
         raise DegenerateSubspaceError(
             "sphere sampling requires a positive definite, orthonormal frame"
         )

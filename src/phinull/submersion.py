@@ -84,7 +84,7 @@ from functools import partial
 import numpy as np
 
 from .curvature import CurvatureTensor, operator_apply, sectional_curvatures
-from .gff import GffStructure, _shift, sample_phi_celestial
+from .gff import GffStructure, _shift, _validated_bound, sample_phi_celestial
 from .jacobi import (
     DecisionReport,
     JacobiOperator,
@@ -104,6 +104,8 @@ from .jacobi import (
     slot4_contraction,
 )
 from .linalg import (
+    MEMBERSHIP_RTOL,
+    UNIT_ATOL,
     CausalCharacterError,
     GeometryError,
     ScalarProduct,
@@ -113,11 +115,6 @@ from .linalg import (
 from .reports import DEFAULT_CONSTANCY_TOL, DEFAULT_GROUPING_TOL, DEFAULT_SAMPLES, RemarkKind, Table
 
 IDENTITY_ATOL = 1e-9
-SPLIT_ATOL = 1e-10
-HORIZONTAL_RTOL = 1e-8
-SIGMA_ATOL = 1e-12  # a fibration's sigma against its vertical sign sum
-UNIT_ATOL = 1e-8  # an Rstar base: |g(x, x) - 1|
-IN_V_RTOL = 1e-8  # a shift-identity argument y in V: its part off V against max(|y|, 1)
 
 
 class FibrationKind(Enum):
@@ -169,15 +166,16 @@ def make_fibration(S: GffStructure, kind: FibrationKind) -> FibrationModel:
 
     vertical = SubspaceBasis.from_vectors(S.g, S.xi[list(vertical_indices)])
 
-    cross = horizontal.vectors @ S.g.components @ vertical.vectors.T
-    if np.abs(cross).max() > SPLIT_ATOL:
+    # each horizontal row's pairings with the vertical frame, judged as the samplers judge theirs
+    cross = np.abs(horizontal.vectors @ S.g.components @ vertical.vectors.T).max(axis=1)
+    if np.any(cross > _validated_bound(S, horizontal.vectors)):
         raise GeometryError(
-            f"horizontal/vertical splitting is not g-orthogonal: residual {np.abs(cross).max():.3e}"
+            f"horizontal/vertical splitting is not g-orthogonal: residual {cross.max():.3e}"
         )
     if horizontal.dim + vertical.dim != S.dim:
         raise GeometryError("splitting does not fill the ambient space")
-    sign_sum = float(np.sum(S.epsilon[list(vertical_indices)]))
-    if abs(sign_sum - sigma) > SIGMA_ATOL:
+    sign_sum = float(np.sum(np.sign(S.epsilon[list(vertical_indices)])))  # a count: sigma is exact
+    if sign_sum != sigma:
         raise GeometryError(
             f"shift coefficient {sigma} disagrees with the vertical sign sum {sign_sum}"
         )
@@ -202,7 +200,7 @@ def _horizontal_errors(F: FibrationModel, xs: np.ndarray, what: str) -> list:
     """Per row of ``xs``: a GeometryError if it leaks into the vertical space, else None."""
     leaks = np.linalg.norm(vertical_part(F, xs), axis=-1)
     errors: list = [None] * len(xs)
-    for n in np.flatnonzero(leaks > HORIZONTAL_RTOL * np.maximum(np.linalg.norm(xs, axis=-1), 1.0)):
+    for n in np.flatnonzero(leaks > MEMBERSHIP_RTOL * np.maximum(np.linalg.norm(xs, axis=-1), 1.0)):
         errors[n] = GeometryError(f"{what} must be horizontal: vertical component {leaks[n]:.3e}")
     return errors
 
@@ -228,9 +226,9 @@ def oneill_A(F: FibrationModel, X, Y) -> np.ndarray:
     vpart = vertical_part(F, Yv)
     hpart = Yv - vpart
     scale = max(float(np.linalg.norm(Yv)), 1.0)
-    if np.linalg.norm(vpart) <= HORIZONTAL_RTOL * scale:
+    if np.linalg.norm(vpart) <= MEMBERSHIP_RTOL * scale:
         return _a_coefficients(F, Xv[None], Yv[None, None])[0][0, 0] * F.vertical_sum
-    if np.linalg.norm(hpart) <= HORIZONTAL_RTOL * scale:
+    if np.linalg.norm(hpart) <= MEMBERSHIP_RTOL * scale:
         coords = F.vertical.coordinates(S.g, Yv)
         signed = float(np.sum(coords * S.epsilon[list(F.vertical_indices)]))
         return -signed * (S.phi @ Xv)
@@ -338,7 +336,7 @@ def shift_identity_residual(R: CurvatureTensor, S: GffStructure, F: FibrationMod
     xv, V = xs[0], frame[0][0]
     VG = V @ g.components  # V is g-orthonormal: coordinates are g(v_k, .)
     y_coords = VG @ yv
-    if np.linalg.norm(yv - y_coords @ V) > IN_V_RTOL * max(np.linalg.norm(yv), 1.0):
+    if np.linalg.norm(yv - y_coords @ V) > MEMBERSHIP_RTOL * max(np.linalg.norm(yv), 1.0):
         raise ValueError("y must lie in x-perp within Im(phi)")
     jac = operator_apply(R, g, xv, yv, xv)
     v_leak = float(np.linalg.norm(jac - (VG @ jac) @ V))

@@ -26,6 +26,7 @@ from phinull.linalg import (
     inner,
     matrix_rank,
 )
+from phinull.submersion import FibrationKind, make_fibration
 
 SAMPLERS = (sample_phi_celestial, sample_celestial)
 
@@ -185,7 +186,8 @@ _structures = st.one_of(
     st.sampled_from([(1, 1), (2, 2), (4, 3), (5, 2)]).map(lambda ns: canonical_structure(*ns)),
     st.builds(conjugated_structure, st.integers(1, 3), st.integers(1, 3), st.integers(0, 20)),
 )
-_fields = st.lists(st.sampled_from(["metric", "phi", "xi", "eta"]), min_size=1, max_size=4, unique=True)
+_fields = st.lists(st.sampled_from(["metric", "phi", "xi", "eta", "epsilon"]), min_size=1, max_size=5,
+                   unique=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,11 +195,17 @@ _fields = st.lists(st.sampled_from(["metric", "phi", "xi", "eta"]), min_size=1, 
 def test_a_validated_structure_samples_without_error(S, fields, log_size, seed):
     # The sampler checks judge each constraint by the validated identities it combines, so
     # whatever validate_gff lets through samples: the absolute 1e-12 check rejected thousands
-    # of such structures (metric, phi, xi or eta off by 1e-12 to 3e-10).
+    # of such structures (metric, phi, xi or eta off by 1e-12 to 3e-10). It also builds every
+    # fibration its s allows: sigma is a count of the vertical signs, and each horizontal row's
+    # pairings with the vertical frame are judged by the samplers' bound.
     T = _perturbed(S, fields, 10.0**log_size, seed)
     if validate_gff(T).passed:
         for sampler in SAMPLERS:
             assert sampler(T, 64, seed % 1000).shape == (64, T.dim)
+        kinds = [FibrationKind.PI_PRIME] if T.s == 1 else [
+            FibrationKind.PI_FULL, FibrationKind.TAU, FibrationKind.REMARK_SASAKI]
+        for kind in kinds:
+            assert make_fibration(T, kind).kind is kind
 
 
 @settings(max_examples=60, deadline=None)

@@ -275,6 +275,10 @@ def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, 
     assert err.startswith("validation error:") and message in err
 
 
+def _without(block: dict, key: str) -> dict:
+    return {k: v for k, v in block.items() if k != key}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -284,12 +288,23 @@ def test_cli_bad_sparse_curvature_entry_is_a_validation_error(tmp_path, capsys, 
         (lambda d: {**d, "metadata": 3}, "the 'metadata' block must be an object, not int"),
         (lambda d: {**d, "metadata": {**d["metadata"], "parameters": 3}},
          "metadata.parameters must be an object, not int"),
+        (lambda d: {**d, "structure": {**d["structure"], "metric": d["structure"]["metric"][:35]}},
+         "metric must be 6x6 (flat or nested), got shape (35,)"),
+        (lambda d: {**d, "curvature": _without(d["curvature"], "dim")},
+         "curvature block is missing the 'dim' field"),
+        (lambda d: {**d, "curvature": _without(d["curvature"], "components")},
+         "curvature block needs either 'components' or 'entries'"),
+        # dim 6 = 2n + s at n = 0: six frame vectors, one of them timelike
+        (lambda d: {**d, "structure": {**d["structure"], "n": 0, "s": 6, "xi": np.eye(6), "eta": np.eye(6),
+                                       "epsilon": [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]}},
+         "require n >= 1 and s >= 1"),
     ],
-    ids=["top-level", "structure", "curvature", "metadata", "parameters"],
+    ids=["top-level", "structure", "curvature", "metadata", "parameters",
+         "metric-size", "curvature-dim", "curvature-data", "n-zero"],
 )
 def test_cli_non_object_block_is_a_validation_error(tmp_path, capsys, edit, message):
     path = tmp_path / "blocks.json"
-    path.write_text(json.dumps(edit(instance_to_dict(generate_instance("constant", 1, 1))),
+    path.write_text(json.dumps(edit(instance_to_dict(generate_instance("constant", 2, 2))),
                                default=np.ndarray.tolist))
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
@@ -637,6 +652,29 @@ def test_cli_remarks_takes_no_grouping_tol(tmp_path, capsys):
         run(["remarks", str(path), "--kind", "sasaki_base", "--grouping-tol", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --grouping-tol 1e-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, tolerances", [
+    (["check", "--condition", "osserman", "--tol", "1e-6", "--grouping-tol", "1e-3"],
+     {"constancy": 1e-6, "grouping": 1e-3}),
+    (["verify-theorem", "--tol", "1e-6", "--grouping-tol", "1e-3"],
+     {"constancy": 1e-6, "grouping": 1e-3, "identity": submersion.IDENTITY_ATOL}),
+    (["remarks", "--kind", "sasaki_base", "--tol", "1e-6"],
+     {"identity": submersion.IDENTITY_ATOL, "necessary": 1e-6}),
+], ids=["check", "verify-theorem", "remarks"])
+def test_cli_tolerance_flags_reach_the_report(phi_model_file, tmp_path, capsys, argv, tolerances):
+    out = tmp_path / "report.json"
+    assert run([argv[0], phi_model_file, *argv[1:], "--samples", "4", "--json", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["tolerances"] == tolerances
+
+
+def test_cli_verify_theorem_asserts_no_agreement_when_s_exceeds_two(tmp_path, capsys):
+    # a random tensor fails the eigenvector hypothesis, and at s > 2 the theorem then says nothing
+    path, out = tmp_path / "random43.json", tmp_path / "theorem.json"
+    save_instance(path, generate_instance("random", 4, 3))
+    assert run(["verify-theorem", str(path), "--samples", "8", "--json", str(out)]) == 0
+    assert "agreement: not asserted (hypothesis false, s > 2); verdicts reported" in capsys.readouterr().out
+    assert json.loads(out.read_text())["agreement"] == {"holds": None, "required": False, "scope": None}
 
 
 @pytest.mark.parametrize("argv", [

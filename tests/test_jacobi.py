@@ -194,7 +194,7 @@ def test_null_jacobi_with_its_own_quotient_is_the_quotient_operator():
     op = null_jacobi(R, S.g, u1, quotient=q)
     assert np.array_equal(op.base, q.u)
     assert np.array_equal(op.matrix, null_jacobi(R, S.g, u1).matrix)
-    # a u within PAIRING_RTOL of q.u gets the quotient's own operator
+    # a u within MEMBERSHIP_RTOL of q.u gets the quotient's own operator
     assert np.array_equal(null_jacobi(R, S.g, u1 * (1 + 1e-12), quotient=q).matrix, op.matrix)
 
 

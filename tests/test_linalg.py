@@ -211,6 +211,18 @@ def test_sample_unit_sphere_determinism_and_constraints():
         sample_unit_sphere(g, frame, 0, seed=1)
 
 
+def test_sample_unit_sphere_judges_its_frame_by_the_absolute_tolerance_alone():
+    # max |gram - I| against ORTHONORMAL_ATOL, with no relative slack on the diagonal: a frame whose
+    # vectors are 1e-7 too long is refused
+    g = ScalarProduct.minkowski(4)
+    frame = orthonormalize(g, orthogonal_complement(g, [np.eye(4)[0]]))
+    near = SubspaceBasis.from_vectors(g, frame.vectors * (1.0 + 2e-11))
+    assert sample_unit_sphere(g, near, 4, seed=0).shape == (4, 4)
+    long = SubspaceBasis.from_vectors(g, frame.vectors * (1.0 + 1e-7))
+    with pytest.raises(DegenerateSubspaceError, match="orthonormal frame"):
+        sample_unit_sphere(g, long, 4, seed=0)
+
+
 SHAPES = ((2, 2), (4, 3), (5, 2))
 INDEFINITE = ScalarProduct.diagonal([-1.0, -1.0, 1.0, 1.0])
 

@@ -39,7 +39,7 @@ from phinull.jacobi import (
     slot4_contraction,
     spectrum,
 )
-from phinull.linalg import GeometryError, inner, nullspace
+from phinull.linalg import GeometryError, ScalarProduct, inner, nullspace
 from phinull.submersion import (
     FibrationKind,
     _a_coefficients,
@@ -86,6 +86,27 @@ def test_fibration_preconditions():
         make_fibration(canonical_structure(1, 2), FibrationKind.PI_PRIME)
     prime = make_fibration(canonical_structure(2, 1), FibrationKind.PI_PRIME)
     assert prime.sigma == -1.0
+
+
+@pytest.mark.parametrize("kind, epsilon", [
+    (FibrationKind.PI_FULL, [-1.0, -1.0]), (FibrationKind.TAU, [-1.0, -1.0]),
+    (FibrationKind.REMARK_SASAKI, [1.0, 1.0]), (FibrationKind.PI_PRIME, [1.0]),
+])
+def test_fibration_refuses_vertical_signs_that_miss_sigma(kind, epsilon):
+    # signs no Lorentzian frame has: each kind's vertical sign sum misses its sigma by 1 or 2
+    S = dataclasses.replace(canonical_structure(2, len(epsilon)), epsilon=np.array(epsilon))
+    with pytest.raises(GeometryError, match="disagrees with the vertical sign sum"):
+        make_fibration(S, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS_S2)
+def test_fibration_refuses_a_splitting_off_by_1e_6(kind):
+    # e_0 in Im(phi) coupled to both frame vectors through g, far above its row's bound of 9e-10
+    S = canonical_structure(2, 2)
+    G = S.g.components.copy()
+    G[0, 4:] = G[4:, 0] = 1e-6
+    with pytest.raises(GeometryError, match="splitting is not g-orthogonal: residual 1.000e-06"):
+        make_fibration(dataclasses.replace(S, g=ScalarProduct.from_matrix(G)), kind)
 
 
 def test_fibration_splitting_is_orthogonal_in_generic_coordinates():

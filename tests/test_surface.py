@@ -1,8 +1,9 @@
 """The public surface keeps one value per tolerance and one call convention per operator stack.
 
-Every tolerance is a module constant read where it is used. The only tolerance parameters are
-the ones the CLI's ``--tol`` and ``--grouping-tol`` set: those of the deciders, of ``spectrum``
-and ``SpectralData.from_values``, and of ``OperatorStack.records``, which carries the deciders'
+Every tolerance is a module constant read where it is used, defined once and documented by one
+row of README's tolerance table. The only tolerance parameters are the ones the CLI's ``--tol``
+and ``--grouping-tol`` set: those of the deciders, of ``spectrum`` and
+``SpectralData.from_values``, and of ``OperatorStack.records``, which carries the deciders'
 grouping tolerance to the spectra.
 
 The four operator-stack builders take the slot-4 contraction of their bases first, and none has
@@ -10,9 +11,12 @@ a twin that takes the curvature tensor. Every operator lives on g-orthonormal do
 their signs: the one assembly, ``operator_stack``, takes no metric, and no stack stores a Gram.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 # by module path: the package's own ``jacobi`` is the function of that name
 MODULES = [importlib.import_module(f"phinull.{name}")
@@ -62,6 +66,34 @@ def test_only_the_cli_tolerances_are_parameters():
         if "tol" in param.lower()
     }
     assert found == ALLOWED
+
+
+KNOB = re.compile(r"_ATOL$|_RTOL$|^MAX_COMPONENT$")
+PACKAGE = Path(MODULES[0].__file__).parent
+
+
+def test_each_tolerance_constant_is_one_row_of_the_readme_table():
+    # a new, duplicated or undocumented constant fails here; the DEFAULT_* rows are the defaults of
+    # the two tolerance parameters, not constants read in place
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert not re.search(r"allclose|isclose", source), f"{path.name} hides a relative tolerance"
+        for node in ast.parse(source).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and KNOB.search(target.id):
+                    name = f"{path.stem}.{target.id}"
+                    assert name not in defined, f"{name} is assigned twice"
+                    defined[name] = getattr(importlib.import_module(f"phinull.{path.stem}"), target.id)
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    table = readme[readme.index("## Tolerances"):].split("\n## ", 1)[0]
+    cells = [re.split(r"(?<!\\)\|", line)[1:3] for line in table.splitlines() if line.startswith("| `")]
+    rows = [(name.strip(" `"), value.strip()) for name, value in cells if ".DEFAULT_" not in name]
+    assert len({name for name, _ in rows}) == len(rows), "a constant has two rows"
+    assert {name for name, _ in rows} == set(defined)
+    for name, value in rows:  # a value column that opens with a number gives the constant's value
+        if re.match(r"[\d.]+e-\d+", value):
+            assert float(value.split()[0]) == defined[name], name
 
 
 def test_the_walk_sees_methods_and_classmethods():
