@@ -134,8 +134,10 @@ def canonical_structure(n: int, s: int) -> GffStructure:
     return GffStructure(n=n, s=s, g=g, phi=phi, xi=xi, eta=eta, epsilon=epsilon)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_gff(S: GffStructure) -> ValidationReport:
-    """Residual report for every structure equation; pass iff all < VALIDATE_ATOL."""
+    """Residual report for every structure equation; pass iff all < VALIDATE_ATOL. A finite entry
+    whose products overflow gives an inf or NaN residual, which fails its check, with no warning."""
     tol = VALIDATE_ATOL
     report = ValidationReport(subject="gff-structure")
     m = S.dim

@@ -322,18 +322,16 @@ def _layout(cache_key: tuple) -> tuple:
     return layout
 
 
-def _write(data, indent: str, out: list, floats: tuple) -> None:
+def _write(data, indent: str, out: list, floats: list) -> None:
     """Append ``json.dumps(data, indent=2, sort_keys=True, default=lambda o: o.tolist())``,
     nested at ``indent``, to ``out``.
 
-    A float leaves a placeholder in ``out`` and its (position, (value,), "") in ``floats[0]``; a
-    non-empty 1-D float64 array its (position, values, separator) in ``floats[1]``, and a ``Table``
-    its (position, numbers, ``_table_layout``) there too, for ``_fill_floats`` to write.
+    One kind of placeholder is left, a number array: a non-empty 1-D float64 array leaves one in
+    ``out`` and its (position, values, separator) in ``floats``, and a ``Table`` its (position,
+    numbers, ``_table_layout``), for ``_fill_floats`` to write. Any other value, a float alone
+    included, is written where it stands.
     """
-    if type(data) is float:
-        out.append(None)
-        floats[0].append((len(out) - 1, (data,), ""))
-    elif isinstance(data, dict) and data:
+    if isinstance(data, dict) and data:
         cache_key = (tuple(data), indent)
         pairs, inner, close = _layouts.get(cache_key) or _layout(cache_key)
         for key, head in pairs:
@@ -351,12 +349,12 @@ def _write(data, indent: str, out: list, floats: tuple) -> None:
         if type(data) is np.ndarray and data.ndim == 1 and data.dtype == np.float64 and data.size:
             inner = indent + "  "
             out += ["[\n" + inner, None, "\n" + indent + "]"]
-            floats[1].append((len(out) - 2, data, ",\n" + inner))
+            floats.append((len(out) - 2, data, ",\n" + inner))
         else:
             _write(np.ndarray.tolist(data), indent, out, floats)
     elif type(data) is Table:
         out.append(None)
-        floats[1].append((len(out) - 1, *_table_layout(data, indent)))
+        floats.append((len(out) - 1, *_table_layout(data, indent)))
     else:
         out.append(_encode(data))  # any other scalar, [] or {}
 
@@ -434,32 +432,26 @@ def _table_text(layout: tuple, strings: np.ndarray) -> str:
     return "".join(lines) + "\n" + indent + "]"
 
 
-def _fill_floats(out: list, floats: tuple) -> None:
-    """Write the floats, arrays and tables ``_write`` left as placeholders, each distinct
-    magnitude among their numbers converted once.
+def _fill_floats(out: list, floats: list) -> None:
+    """Write the arrays and tables ``_write`` left as placeholders, each distinct magnitude among
+    their numbers converted once.
 
-    Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text. A
-    negative value is ``"-"`` and the text of its magnitude, as ``float.__repr__`` writes it
-    (``-0.0``, ``-Infinity``); a NaN is ``NaN`` whatever its sign bit.
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` each keep their own text. One
+    sign rule gives every text from its magnitude's, as ``float.__repr__`` writes it: a bit
+    pattern that is negative and not a NaN is ``"-"`` and that text (``-0.0``, ``-Infinity``),
+    any other is that text alone (a NaN is ``NaN`` whatever its sign bit).
     """
-    entries = floats[0] + floats[1]
-    if not entries:
+    if not floats:
         return
-    # the Python floats in one pass, then the arrays' and the tables' numbers
-    values = np.concatenate([np.fromiter((value for _, (value,), _ in floats[0]), np.float64, len(floats[0])),
-                             *(data for _, data, _ in floats[1])])
+    values = np.concatenate([data for _, data, _ in floats])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    # abs clears the sign bit; a magnitude is converted as its negative pattern where it has one
-    magnitudes, of_bits = np.unique(np.abs(bits.view(np.float64)).view(np.int64), return_inverse=True)
-    negative = bits < 0
-    magnitudes[of_bits[negative]] = bits[negative]
-    texts = np.array(_encode(magnitudes.view(np.float64).tolist())[1:-1].split(","), dtype=object)[of_bits]
-    # the positive pattern of such a magnitude: that text without the "-" (a NaN has no sign)
-    positive = ~negative & (magnitudes[of_bits] < 0) & ~np.isnan(bits.view(np.float64))
-    texts[positive] = [text[1:] for text in texts[positive]]
+    magnitudes, of_bits = np.unique(np.abs(bits.view(np.float64)), return_inverse=True)
+    texts = np.array(_encode(magnitudes.tolist())[1:-1].split(","), dtype=object)[of_bits]
+    negative = (bits < 0) & ~np.isnan(magnitudes[of_bits])
+    texts[negative] = "-" + texts[negative]
     strings = texts[inverse]
     start = 0
-    for pos, data, sep in entries:  # sep: the separator of a float or an array, a table's layout
+    for pos, data, sep in floats:  # sep: the separator of an array, a table's layout
         stop = start + len(data)
         out[pos] = sep.join(strings[start:stop].tolist()) if type(sep) is str else _table_text(sep, strings[start:stop])
         start = stop
@@ -468,7 +460,7 @@ def _fill_floats(out: list, floats: tuple) -> None:
 def _dumps(data, indent: str = "", end: str = "") -> str:
     """``data`` written by ``_write`` at ``indent``, then ``end``."""
     out: list[str] = []
-    floats: tuple = ([], [])
+    floats: list = []
     _write(data, indent, out, floats)
     _fill_floats(out, floats)  # its temporaries are freed before the join
     out.append(end)
@@ -483,19 +475,21 @@ def dump_json(data: dict) -> str:
     ``","`` and ``": "`` as separators, ASCII escapes, a trailing newline, and
     a numpy array or a ``reports.Table`` written as its ``tolist()``. ``json``
     drops to its pure-Python encoder whenever ``indent`` is set, so the layout
-    is written here. Most numbers are floats, in 1-D float64 arrays (taken as
-    they are, with no Python list in between), in tables or alone, and most of
-    them repeat within a document: they are written last, with one
+    is written here. Most numbers are floats in 1-D float64 arrays (taken as
+    they are, with no Python list in between) or in tables, and most of them
+    repeat within a document. Only these are deferred, as one kind of
+    placeholder, a number array: their numbers are written last, with one
     float-to-text conversion per distinct float magnitude in the whole
-    document, all in one pass of a C encoder built at import. A table is
-    written in one pass, with no row dict built: the fixed text of a row is
-    laid out once per block, the texts of every row's values are placed
-    between its fixed texts as cells of one object array per block, and each
-    row's cells are joined once, then the rows. A list is written item by
-    item (a float in it is a float alone), other scalars go through the same
-    encoder one by one, and keys through the C quoting function, once per
-    layout of a dict of ``str`` keys (a bounded cache). Pieces are joined once,
-    at the end.
+    document, all in one pass of a C encoder built at import, and one sign
+    rule (``"-"`` before the magnitude's text for a negative bit pattern that
+    is not a NaN). A table is written in one pass, with no row dict built: the
+    fixed text of a row is laid out once per block, the texts of every row's
+    values are placed between its fixed texts as cells of one object array per
+    block, and each row's cells are joined once, then the rows. A list is
+    written item by item; any other scalar, a float alone included, goes
+    through the same encoder where it stands, and keys through the C quoting
+    function, once per layout of a dict of ``str`` keys (a bounded cache).
+    Pieces are joined once, at the end.
     """
     return _dumps(data, end="\n")
 

@@ -47,8 +47,8 @@ the same grouping for a single row. A stack's spectra stay arrays up to the
 report bytes: one ``reports.Table`` (``_spectra_table``) holds the bases, each
 pattern's group means and each error string, ``decide_constancy`` reduces over
 it, the reports carry it as it is and ``io.dump_json`` writes it in one pass.
-``OperatorStack.records`` and ``DecisionReport.records`` are views of it, one
-``SampleRecord`` per base, built on access.
+``DecisionReport.records`` is a view of it, one ``SampleRecord`` per base,
+built on access.
 
 Operator-argument ordering: the Jacobi operator of z applied to y is fixed as
 R(y, z) z, the curvature operator with pair (y, z) acting on z. With the
@@ -463,10 +463,6 @@ class OperatorStack:
         D = self.domains[0]
         domain = SubspaceBasis(vectors=D, gram=D @ g.components @ D.T)
         return JacobiOperator(self.bases[0], domain, self.matrices[0], self.signs[0])
-
-    def records(self, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
-        """One record per base: its spectrum, or the error that prevented it; a view of ``_table``."""
-        return _records(self._table(grouping_tol))
 
     def _table(self, grouping_tol: float) -> Table:
         """The spectra of all the bases as one ``Table`` (``_spectra_table``): a base's error, or

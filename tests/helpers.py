@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from phinull.gff import GffStructure, canonical_structure
-from phinull.jacobi import REALNESS_RTOL, SampleRecord, SpectralData
+from phinull.jacobi import DEFAULT_GROUPING_TOL, REALNESS_RTOL, SampleRecord, SpectralData, _records
 from phinull.linalg import (
     NULL_ATOL,
     CausalCharacter,
@@ -134,6 +134,12 @@ def spectral_groups_loop(values, grouping_tol: float) -> tuple[tuple, tuple]:
     return tuple(float(np.mean(grp)) for grp in groups), tuple(len(grp) for grp in groups)
 
 
+def stack_records(stack, grouping_tol: float = DEFAULT_GROUPING_TOL) -> list[SampleRecord]:
+    """The rows of an operator stack's spectra table (``OperatorStack._table``) as records, one
+    per base: its spectrum, or the error that prevented it."""
+    return _records(stack._table(grouping_tol))
+
+
 def records_loop(stack, grouping_tol: float) -> list[SampleRecord]:
     """The records of an operator stack one base at a time, each operator's eigenvalues taken on
     its own and grouped by ``spectral_groups_loop``: the reference that the stack's spectra table
@@ -190,6 +196,19 @@ def decide_constancy_loop(records: list[SampleRecord], tol: float) -> dict:
         return out
     out["passed"] = True
     return out
+
+
+def constant_curvature_distance(Rcomp: np.ndarray, G: np.ndarray) -> float:
+    """``‖R − cR₁‖ / ‖R‖`` in the Frobenius norm, with ``R₁_abcd = g_ad g_bc − g_ac g_bd`` and c the
+    projection of R on R₁: 0 exactly when R has constant sectional curvature, which for a
+    Lorentzian tensor is the exact Osserman criterion (timelike and spacelike alike). It reads 0
+    when R = 0."""
+    R1 = np.einsum("ad,bc->abcd", G, G) - np.einsum("ac,bd->abcd", G, G)
+    norm = np.linalg.norm(Rcomp)
+    if norm == 0.0:
+        return 0.0
+    c = np.vdot(R1, Rcomp) / np.vdot(R1, R1)
+    return float(np.linalg.norm(Rcomp - c * R1) / norm)
 
 
 def exact(value):

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phinull import cli, gff, jacobi, reports, submersion
@@ -398,6 +398,8 @@ _fields += [("metadata", "parameters", "c")]
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_fields), _json_values)
+@example(field=("structure", "phi", 9), value=1.3407807929942597e+154)  # phi @ phi @ phi overflows
+@example(field=("structure", "xi", 0, 4), value=1e300)  # so does xi @ G @ xi.T
 def test_cli_never_raises_on_any_field_value(field, value):
     *parents, key = field
     data = json.loads(dump_json(instance_to_dict(generate_instance("constant", 2, 2))))

@@ -13,10 +13,12 @@ from helpers import (
     bf_jacobi_spectrum,
     bf_null_jacobi_spectrum,
     conjugated_structure,
+    constant_curvature_distance,
     expected_multiset,
     random_unit_spacelike,
     sample_unit_causal_loop,
     spectral_groups_loop,
+    stack_records,
 )
 from phinull.curvature import (
     constant_curvature,
@@ -25,7 +27,8 @@ from phinull.curvature import (
     random_algebraic_curvature,
 )
 from phinull.gff import canonical_structure, sample_celestial, sample_phi_celestial
-from phinull.io import generate_instance
+from phinull.cli import run
+from phinull.io import generate_instance, load_instance
 from phinull.jacobi import (
     BOOST_WINDOW,
     JacobiOperator,
@@ -266,9 +269,9 @@ def test_stacks_report_a_bad_base_for_that_sample_only():
         (null_jacobi_stack, us, xs, "null quotient requires a null vector"),
     )
     for build, good, bad, message in cases:
-        clean = build(slot4_contraction(R, good), S.g, good).records()
+        clean = stack_records(build(slot4_contraction(R, good), S.g, good))
         bases = np.vstack([good[:2], bad[2:3], good[3:]])
-        mixed = build(slot4_contraction(R, bases), S.g, bases).records()
+        mixed = stack_records(build(slot4_contraction(R, bases), S.g, bases))
         assert [rec.error for rec in mixed] == [None, None, message, None, None]
         assert mixed[2].spectrum is None
         for n in (0, 1, 3, 4):
@@ -366,7 +369,7 @@ def test_reflected_domains_are_orthonormal_complements_with_oracle_spectra(conju
     for R in families:
         build = null_jacobi_stack if kind == "null" else jacobi_stack
         stack = build(slot4_contraction(R, base[None]), S.g, base[None])
-        engine, oracle = stack.records()[0].spectrum, _oracle_spectrum(R, G, base, kind)
+        engine, oracle = stack_records(stack)[0].spectrum, _oracle_spectrum(R, G, base, kind)
         grouped = SpectralData.from_values(oracle)
         assert engine.multiplicities == grouped.multiplicities
         # group means, as the deciders compare them, at the round-off of forms summed over dim
@@ -690,7 +693,7 @@ def test_spectrum_is_the_one_base_stacks_eigen_step(family, n, s):
     for kind, xs in bases.items():
         one, stack = (null_jacobi, null_jacobi_stack) if kind == "null" else (jacobi, jacobi_stack)
         for x in xs:
-            record = stack(slot4_contraction(R, x[None]), g, x[None]).records()[0]
+            record = stack_records(stack(slot4_contraction(R, x[None]), g, x[None]))[0]
             data, error = _spectrum_or_error(one(R, g, x))
             assert error == record.error, (kind, x)
             if data is not None:
@@ -976,3 +979,35 @@ def test_decision_report_serializes():
     assert payload["passed"] is True
     assert payload["tolerances"]["constancy"] == report.tol
     assert len(payload["per_sample_spectra"]) == 4
+
+
+def _scale_defect(what: str):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        f"scale defect (ROADMAP, defects reproduced): the constancy tolerance is absolute, so {what}; "
+        "an XPASS means the defect is mended"))
+
+
+# (family, n, s, --param values) of generated instances, sampling and instance seed 0
+_OSSERMAN_CASES = [
+    ("constant", 2, 2, ()), ("constant", 4, 3, ()), ("constant", 5, 2, ()), ("constant", 2, 2, ("c=0",)),
+    ("phi_model", 4, 3, ("b=0",)), ("phi_model", 2, 2, ()), ("phi_model", 5, 2, ()), ("random", 5, 2, ()),
+    pytest.param("random", 5, 2, ("scale=1e-12",),
+                 marks=_scale_defect("a random tensor of scale 1e-12 passes (spread 3.4e-12)")),
+    pytest.param("constant", 5, 2, ("c=1e7",),
+                 marks=_scale_defect("c = 1e7 fails on round-off (spread 3.0e-8 >= 1e-8)")),
+]
+
+
+@pytest.mark.parametrize("kind", ["spacelike", "timelike"])
+@pytest.mark.parametrize("family, n, s, params", _OSSERMAN_CASES,
+                         ids=lambda value: (",".join(value) or "defaults") if isinstance(value, tuple) else None)
+def test_sampled_osserman_verdicts_follow_the_exact_criterion(tmp_path, capsys, family, n, s, params, kind):
+    # a Lorentzian tensor is timelike or spacelike Osserman exactly when it has constant sectional
+    # curvature (Blazic-Bokan-Gilkey 1997; Garcia-Rio-Kupeli-Vazquez-Abal 1997), which the oracle
+    # measures from the components alone
+    path = str(tmp_path / "instance.json")
+    argv = ["generate", "--family", family, "--n", str(n), "--s", str(s), "--out", path]
+    assert run(argv + [arg for value in params for arg in ("--param", value)]) == 0
+    inst = load_instance(path)
+    osserman = constant_curvature_distance(inst.curvature.components, inst.structure.g.components) <= 1e-12
+    assert run(["check", path, "--condition", "osserman", "--causal-kind", kind]) == (0 if osserman else 1)

@@ -19,6 +19,7 @@ from helpers import (
     exact,
     horizontal_draw,
     records_loop,
+    stack_records,
 )
 from phinull.curvature import constant_curvature, phi_model_family, random_algebraic_curvature
 from phinull.gff import canonical_structure, sample_phi_celestial
@@ -756,7 +757,7 @@ def test_reflected_base_domains_match_the_oracle_spectra(conjugation, seed, axis
             rows = _oracle_base_domain(G, F.horizontal.vectors, base, null)
             B = _oracle_forms(R, F, base[None], rows[None])[0]
             oracle = scipy.linalg.eigh(0.5 * (B + B.T), rows @ G @ rows.T, eigvals_only=True)
-            engine, grouped = stack.records()[0].spectrum, SpectralData.from_values(oracle)
+            engine, grouped = stack_records(stack)[0].spectrum, SpectralData.from_values(oracle)
             assert engine.multiplicities == grouped.multiplicities, (kind, name)
             scale = max(1.0, np.abs(oracle).max()) * max(1.0, base @ base) * S.dim  # as for x-perp
             moved = np.abs(np.subtract(engine.eigenvalues, grouped.eigenvalues)).max()
@@ -898,7 +899,7 @@ def test_a_base_record_does_not_depend_on_its_stack(name, cuts, seed):
 
 
 def _assert_the_table_is_the_loop(stack, grouping_tol: float = DEFAULT_GROUPING_TOL, tol: float = 1e-8) -> None:
-    """The stack's spectra table, its decision and its records view against the records built one
+    """The stack's spectra table, its decision and the records of both against the records built one
     base at a time and judged one record at a time (``helpers.records_loop``), bit for bit."""
     records = records_loop(stack, grouping_tol)
     want = decide_constancy_loop(records, tol)
@@ -906,7 +907,7 @@ def _assert_the_table_is_the_loop(stack, grouping_tol: float = DEFAULT_GROUPING_
     got = decide_constancy("c", table, 0, tol, grouping_tol)
     assert exact((got.passed, got.groups, got.failure)) == exact((want["passed"], want["groups"], want["failure"]))
     assert exact(table.tolist()) == exact(want["rows"])
-    assert exact(got.records) == exact(records) == exact(stack.records(grouping_tol))
+    assert exact(got.records) == exact(records) == exact(stack_records(stack, grouping_tol))
     assert json.loads(dump_json(got.to_dict()))["per_sample_spectra"] == json.loads(json.dumps(want["rows"]))
 
 
@@ -977,7 +978,7 @@ def test_bad_sample_errors_only_that_sample():
     bad = xs.copy()
     bad[1] *= 2.0  # not unit
     bad[3] += 0.5 * S.xi[1]  # leaks into the vertical space
-    records = r_star_stack(slot4_contraction(R, bad), S.g, F_pi, bad).records()
+    records = stack_records(r_star_stack(slot4_contraction(R, bad), S.g, F_pi, bad))
     assert records[1].error == "Rstar base must be unit spacelike: g(x,x) = 4.000000e+00"
     assert records[3].error == "base of Rstar must be horizontal: vertical component 5.000e-01"
     for n in (0, 2, 4):
@@ -994,11 +995,11 @@ def test_bad_sample_errors_only_that_sample():
     bad[2] *= 2.0  # xi_1 + 2x is not null: the quotient kernel vanishes
     bad[4] += S.xi[1]
     us = S.xi[0] + bad
-    records = base_null_stack(slot4_contraction(R, us), S.g, F_tau, us).records()
+    records = stack_records(base_null_stack(slot4_contraction(R, us), S.g, F_tau, us))
     assert records[2].error == "base null quotient: restricted Gram kernel is not one-dimensional"
     assert records[4].error == "first argument of A must be horizontal: vertical component 1.000e+00"
     us = S.xi[0] + xs
-    good = base_null_stack(slot4_contraction(R, us), S.g, F_tau, us).records()
+    good = stack_records(base_null_stack(slot4_contraction(R, us), S.g, F_tau, us))
     for n in (0, 1, 3):
         assert records[n].error is None
         assert records[n].spectrum.multiplicities == good[n].spectrum.multiplicities

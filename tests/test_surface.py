@@ -2,9 +2,8 @@
 
 Every tolerance is a module constant read where it is used, defined once and documented by one
 row of README's tolerance table. The only tolerance parameters are the ones the CLI's ``--tol``
-and ``--grouping-tol`` set: those of the deciders, of ``spectrum`` and
-``SpectralData.from_values``, and of ``OperatorStack.records``, which carries the deciders'
-grouping tolerance to the spectra.
+and ``--grouping-tol`` set: those of the deciders, and of ``spectrum`` and
+``SpectralData.from_values``, which carry the grouping tolerance to a single spectrum.
 
 The four operator-stack builders take the slot-4 contraction of their bases first, and none has
 a twin that takes the curvature tensor. Every operator lives on g-orthonormal domain rows with
@@ -33,9 +32,7 @@ DECIDERS = (
 )
 ALLOWED = (
     {(name, "tol") for name in DECIDERS + ("submersion.remark_sectional_conditions",)}
-    | {(name, "grouping_tol") for name in DECIDERS}
-    | {(name, "grouping_tol") for name in
-       ("jacobi.spectrum", "jacobi.SpectralData.from_values", "jacobi.OperatorStack.records")}
+    | {(name, "grouping_tol") for name in DECIDERS + ("jacobi.spectrum", "jacobi.SpectralData.from_values")}
 )
 
 
@@ -98,7 +95,7 @@ def test_each_tolerance_constant_is_one_row_of_the_readme_table():
 
 def test_the_walk_sees_methods_and_classmethods():
     names = {name for name, _ in _public_callables()}
-    assert {"linalg.ScalarProduct.from_matrix", "linalg.orthonormalize", "jacobi.OperatorStack.records",
+    assert {"linalg.ScalarProduct.from_matrix", "linalg.orthonormalize", "jacobi.OperatorStack.operator",
             "curvature.sectional_curvatures", "io.generate_instance"} <= names
 
 
