@@ -126,8 +126,11 @@ def matrix() -> tuple[list, int]:
 
 def _write_derived_inputs(work: Path) -> None:
     """From the phi_model (2, 2) instance: a copy with one entry of phi moved by 1e-6, and the
-    instance pushed through L = I + 0.3 N (see the module docstring); and a file that is not JSON."""
+    instance pushed through L = I + 0.3 N (see the module docstring), its curvature read by the
+    tree's own ``load_instance`` and written as ``components``; and a file that is not JSON."""
     import numpy as np
+
+    from phinull.io import load_instance
 
     text = (work / "phi_model-2-2.json").read_text(encoding="utf-8")
     corrupted, data = json.loads(text), json.loads(text)
@@ -140,7 +143,8 @@ def _write_derived_inputs(work: Path) -> None:
     Linv = np.linalg.inv(L)
     g = np.array(structure["metric"]).reshape(m, m)
     phi = np.array(structure["phi"]).reshape(m, m)
-    R = np.array(data["curvature"]["components"]).reshape(m, m, m, m)
+    R = load_instance(work / "phi_model-2-2.json").curvature.components  # whatever form the file holds
+    data["curvature"].pop("pairs", None)
     structure["metric"] = (L.T @ g @ L).ravel().tolist()
     structure["phi"] = (Linv @ phi @ L).ravel().tolist()
     structure["xi"] = (Linv @ np.array(structure["xi"]).T).T.tolist()

@@ -20,6 +20,7 @@ project README.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,37 @@ def symmetrize_curvature(array: np.ndarray) -> np.ndarray:
     T = 0.5 * (T + T.transpose(2, 3, 0, 1))
     cyclic = (T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)) / 3.0
     return T - cyclic
+
+
+@functools.cache
+def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the pair block's upper triangle in an (m,m,m,m) array, and per
+    component its index into ``[0.0, *upper, *-upper]``: 0 where a pair repeats an index, and an
+    entry of ``-upper`` where one of the two pairs is reversed."""
+    i, j = np.triu_indices(m, 1)
+    pair, sign = np.zeros((m, m), dtype=np.intp), np.zeros((m, m), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    sign[i, j], sign[j, i] = 1, -1
+    P, Q = np.triu_indices(len(i))
+    slot = np.zeros((len(i),) * 2, dtype=np.intp)
+    slot[P, Q] = slot[Q, P] = np.arange(1, len(P) + 1)
+    signs = np.multiply.outer(sign, sign)
+    gather = slot[pair[:, :, None, None], pair] * (signs != 0) + len(P) * (signs < 0)
+    indices = np.ravel_multi_index((i[P], j[P], i[Q], j[Q]), (m,) * 4), gather.ravel()
+    for array in indices:  # shared by every caller
+        array.flags.writeable = False
+    return indices
+
+
+def _pair_block(components: np.ndarray) -> np.ndarray:
+    """The upper triangle, row-major, of B[p, q] = R[i_p, j_p, i_q, j_q] over the pairs
+    (i_p, j_p) of ``np.triu_indices(m, 1)``: M(M+1)/2 numbers, M = m(m-1)/2, as a new array."""
+    return np.take(components, _pair_indices(components.shape[0])[0])
+
+
+def _from_pairs(upper: np.ndarray, m: int) -> np.ndarray:
+    """The (m,m,m,m) tensor of a float ``_pair_block``, with exact index symmetries: one gather."""
+    return np.concatenate(([0.0], upper, -upper))[_pair_indices(m)[1]].reshape((m,) * 4)
 
 
 def constant_curvature(g: ScalarProduct, c: float) -> CurvatureTensor:

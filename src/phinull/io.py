@@ -11,14 +11,22 @@ Structure block::
      "eta": [[...], ...],    # s rows of length m
      "epsilon": [...]}       # s signs
 
-Curvature block, dense or sparse::
+Curvature block, as its pair block, dense or sparse::
 
+    {"dim": m, "pairs": [...]}                           # M(M+1)/2, M = m(m-1)/2
     {"dim": m, "components": [...]}                      # m^4 row-major
     {"dim": m, "entries": [{"i":..,"j":..,"k":..,"l":..,"value":..}, ...]}
 
-Sparse entries are symmetrized on load (projected onto the curvature-symmetry
-class); dense components are validated as-is and rejected when a symmetry
-fails, with the worst residual and its indices in the error message.
+``pairs`` is the upper triangle, row-major, of B[p, q] = R[i_p, j_p, i_q, j_q]
+over the pairs (i_p, j_p) of ``np.triu_indices(m, 1)``: one number per
+unordered pair of index pairs, which R_abcd = -R_bacd = -R_abdc = R_cdab leave
+free (2,211 of 20,736 components at m = 12). It is the form files are written
+in. A loader reads ``pairs`` if the block has it, else ``components``, else
+``entries``. The pair block is filled out with exact index symmetries; sparse
+entries are symmetrized on load (projected onto the curvature-symmetry class);
+dense components are taken as they are. Every loaded tensor goes through all
+five checks of ``validate_curvature`` and is rejected when one fails, with the
+worst residual and its indices in the error message.
 
 Instance file::
 
@@ -41,6 +49,8 @@ import numpy as np
 from .curvature import (
     MAX_COMPONENT,
     CurvatureTensor,
+    _from_pairs,
+    _pair_block,
     constant_curvature,
     phi_model_family,
     random_algebraic_curvature,
@@ -159,12 +169,11 @@ def structure_from_dict(data: dict, validate: bool = True) -> GffStructure:
 
 
 def curvature_to_dict(R: CurvatureTensor) -> dict:
-    """The dense curvature block of ``R``: ``components`` is a 1-D float64 copy, never a view.
-    ``dump_json`` writes it as it stands; ``json.dumps`` needs ``default=np.ndarray.tolist``."""
-    return {
-        "dim": R.dim,
-        "components": np.asarray(R.components, dtype=np.float64).flatten(),
-    }
+    """The pair block of ``R`` (see the module docstring): ``pairs`` is a 1-D float64 copy, never
+    a view. It is lossless for a tensor with exact index symmetries, which every generated
+    tensor has; any other tensor is read back as its pair block filled out. ``dump_json`` writes
+    it as it stands; ``json.dumps`` needs ``default=np.ndarray.tolist``."""
+    return {"dim": R.dim, "pairs": _pair_block(np.asarray(R.components, dtype=np.float64))}
 
 
 def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> CurvatureTensor:
@@ -173,7 +182,14 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
     dim = _integer(data["dim"], "curvature.dim")
     if dim != g.dim:
         raise ValueError(f"curvature dim {dim} does not match structure dim {g.dim}")
-    if "components" in data:
+    if "pairs" in data:
+        upper = _numbers(data["pairs"], "curvature.pairs")
+        size = dim * (dim - 1) // 2
+        count = size * (size + 1) // 2
+        if upper.shape != (count,):
+            raise ValueError(f"curvature.pairs must be a list of {count} numbers at dim {dim}, got shape {upper.shape}")
+        comps = _from_pairs(upper, dim)
+    elif "components" in data:
         comps = _numbers(data["components"], "curvature.components")
         if comps.shape == (dim**4,):
             comps = comps.reshape((dim,) * 4)
@@ -198,7 +214,7 @@ def curvature_from_dict(data: dict, g: ScalarProduct, validate: bool = True) -> 
             comps[idx] = value
         comps = symmetrize_curvature(comps)
     else:
-        raise ValueError("curvature block needs either 'components' or 'entries'")
+        raise ValueError("curvature block needs one of 'pairs', 'components' or 'entries'")
     R = CurvatureTensor(components=comps)
     if validate:
         report = validate_curvature(R, g)
@@ -512,7 +528,9 @@ def generate_instance(
     that is not a finite number, or one so large that a curvature component
     exceeds ``MAX_COMPONENT``, is a ValueError: no command reads such a file back.
     So is a tensor that fails ``validate_curvature``, as the random family's
-    round-off does at large ``scale``. Deterministic per seed.
+    round-off does at large ``scale``. The tensor is its pair block filled out
+    (``curvature._from_pairs``), which moves only the random family's
+    components, by round-off. Deterministic per seed.
     """
     if family not in FAMILY_PARAMETERS:
         raise ValueError(f"unknown family '{family}'; expected one of {', '.join(FAMILY_PARAMETERS)}")
@@ -535,6 +553,8 @@ def generate_instance(
             R = phi_model_family(S, params["a"], params["b"])
         else:
             R = random_algebraic_curvature(S.g, seed=seed, scale=params["scale"])
+        # the tensor its file holds: exact index symmetries, so save and load are bit for bit
+        R = CurvatureTensor(_from_pairs(_pair_block(R.components), S.dim))
     if not np.abs(R.components).max() <= MAX_COMPONENT:  # also an inf or NaN component
         raise ValueError(f"parameters {params} overflow the curvature components (bound {MAX_COMPONENT:.3e})")
     report = validate_curvature(R, S.g)

@@ -8,6 +8,9 @@ import pytest
 from helpers import bf_jacobi_spectrum, conjugated_structure, expected_multiset
 from phinull.curvature import (
     CurvatureTensor,
+    _from_pairs,
+    _pair_block,
+    _pair_indices,
     constant_curvature,
     operator_apply,
     phi_model_family,
@@ -163,6 +166,31 @@ def test_symmetrization_idempotent_and_fixes_valid_tensors():
     twice = symmetrize_curvature(once)
     assert np.abs(once - twice).max() < 1e-12
     assert validate_curvature(CurvatureTensor(components=once), g).passed
+
+
+def test_pair_block_fill_has_exact_index_symmetries_and_packs_back_bit_for_bit():
+    S = canonical_structure(2, 3)
+    exact = (constant_curvature(S.g, -2.5), phi_model_family(S, 1.0, -0.5))
+    for R in (*exact, random_algebraic_curvature(S.g, seed=4)):
+        upper = _pair_block(R.components)
+        assert upper.shape == (21 * 22 // 2,)  # M = 7 * 6 / 2 pairs
+        filled = _from_pairs(upper, 7)
+        assert _pair_block(filled).tobytes() == upper.tobytes()
+        for swapped in ((1, 0, 2, 3), (0, 1, 3, 2)):
+            assert np.array_equal(filled, -filled.transpose(swapped))
+        assert np.array_equal(filled, filled.transpose(2, 3, 0, 1))
+        # the exact families keep every value, the random one moves by its symmetrization's round-off
+        moved = np.abs(filled - R.components).max()
+        assert moved <= (0.0 if R in exact else 4e-16 * np.abs(R.components).max())
+
+
+def test_pair_index_arrays_are_built_once_per_dim():
+    _pair_indices.cache_clear()
+    for m in (6, 12, 6, 12):
+        R = constant_curvature(ScalarProduct.minkowski(m), 1.0).components
+        assert np.array_equal(_from_pairs(_pair_block(R), m), R)
+    info = _pair_indices.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
 
 
 def test_random_curvature_deterministic_and_scalable():

@@ -279,6 +279,11 @@ def _without(block: dict, key: str) -> dict:
     return {k: v for k, v in block.items() if k != key}
 
 
+def _components_block(inst) -> dict:
+    """The curvature block of ``inst`` as all m^4 components, the form files held before pairs."""
+    return {"dim": inst.curvature.dim, "components": inst.curvature.components.ravel().tolist()}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -292,8 +297,8 @@ def _without(block: dict, key: str) -> dict:
          "metric must be 6x6 (flat or nested), got shape (35,)"),
         (lambda d: {**d, "curvature": _without(d["curvature"], "dim")},
          "curvature block is missing the 'dim' field"),
-        (lambda d: {**d, "curvature": _without(d["curvature"], "components")},
-         "curvature block needs either 'components' or 'entries'"),
+        (lambda d: {**d, "curvature": _without(d["curvature"], "pairs")},
+         "curvature block needs one of 'pairs', 'components' or 'entries'"),
         # dim 6 = 2n + s at n = 0: six frame vectors, one of them timelike
         (lambda d: {**d, "structure": {**d["structure"], "n": 0, "s": 6, "xi": np.eye(6), "eta": np.eye(6),
                                        "epsilon": [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]}},
@@ -356,11 +361,16 @@ def test_cli_non_integral_field_is_a_validation_error(tmp_path, capsys, block, k
     ("structure", "phi", [float("inf")] * 36),
     ("structure", "xi", [[True] * 6] * 2),
     ("structure", "eta", [[0.0] * 6, [0.0] * 5]),
+    ("curvature", "pairs", {"x": 1}),
+    ("curvature", "pairs", [float("nan")] * 120),
 ])
 def test_cli_non_numeric_field_is_a_validation_error(tmp_path, capsys, block, key, value):
     # An object raised TypeError out of cli.run (exit 1, a traceback); a NaN metric read
     # "Eigenvalues did not converge"
-    data = instance_to_dict(generate_instance("constant", 2, 2))
+    inst = generate_instance("constant", 2, 2)
+    data = instance_to_dict(inst)
+    if key == "components":
+        data["curvature"] = _components_block(inst)
     data[block][key] = value
     path = tmp_path / "fields.json"
     path.write_text(json.dumps(data, default=np.ndarray.tolist))
@@ -387,11 +397,12 @@ _json_values = st.recursive(
     max_leaves=40,
 )
 _fields = [("structure", key) for key in ("dim", "n", "s", "metric", "phi", "xi", "eta", "epsilon")]
-_fields += [("curvature", key) for key in ("dim", "components", "entries")]
+_fields += [("curvature", key) for key in ("dim", "pairs", "components", "entries")]
 _fields += [("metadata", key) for key in ("name", "seed", "family", "parameters")]
 # one nonzero element of each array, each key of one sparse entry, and the family parameter
 _fields += [("structure", "metric", 7), ("structure", "phi", 9), ("structure", "epsilon", 0)]
-_fields += [("structure", "xi", 0, 4), ("structure", "eta", 0, 4), ("curvature", "components", 37)]
+_fields += [("structure", "xi", 0, 4), ("structure", "eta", 0, 4), ("curvature", "pairs", 37),
+            ("curvature", "components", 37)]
 _fields += [("curvature", "entries", 0, key) for key in ("i", "j", "k", "l", "value")]
 _fields += [("metadata", "parameters", "c")]
 
@@ -402,7 +413,10 @@ _fields += [("metadata", "parameters", "c")]
 @example(field=("structure", "xi", 0, 4), value=1e300)  # so does xi @ G @ xi.T
 def test_cli_never_raises_on_any_field_value(field, value):
     *parents, key = field
-    data = json.loads(dump_json(instance_to_dict(generate_instance("constant", 2, 2))))
+    inst = generate_instance("constant", 2, 2)
+    data = json.loads(dump_json(instance_to_dict(inst)))
+    if field[:2] == ("curvature", "components"):
+        data["curvature"] = _components_block(inst)
     if "entries" in parents:  # R(e_0, e_1, e_0, e_1) = 1, the rest by symmetry
         data["curvature"] = {"dim": 6, "entries": [{"i": 0, "j": 1, "k": 0, "l": 1, "value": 1.0}]}
     target = data
@@ -863,15 +877,18 @@ def test_cli_generate_writes_what_validate_passes(tmp_path):
 
 
 def test_cli_components_above_the_bound_fail_validation(tmp_path, capsys):
-    data = instance_to_dict(generate_instance("constant", 2, 2))
-    data["curvature"]["components"] = [1e200 * v for v in data["curvature"]["components"]]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(data, default=np.ndarray.tolist))
-    assert run(["validate", str(path)]) == 2
-    assert "[FAIL] component_magnitude: residual 1.000e+200" in capsys.readouterr().out
-    assert run(["verify-theorem", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("validation error: curvature validation failed: component_magnitude")
+    inst = generate_instance("constant", 2, 2)
+    for block in (_components_block(inst), curvature_to_dict(inst.curvature)):
+        data = {**instance_to_dict(inst), "curvature": block}
+        key = next(k for k in block if k != "dim")
+        block[key] = [1e200 * v for v in block[key]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data, default=np.ndarray.tolist))
+        assert run(["validate", str(path)]) == 2, key
+        assert "[FAIL] component_magnitude: residual 1.000e+200" in capsys.readouterr().out
+        assert run(["verify-theorem", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: curvature validation failed: component_magnitude")
 
 
 @pytest.mark.parametrize("n, s", [(5, 2), (9, 2)], ids=["dim12", "dim20"])
@@ -1244,6 +1261,53 @@ def test_save_load_is_bit_exact(tmp_path, family, n, s):
     for want, got in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 included
     assert back.metadata == inst.metadata
+
+
+@pytest.mark.parametrize("family", ["constant", "phi_model", "random"])
+@pytest.mark.parametrize("n, s", [(2, 2), (4, 3), (5, 2)], ids=["dim6", "dim11", "dim12"])
+def test_components_and_pairs_files_load_and_report_alike(tmp_path, family, n, s):
+    inst = generate_instance(family, n, s, seed=3)
+    data = instance_to_dict(inst)
+    loaded, reports = [], []
+    for form, block in (("pairs", data["curvature"]), ("components", _components_block(inst))):
+        path, report = tmp_path / f"{form}.json", tmp_path / f"{form}-report.json"
+        path.write_text(json.dumps({**data, "curvature": block}, default=np.ndarray.tolist))
+        loaded.append(load_instance(path).curvature.components.tobytes())  # -0.0 included
+        reports.append((run(["verify-theorem", str(path), "--json", str(report)]), report.read_bytes()))
+    assert loaded[0] == loaded[1]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def test_pairs_are_read_before_components_and_entries(tmp_path):
+    inst = generate_instance("phi_model", 2, 2)
+    data = instance_to_dict(inst)
+    data["curvature"].update(components=[0.0] * 6**4, entries=[])
+    assert np.array_equal(instance_from_dict(data).curvature.components, inst.curvature.components)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (lambda p: p[:-1], "curvature.pairs must be a list of 120 numbers at dim 6, got shape (119,)"),
+    (lambda p: p + [0.0], "curvature.pairs must be a list of 120 numbers at dim 6, got shape (121,)"),
+    (lambda p: [p], "curvature.pairs must be a list of 120 numbers at dim 6, got shape (1, 120)"),
+    (lambda p: "120 numbers", "curvature.pairs must hold finite numbers (nested lists of numbers)"),
+    (lambda p: p[:-1] + [float("nan")], "curvature.pairs must hold finite numbers (nested lists of numbers)"),
+], ids=["short", "extra", "nested", "string", "nan"])
+def test_cli_bad_pairs_are_a_validation_error(tmp_path, capsys, pairs, message):
+    data = json.loads(dump_json(instance_to_dict(generate_instance("phi_model", 2, 2))))
+    data["curvature"]["pairs"] = pairs(data["curvature"]["pairs"])
+    path = str(tmp_path / "pairs.json")
+    Path(path).write_text(json.dumps(data))
+    for argv in (["validate", path], ["verify-theorem", path]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_dim12_generate_writes_the_pair_block(tmp_path):
+    out = tmp_path / "random12.json"
+    assert run(["generate", "--family", "random", "--n", "5", "--s", "2", "--out", str(out)]) == 0
+    curvature = json.loads(out.read_text())["curvature"]
+    assert sorted(curvature) == ["dim", "pairs"]
+    assert len(curvature["pairs"]) == 2211  # M(M+1)/2 at M = 66 pairs, of 12**4 = 20,736 components
 
 
 @pytest.mark.parametrize("family", ["constant", "phi_model", "random"])
